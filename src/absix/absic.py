@@ -20,11 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .atlas import StratumAtlas, require_valid
+from .atlas import StratumAtlas, per_atlas
 from .factor import ChDecomposition, ch_factorization
 from .hodgecore import (
     CohomologyTable,
-    MixedGraded,
     PureMorphism,
     PureObject,
     from_hodge_numbers,
@@ -68,9 +67,9 @@ class AbsicResult:
         return tuple(k for k, _ in self.comparisons)
 
 
+@per_atlas
 def absolute_ic(a: StratumAtlas) -> AbsicResult:
     """Compute H^n_!*(X) for every degree n in [0, 2d]."""
-    require_valid(a)
     d = a.dimension
     comparisons, decompositions, by_degree = [], [], {}
     for n in range(2 * d + 1):
@@ -85,7 +84,7 @@ def absolute_ic(a: StratumAtlas) -> AbsicResult:
     )
 
 
-def boundary_cohomology(a: StratumAtlas, result: AbsicResult = None) -> CohomologyTable:
+def boundary_cohomology(a: StratumAtlas) -> CohomologyTable:
     """The weight-graded boundary cohomology table (degrees 0 .. 2d-1).
 
     The long exact sequence ... -> H^n_c(X) -> H^n(X) -> bH^n -> H^(n+1)_c(X)
@@ -94,9 +93,7 @@ def boundary_cohomology(a: StratumAtlas, result: AbsicResult = None) -> Cohomolo
         Gr_w bH^n = [w = n] coker(u_n)  (+)  [w > n] Gr_w H^n(X)
                     (+) [w <= n] Gr_w H^(n+1)_c(X) (+) [w = n+1] ker(u_(n+1)).
     """
-    require_valid(a)
-    if result is None:
-        result = absolute_ic(a)
+    result = absolute_ic(a)
     d = a.dimension
     by_degree = {}
     for n in range(2 * d):
@@ -122,13 +119,11 @@ def boundary_cohomology(a: StratumAtlas, result: AbsicResult = None) -> Cohomolo
 
 def plain_table(a: StratumAtlas) -> CohomologyTable:
     """H^n(X) with its full weight grading, for n in [0, 2d]."""
-    require_valid(a)
     return table("plain", {n: grW(a, n) for n in range(2 * a.dimension + 1)})
 
 
 def compact_table(a: StratumAtlas) -> CohomologyTable:
     """H^n_c(X) with its full weight grading, for n in [0, 2d]."""
-    require_valid(a)
     return table("compactSupport", {n: grW_c(a, n) for n in range(2 * a.dimension + 1)})
 
 
@@ -149,16 +144,14 @@ class FactorCheck:
         return True
 
 
-def direct_factor_check(a: StratumAtlas, result: AbsicResult = None) -> FactorCheck:
+def direct_factor_check(a: StratumAtlas) -> FactorCheck:
     """Check dim_(p,q) H^n_!*(X) <= dim_(p,q) H^n(Y) for every degree and label.
 
     Absolute intersection cohomology is a direct factor of the cohomology of
     any smooth compactification, so each Hodge block must fit inside the
     corresponding block of H^n(Y); this audits that containment numerically.
     """
-    require_valid(a)
-    if result is None:
-        result = absolute_ic(a)
+    result = absolute_ic(a)
     rows = []
     for n in range(2 * a.dimension + 1):
         total = result.decomposition(n).total

@@ -37,13 +37,18 @@ the loader rejects unsorted subsets so that serialization is canonical.
 Hodge symmetry and duality of slot counts, perfect/block-compatible pairings,
 commuting restriction squares, degree-0 unit rows) and returns the complete
 list of findings; computational modules refuse atlases with findings.
+An atlas is immutable; ``per_atlas`` computes a layer once per atlas object
+and caches it on the atlas, next to its validation report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import InvalidAtlas, ParseError, WeightMismatch
@@ -78,6 +83,11 @@ class StratumData:
     def top_degree(self) -> int:
         return len(self.cohomology) - 1
 
+    @functools.cached_property
+    def pairing_inverses(self) -> tuple:
+        """``inverse`` of each pairing matrix (None where singular), computed once."""
+        return tuple(map(inverse, self.pairings))
+
 
 def make_stratum(e: int, cohomology: Sequence[PureObject],
                  pairings: Sequence[Matrix]) -> StratumData:
@@ -94,7 +104,7 @@ def make_stratum(e: int, cohomology: Sequence[PureObject],
 
 
 class StratumAtlas:
-    """Immutable-by-convention container for one atlas."""
+    """One atlas; immutable, so that results cached on it stay correct."""
 
     def __init__(self, dimension: int, components: Sequence[str],
                  strata: Mapping, restrictions: Mapping,
@@ -102,15 +112,21 @@ class StratumAtlas:
         self.dimension = int(dimension)
         self.components = tuple(components)
         self._index = {name: i for i, name in enumerate(self.components)}
-        self.strata = {tuple(k): v for k, v in strata.items()}
-        self.restrictions = {
+        self.strata = MappingProxyType({tuple(k): v for k, v in strata.items()})
+        self.restrictions = MappingProxyType({
             (tuple(src), tuple(dst)): tuple(mats)
             for (src, dst), mats in restrictions.items()
-        }
+        })
         self.self_intersections = (
-            dict(self_intersections) if self_intersections is not None else None
+            MappingProxyType(dict(self_intersections))
+            if self_intersections is not None else None
         )
-        self._report = None  # set lazily by validate_atlas
+        self._cache = {}  # validation report and per_atlas results; set last
+
+    def __setattr__(self, name, value):
+        if "_cache" in self.__dict__:
+            raise AttributeError(f"StratumAtlas is immutable: cannot set {name!r}")
+        object.__setattr__(self, name, value)
 
     # -- combinatorics -----------------------------------------------------
 
@@ -191,15 +207,20 @@ def _expect(cond: bool, loc: str, msg: str):
         raise ParseError(loc, msg)
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_fraction(x, loc: str) -> Fraction:
     if isinstance(x, bool):
         raise ParseError(loc, "booleans are not rationals")
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        if not _RATIONAL.fullmatch(x):
+            raise ParseError(loc, f"bad rational {x!r}: expected an integer or p/q")
         try:
             return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
             raise ParseError(loc, f"bad rational {x!r}: {exc}") from None
     raise ParseError(loc, f"expected rational string, got {type(x).__name__}")
 
@@ -343,6 +364,8 @@ def loads_atlas(text: str) -> StratumAtlas:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ParseError("", str(exc)) from None
     return load_atlas(document)
 
 
@@ -432,8 +455,8 @@ def _subset_name(subset) -> str:
 
 def validate_atlas(a: StratumAtlas) -> ValidationReport:
     """Audit every semantic invariant; returns the full list of findings."""
-    if a._report is not None:
-        return a._report
+    if "validation" in a._cache:
+        return a._cache["validation"]
     findings = []
 
     def flag(code, where, detail):
@@ -507,7 +530,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                 flag("PairingShape", f"{where}.pairing[{k}]",
                      f"shape {pk.shape}, expected {(obj.dim, dualobj.dim)}")
                 continue
-            if obj.dim != dualobj.dim or inverse(pk) is None:
+            if obj.dim != dualobj.dim or st.pairing_inverses[k] is None:
                 flag("PairingNotPerfect", f"{where}.pairing[{k}]",
                      "pairing matrix is not square invertible")
             for i, (p, q) in enumerate(obj.slots):
@@ -584,7 +607,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                         break
 
     report = ValidationReport(tuple(findings))
-    a._report = report
+    a._cache["validation"] = report
     return report
 
 
@@ -596,6 +619,22 @@ def require_valid(a: StratumAtlas):
             f"atlas failed validation with {len(report.findings)} finding(s):\n{report}",
             report=report,
         )
+
+
+def per_atlas(fn):
+    """Compute ``fn(a, *args)`` once per atlas object, and only on a valid atlas.
+
+    The result is cached on the atlas, so it is freed with the atlas.
+    """
+    @functools.wraps(fn)
+    def cached(a: StratumAtlas, *args):
+        key = (fn, *args)
+        if key not in a._cache:
+            require_valid(a)
+            a._cache[key] = fn(a, *args)
+        return a._cache[key]
+
+    return cached
 
 
 def builtin(name: str, **params) -> StratumAtlas:

@@ -25,7 +25,6 @@ from typing import Optional
 
 from . import __version__
 from .absic import (
-    AbsicResult,
     absolute_ic,
     boundary_cohomology,
     compact_table,
@@ -71,33 +70,33 @@ def atlas_hash(a: StratumAtlas) -> str:
 
 @dataclass(frozen=True)
 class Report:
-    """Everything the CLI can emit for one atlas."""
+    """The parts of one atlas's report that a ``--what`` selection renders."""
 
     atlasName: str
     tables: dict
-    criteria: CriteriaReport
+    criteria: Optional[CriteriaReport]
     comparison: Optional[ComparisonReport]
     dichotomy: Optional[DichotomyResult]
     provenance: dict
 
 
-def build_report(a: StratumAtlas, name: str) -> Report:
+def build_report(a: StratumAtlas, name: str, what: str) -> Report:
+    """Compute exactly the parts of the report that ``what`` renders."""
     require_valid(a)
-    result = absolute_ic(a)
-    tables = {
-        "plain": plain_table(a),
-        "compactSupport": compact_table(a),
-        "absoluteIC": result.table,
-        "boundary": boundary_cohomology(a, result),
+    build = {
+        "plain": plain_table,
+        "compactSupport": compact_table,
+        "absoluteIC": lambda atlas: absolute_ic(atlas).table,
+        "boundary": boundary_cohomology,
+        "onePointIC": ih_one_point,
     }
-    criteria = weight_criteria(a, result)
-    comparison = None
+    tables = {t: build[t](a) for t in _WHAT_TABLES[what]
+              if t != "onePointIC" or a.connected}
+    criteria = weight_criteria(a) if what in ("criteria", "all") else None
+    comparison = compare_candidates(a) if what == "all" and a.connected else None
     dichotomy = None
-    if a.connected:
-        tables["onePointIC"] = ih_one_point(a, result)
-        comparison = compare_candidates(a)
-        if not criteria.verdict:
-            dichotomy = plus_dichotomy(a)
+    if criteria is not None and not criteria.verdict and a.connected:
+        dichotomy = plus_dichotomy(a)
     return Report(
         atlasName=name,
         tables=tables,
@@ -160,20 +159,19 @@ def _dichotomy_json(d: DichotomyResult) -> dict:
     }
 
 
-def report_json(report: Report, what: str, degree: Optional[int]) -> dict:
+def report_json(report: Report, degree: Optional[int]) -> dict:
     doc = {
         "schema": 1,
         "atlasName": report.atlasName,
         "provenance": report.provenance,
     }
-    names = [t for t in _WHAT_TABLES[what] if t in report.tables]
-    if names:
-        doc["tables"] = {t: _table_json(report.tables[t], degree) for t in names}
-    if what in ("criteria", "all"):
+    if report.tables:
+        doc["tables"] = {t: _table_json(x, degree) for t, x in report.tables.items()}
+    if report.criteria is not None:
         doc["criteria"] = _criteria_json(report.criteria)
-        if report.dichotomy is not None:
-            doc["dichotomy"] = _dichotomy_json(report.dichotomy)
-    if what == "all" and report.comparison is not None:
+    if report.dichotomy is not None:
+        doc["dichotomy"] = _dichotomy_json(report.dichotomy)
+    if report.comparison is not None:
         doc["comparison"] = _comparison_json(report.comparison)
     return doc
 
@@ -249,29 +247,26 @@ def _render_comparison(c: ComparisonReport) -> list:
     return lines
 
 
-def report_text(report: Report, what: str, degree: Optional[int]) -> str:
+def report_text(report: Report, degree: Optional[int]) -> str:
     lines = [
         f"atlas: {report.atlasName}",
         f"engine: {report.provenance['engine']}  "
         f"hash: {report.provenance['atlasHash']}",
     ]
-    for t in _WHAT_TABLES[what]:
-        if t in report.tables:
-            lines.append("")
-            lines.extend(_render_table(t, report.tables[t], degree))
-    if what in ("criteria", "all"):
+    for t, x in report.tables.items():
+        lines.append("")
+        lines.extend(_render_table(t, x, degree))
+    if report.criteria is not None:
         lines.append("")
         lines.extend(_render_criteria(report.criteria))
-        if report.dichotomy is not None:
-            lines.append("")
-            lines.append("dichotomy:")
-            lines.append(f"  mode: {report.dichotomy.mode}")
-            lines.append(f"  horn: ({report.dichotomy.horn})")
-            lines.append(
-                f"  degrees: {', '.join(map(str, report.dichotomy.degrees))}"
-            )
-            lines.append(f"  {report.dichotomy.detail}")
-    if what == "all" and report.comparison is not None:
+    if report.dichotomy is not None:
+        lines.append("")
+        lines.append("dichotomy:")
+        lines.append(f"  mode: {report.dichotomy.mode}")
+        lines.append(f"  horn: ({report.dichotomy.horn})")
+        lines.append(f"  degrees: {', '.join(map(str, report.dichotomy.degrees))}")
+        lines.append(f"  {report.dichotomy.detail}")
+    if report.comparison is not None:
         lines.append("")
         lines.extend(_render_comparison(report.comparison))
     return "\n".join(lines) + "\n"
@@ -342,7 +337,7 @@ def cmd_compute(target: str, what: str, fmt: str, degree: Optional[int]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     try:
-        report = build_report(a, name)
+        report = build_report(a, name, what)
         if what == "ihplus" and "onePointIC" not in report.tables:
             print("error: the one-point table needs a connected X", file=sys.stderr)
             return 1
@@ -353,9 +348,9 @@ def cmd_compute(target: str, what: str, fmt: str, degree: Optional[int]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if fmt == "json":
-        print(json.dumps(report_json(report, what, degree), indent=2, sort_keys=True))
+        print(json.dumps(report_json(report, degree), indent=2, sort_keys=True))
     else:
-        print(report_text(report, what, degree), end="")
+        print(report_text(report, degree), end="")
     return 0
 
 

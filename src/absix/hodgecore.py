@@ -127,10 +127,6 @@ def direct_sum_all(parts: Sequence[PureObject]) -> PureObject:
     return out
 
 
-def hodge_numbers(v: PureObject) -> dict:
-    return v.hodge_numbers()
-
-
 class PureMorphism:
     """A bigrading-preserving map between pure objects of equal weight.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .absic import AbsicResult, absolute_ic, boundary_cohomology, plain_table
+from .absic import absolute_ic, boundary_cohomology
 from .atlas import StratumAtlas, require_valid
 from .errors import MissingSelfIntersections, PreconditionViolated
 from .hodgecore import (
@@ -37,6 +37,8 @@ from .wss import grW, grW_c, gysin_complex, restriction_complex
 
 
 def _require_connected(a: StratumAtlas, what: str):
+    """Raise InvalidAtlas, then PreconditionViolated, unless a is valid and connected."""
+    require_valid(a)
     if not a.connected:
         raise PreconditionViolated(
             f"{what} needs a connected X (declared dim H^0(Y) = 1, "
@@ -44,12 +46,10 @@ def _require_connected(a: StratumAtlas, what: str):
         )
 
 
-def ih_one_point(a: StratumAtlas, result: Optional[AbsicResult] = None) -> CohomologyTable:
+def ih_one_point(a: StratumAtlas) -> CohomologyTable:
     """Weight-graded intersection cohomology of the one-point compactification."""
-    require_valid(a)
     _require_connected(a, "the one-point compactification table")
-    if result is None:
-        result = absolute_ic(a)
+    result = absolute_ic(a)
     d = a.dimension
     by_degree = {}
     for n in range(2 * d + 1):
@@ -100,13 +100,10 @@ def _lefschetz_composite(a: StratumAtlas, n: int) -> Matrix:
     return restr.compose(gys).full_matrix()
 
 
-def weight_criteria(a: StratumAtlas, result: Optional[AbsicResult] = None) -> CriteriaReport:
+def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     """Evaluate the boundary-weight conditions on an atlas."""
-    require_valid(a)
-    if result is None:
-        result = absolute_ic(a)
+    boundary = boundary_cohomology(a)
     d = a.dimension
-    boundary = boundary_cohomology(a, result)
 
     cond2_rows, cond3_rows = [], []
     for n in range(2 * d):
@@ -176,11 +173,8 @@ class DichotomyResult:
 
 def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
     """Explain why the one-point compactification fails to be absolute."""
-    require_valid(a)
     _require_connected(a, "the dichotomy")
-    result = absolute_ic(a)
-    report = weight_criteria(a, result)
-    if report.verdict:
+    if weight_criteria(a).verdict:
         raise PreconditionViolated(
             "the dichotomy only applies when the weight criteria fail"
         )
@@ -221,10 +215,10 @@ def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
             ),
         )
 
-    one_point = ih_one_point(a, result)
+    one_point = ih_one_point(a)
+    absolute = absolute_ic(a).table
     mismatch = tuple(
-        n for n in range(2 * d + 1)
-        if one_point.hodge(n) != result.table.hodge(n)
+        n for n in range(2 * d + 1) if one_point.hodge(n) != absolute.hodge(n)
     )
     if mismatch:
         return DichotomyResult(
@@ -261,11 +255,10 @@ class ComparisonReport:
 
 def compare_candidates(a: StratumAtlas) -> ComparisonReport:
     """Compare H_!*(X) against the one-point and smooth compactifications."""
-    require_valid(a)
     _require_connected(a, "candidate comparison")
     result = absolute_ic(a)
     h_star = result.table
-    ih_plus = ih_one_point(a, result)
+    ih_plus = ih_one_point(a)
     d = a.dimension
     h_y = table(
         "plain",

@@ -83,9 +83,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self._data[i]
 
-    def column_tuple(self, j: int) -> tuple:
-        return tuple(r[j] for r in self._data)
-
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
@@ -370,26 +367,22 @@ def right_inverse(c: Matrix) -> Matrix:
     return emb * inv
 
 
-def adjoint_pushforward(r: Matrix, q_source: Matrix, q_target: Matrix) -> Matrix:
-    """Adjoint g of r under two perfect pairings.
+def adjoint_pushforward(r: Matrix, q_source: Matrix,
+                        q_target_inverse: Optional[Matrix]) -> Matrix:
+    """Adjoint g of r under two perfect pairings, given ``inverse(q_target)``.
 
     Defining identity (exact): ``g.T * q_target == q_source * r``, i.e.
     <g a, b>_target = <a, r b>_source for all coordinate vectors a, b.
-    Raises PairingNotPerfect if either pairing matrix is not square
-    invertible, DimensionError on shape mismatch.
+    Raises PairingNotPerfect if the inverse is None (singular target) or the
+    source pairing is not square, DimensionError on shape mismatch.
     """
-    if q_source.rows != q_source.cols or q_target.rows != q_target.cols:
-        raise PairingNotPerfect(
-            f"pairings must be square, got {q_source.shape} and {q_target.shape}"
-        )
-    if q_source.cols != r.rows or q_target.rows != r.cols:
+    if q_target_inverse is None:
+        raise PairingNotPerfect("target pairing is singular")
+    if q_source.rows != q_source.cols:
+        raise PairingNotPerfect(f"source pairing must be square, got {q_source.shape}")
+    if q_source.cols != r.rows or q_target_inverse.rows != r.cols:
         raise DimensionError(
             f"adjoint: restriction {r.shape} incompatible with pairings "
-            f"{q_source.shape}, {q_target.shape}"
+            f"{q_source.shape}, {q_target_inverse.shape}"
         )
-    if inverse(q_source) is None:
-        raise PairingNotPerfect("source pairing is singular")
-    qt_inv = inverse(q_target)
-    if qt_inv is None:
-        raise PairingNotPerfect("target pairing is singular")
-    return ((q_source * r) * qt_inv).transpose()
+    return ((q_source * r) * q_target_inverse).transpose()

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .atlas import StratumAtlas, require_valid
+from .atlas import StratumAtlas, per_atlas
 from .hodgecore import (
     MixedGraded,
     PureMorphism,
@@ -137,9 +137,9 @@ def _sign(position: int) -> Fraction:
     return Fraction(1) if position % 2 == 0 else Fraction(-1)
 
 
+@per_atlas
 def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     """The weight-w Gysin complex; homology at spot m is Gr^W_w H^(w-m)(X)."""
-    require_valid(a)
     d = a.dimension
     depth = a.depth()
     summands, spots = [], []
@@ -159,12 +159,11 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
             for pos, dropped in enumerate(subset):
                 smaller = subset[:pos] + subset[pos + 1:]
                 j = w - 2 * m  # degree on the source stratum
-                q_src = a.pairing_at(subset, j)
-                q_tgt = a.pairing_at(smaller, j + 2)
-                if q_tgt.rows == 0:
+                if a.pairing_at(smaller, j + 2).rows == 0:
                     continue
                 r = a.restriction_matrix(smaller, subset, 2 * d - w)
-                g = adjoint_pushforward(r, q_src, q_tgt)
+                g = adjoint_pushforward(r, a.pairing_at(subset, j),
+                                        a.strata[smaller].pairing_inverses[j + 2])
                 if g.is_zero():
                     continue
                 blocks[(smaller, subset)] = g.scale(_sign(pos))
@@ -178,9 +177,9 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     return WeightComplex(w, tuple(spots), tuple(maps), True, tuple(summands))
 
 
+@per_atlas
 def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
     """The degree-n restriction complex (weight n at every spot)."""
-    require_valid(a)
     depth = a.depth()
     summands, spots = [], []
     for m in range(depth + 1):
@@ -213,9 +212,9 @@ def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
     return WeightComplex(n, tuple(spots), tuple(maps), False, tuple(summands))
 
 
+@per_atlas
 def grW(a: StratumAtlas, n: int) -> MixedGraded:
     """Weight-graded pieces of H^n(X) as a MixedGraded family."""
-    require_valid(a)
     d = a.dimension
     if n < 0 or n > 2 * d:
         return MixedGraded(())
@@ -229,7 +228,6 @@ def grW(a: StratumAtlas, n: int) -> MixedGraded:
 
 def grW_c(a: StratumAtlas, n: int) -> MixedGraded:
     """Weight-graded pieces of H^n_c(X), by duality with degree 2d - n."""
-    require_valid(a)
     d = a.dimension
     plain = grW(a, 2 * d - n)
     pieces = {}
@@ -250,15 +248,7 @@ def lowest_weight_compact(a: StratumAtlas, n: int) -> PureObject:
     independent route to the same object ``grW_c(a, n)`` produces at
     weight n via duality; both are exposed so they can be compared.
     """
-    c = restriction_complex(a, n)
-    spot = c.spot(0)
-    out_map = c.map_out_of(0)
-    counts = {}
-    for lab in spot.labels():
-        k = spot.count(lab) - (rank(out_map.block(lab)) if out_map else 0)
-        if k:
-            counts[lab] = k
-    return from_hodge_numbers(n, counts)
+    return restriction_complex(a, n).homology_object(0)
 
 
 def u_map(a: StratumAtlas, n: int) -> PureMorphism:
@@ -269,7 +259,6 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     Gysin differential (a quotient of H^n(Y)), and u_n is induced by the
     identity of H^n(Y).
     """
-    require_valid(a)
     rc = restriction_complex(a, n)
     gc = gysin_complex(a, n)
     ambient = rc.spot(0)

@@ -68,7 +68,7 @@ def test_criterion_01_affine_line_recovers_projective_line():
         2: {2: {(1, 1): 1}},
     }
     _matches_proper_cohomology(a, res)
-    assert _table_dict(boundary_cohomology(a, res)) == {
+    assert _table_dict(boundary_cohomology(a)) == {
         0: {0: {(0, 0): 1}},
         1: {2: {(1, 1): 1}},
     }
@@ -82,7 +82,7 @@ def test_criterion_02_affine_spaces_look_like_even_spheres():
             0: {0: {(0, 0): 1}},
             2 * n: {2 * n: {(n, n): 1}},
         }, n
-        assert _table_dict(boundary_cohomology(a, res)) == {
+        assert _table_dict(boundary_cohomology(a)) == {
             0: {0: {(0, 0): 1}},
             2 * n - 1: {2 * n: {(n, n): 1}},
         }, n
@@ -160,7 +160,7 @@ def test_criterion_07_interior_bounds_and_direct_factor(corpus_results):
             assert res.decomposition(n).image_part.dim == interior, (name, n)
             assert interior <= u.source.dim, (name, n)
             assert interior <= u.target.dim, (name, n)
-        assert direct_factor_check(a, res).ok, name
+        assert direct_factor_check(a).ok, name
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ def test_criterion_07_interior_bounds_and_direct_factor(corpus_results):
 def test_criterion_08_one_point_table_by_independent_recomputation(corpus_results):
     for name, (a, res) in corpus_results.items():
         d = a.dimension
-        ih = ih_one_point(a, res)
+        ih = ih_one_point(a)
         expected = {}
         for n in range(2 * d + 1):
             if n < d:
@@ -192,8 +192,8 @@ def test_criterion_08_one_point_table_by_independent_recomputation(corpus_result
 
 def test_criterion_09_verdict_matches_table_comparison(corpus_results):
     for name, (a, res) in corpus_results.items():
-        crit = weight_criteria(a, res)
-        tables_equal = _table_dict(ih_one_point(a, res)) == _table_dict(res.table)
+        crit = weight_criteria(a)
+        tables_equal = _table_dict(ih_one_point(a)) == _table_dict(res.table)
         assert crit.verdict == tables_equal, name
         assert crit.cond2 == crit.cond3, name
         if crit.verdict:
@@ -211,7 +211,7 @@ def test_criterion_10_plus_identification_verdicts(corpus_results):
         "surface_resolution",
     }
     for name, (a, res) in corpus_results.items():
-        crit = weight_criteria(a, res)
+        crit = weight_criteria(a)
         assert crit.verdict == (name in expected_true), name
     fired = plus_dichotomy(corpus_results["middle_dim_Z_selfint_zero"][0])
     assert (fired.mode, fired.horn) == ("exemplar", "ii")

@@ -216,6 +216,22 @@ def test_bad_scalars_rejected():
     assert "nonnegative integer" in str(_perr(doc))
 
 
+@pytest.mark.parametrize("value", ["1e3", "1.5", "1_000", " 2 ", "+2", "2/", "1/-2", "٢"])
+def test_rationals_follow_the_strict_grammar(value):
+    doc = _doc()
+    doc["strata"][0]["pairings"][0] = [[value]]
+    assert _perr(doc).location == "strata[0].pairings[0][0][0]"
+
+
+def test_integers_past_the_digit_limit_are_parse_errors():
+    doc = _doc()
+    doc["strata"][0]["pairings"][0] = [["1" * 5000]]
+    assert "bad rational" in str(_perr(doc))
+    text = dumps_atlas(builtin("a1")).replace('"dimension": 1', '"dimension": 1' + "0" * 5000)
+    with pytest.raises(ParseError):
+        loads_atlas(text)
+
+
 def test_ragged_matrix_rejected():
     doc = _doc("low_dim_Z")
     for r in doc["restrictions"]:

@@ -232,9 +232,8 @@ def test_json_tables_agree_with_library(name, capsys):
     assert doc["tables"]["plain"] == _expect_json_table(plain_table(a))
     assert doc["tables"]["compactSupport"] == _expect_json_table(compact_table(a))
     assert doc["tables"]["absoluteIC"] == _expect_json_table(res.table)
-    assert doc["tables"]["boundary"] == _expect_json_table(
-        boundary_cohomology(a, res))
-    assert doc["tables"]["onePointIC"] == _expect_json_table(ih_one_point(a, res))
+    assert doc["tables"]["boundary"] == _expect_json_table(boundary_cohomology(a))
+    assert doc["tables"]["onePointIC"] == _expect_json_table(ih_one_point(a))
 
 
 def test_json_dichotomy_appears_when_verdict_fails(capsys):
@@ -267,6 +266,56 @@ def test_what_selects_tables(capsys):
         doc = json.loads(out)
         assert set(doc["tables"]) == expected, what
         assert "criteria" not in doc, what
+
+
+# The tables and report sections each selective --what renders.
+SELECTIONS = {
+    "cohomology": (("plain", "compactSupport"), ()),
+    "absic": (("absoluteIC",), ()),
+    "boundary": (("boundary",), ()),
+    "ihplus": (("onePointIC",), ()),
+    "criteria": ((), ("criteria", "dichotomy")),
+}
+
+
+@pytest.mark.parametrize("item", [item.name for item in CATALOGUE])
+def test_selective_what_equals_the_matching_part_of_all(item, capsys):
+    code, out, err = run_cli(capsys, "compute", f"@{item}", "--format", "json")
+    assert (code, err) == (0, "")
+    full = json.loads(out)
+    for what, (tables, sections) in SELECTIONS.items():
+        code, out, err = run_cli(
+            capsys, "compute", f"@{item}", "--format", "json", "--what", what,
+        )
+        assert (code, err) == (0, ""), what
+        expected = {k: full[k] for k in ("schema", "atlasName", "provenance") + sections
+                    if k in full}
+        if tables:
+            expected["tables"] = {t: full["tables"][t] for t in tables}
+        assert json.loads(out) == expected, what
+
+
+def test_cohomology_runs_no_absolute_ic(monkeypatch, capsys):
+    # Criteria, comparison and dichotomy all rest on absolute_ic, and every
+    # absolute_ic pass factorizes u_n.
+    def refuse(*args):
+        raise AssertionError("--what cohomology must not factorize u_n")
+
+    monkeypatch.setattr("absix.absic.ch_factorization", refuse)
+    code, out, err = run_cli(capsys, "compute", "@gm_times_a1", "--what", "cohomology")
+    assert (code, err) == (0, "")
+    assert "[plain]" in out and "[compactSupport]" in out
+
+
+@pytest.mark.parametrize("value", ["1e5000", "1.5", "1_000", " 2 "])
+def test_rationals_outside_the_grammar_are_parse_errors(value, tmp_path, capsys):
+    doc = dump_atlas(builtin("middle_dim_Z_selfint_zero"))
+    doc["self_intersections"] = {"Z": value}
+    path = _write_doc(tmp_path, doc)
+    for command in ("validate", "compute"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert err.startswith("parse error at self_intersections.Z: bad rational"), command
 
 
 def test_degree_filter(capsys):

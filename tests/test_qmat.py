@@ -256,7 +256,7 @@ def test_adjoint_pushforward_satisfies_the_adjunction(na, nb, seed):
     q_tgt = _rand_perfect(seed + 2, nb)
     r = Matrix(na, nb, [[Fraction(rng.randint(-3, 3)) for _ in range(nb)]
                         for _ in range(na)])
-    g = adjoint_pushforward(r, q_src, q_tgt)
+    g = adjoint_pushforward(r, q_src, inverse(q_tgt))
     assert g.transpose() * q_tgt == q_src * r
     assert rank(g) == rank(r)
 
@@ -265,4 +265,4 @@ def test_adjoint_pushforward_rejects_singular_pairing():
     r = Matrix(1, 1, [[1]])
     singular = Matrix(1, 1, [[0]])
     with pytest.raises(PairingNotPerfect):
-        adjoint_pushforward(r, Matrix(1, 1, [[1]]), singular)
+        adjoint_pushforward(r, Matrix(1, 1, [[1]]), inverse(singular))
