@@ -34,7 +34,6 @@ from .hodgecore import (
 from .factor import ChDecomposition, ch_factorization, idempotent_kernel, versal_embed
 from .atlas import (
     StratumAtlas,
-    builtin,
     dump_atlas,
     dumps_atlas,
     load_atlas,
@@ -43,6 +42,7 @@ from .atlas import (
     require_valid,
     validate_atlas,
 )
+from .corpus import builtin
 from .wss import (
     WeightComplex,
     grW,

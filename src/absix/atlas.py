@@ -366,12 +366,18 @@ def loads_atlas(text: str) -> StratumAtlas:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     except ValueError as exc:  # an integer literal past the digit limit
         raise ParseError("", str(exc)) from None
+    except RecursionError:
+        raise ParseError("", "JSON nested too deeply") from None
     return load_atlas(document)
 
 
 def read_atlas(path) -> StratumAtlas:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads_atlas(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:  # offsets count bytes of the file
+            raise ParseError(f"byte {exc.start}", f"not UTF-8: {exc.reason}") from None
+    return loads_atlas(text)
 
 
 # ---------------------------------------------------------------------------
@@ -635,9 +641,3 @@ def per_atlas(fn):
         return a._cache[key]
 
     return cached
-
-
-def builtin(name: str, **params) -> StratumAtlas:
-    """Construct a builtin corpus atlas by name (see absix.corpus)."""
-    from . import corpus
-    return corpus.builtin(name, **params)

@@ -277,6 +277,7 @@ def report_text(report: Report, degree: Optional[int]) -> str:
 # ---------------------------------------------------------------------------
 
 _CORPUS_REF = re.compile(r"^@([A-Za-z0-9_]+)(?:\((.*)\))?$")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 def resolve_target(target: str) -> tuple:
@@ -294,8 +295,10 @@ def resolve_target(target: str) -> tuple:
                     raise ParseError(target, f"expected param=value, got {chunk!r}")
                 key, val = (s.strip() for s in chunk.split("=", 1))
                 try:
+                    if not _INTEGER.fullmatch(val):
+                        raise ValueError
                     params[key] = int(val)
-                except ValueError:
+                except ValueError:  # outside -?[0-9]+, or past the digit limit
                     raise ParseError(
                         target, f"parameter {key!r} must be an integer, got {val!r}"
                     ) from None

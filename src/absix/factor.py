@@ -85,17 +85,6 @@ def _weight_of(v: PureMorphism) -> int:
     return v.target.weight
 
 
-def ch_object(v: PureMorphism) -> PureObject:
-    """ker(v) (+) im(v) (+) coker(v) as one pure object (in that slot order)."""
-    kerd, imd, cokd = _part_dims(v)
-    w = _weight_of(v)
-    return direct_sum_all([
-        from_hodge_numbers(w, kerd) if kerd else ZERO_OBJECT,
-        from_hodge_numbers(w, imd) if imd else ZERO_OBJECT,
-        from_hodge_numbers(w, cokd) if cokd else ZERO_OBJECT,
-    ])
-
-
 def ch_factorization(v: PureMorphism) -> ChDecomposition:
     """The canonical factorization of v through CH(v), blockwise pivot-order."""
     kerd, imd, cokd = _part_dims(v)

@@ -10,8 +10,10 @@ so a :class:`PureMorphism` is a family of exact-rational blocks, one per
 Grading conventions:
 
 * Tate twist by m relabels (p, q) -> (p - m, q - m) and shifts the weight by
-  -2m; ``tate(-1)`` is the weight-2 object with single slot (1, 1).
-* The dual negates weight and slot labels.
+  -2m; Q(-1) is the weight-2 object with single slot (1, 1).
+* The dual of a weight-w object has weight -w and slots (-p, -q); Poincare
+  duality on a dimension-e stratum pairs H^k with the dual of H^(2e-k)
+  twisted by Q(-e), i.e. slot (p, q) with slot (e - p, e - q).
 * The zero object is stored with weight 0 and no slots, and is
   weight-compatible with everything.
 
@@ -23,7 +25,7 @@ cohomology it tabulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionError, WeightMismatch
 from .qmat import Matrix
@@ -79,10 +81,6 @@ class PureObject:
 ZERO_OBJECT = PureObject(0, ())
 
 
-def pure(weight: int, slots: Iterable) -> PureObject:
-    return PureObject(weight, tuple(slots))
-
-
 def from_hodge_numbers(weight: int, numbers: Mapping) -> PureObject:
     """Pure object with lexicographically sorted slots of given multiplicity."""
     slots = []
@@ -91,22 +89,11 @@ def from_hodge_numbers(weight: int, numbers: Mapping) -> PureObject:
     return PureObject(weight, tuple(slots))
 
 
-def tate(m: int) -> PureObject:
-    """The one-dimensional object Q(m): weight -2m, slot (-m, -m)."""
-    return PureObject(-2 * m, ((-m, -m),))
-
-
 def tate_twist(v: PureObject, m: int) -> PureObject:
     """Twist by Q(m): weight - 2m, slots (p - m, q - m)."""
     if v.is_zero:
         return ZERO_OBJECT
     return PureObject(v.weight - 2 * m, tuple((p - m, q - m) for (p, q) in v.slots))
-
-
-def dual(v: PureObject) -> PureObject:
-    if v.is_zero:
-        return ZERO_OBJECT
-    return PureObject(-v.weight, tuple((-p, -q) for (p, q) in v.slots))
 
 
 def direct_sum(a: PureObject, b: PureObject) -> PureObject:
@@ -232,15 +219,6 @@ class PureMorphism:
     def rank(self) -> int:
         from .qmat import rank as _rank
         return sum(_rank(m) for m in self._blocks.values())
-
-    def rank_by_label(self) -> dict:
-        from .qmat import rank as _rank
-        out = {}
-        for lab in self.labels():
-            r = _rank(self.block(lab))
-            if r:
-                out[lab] = r
-        return out
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim

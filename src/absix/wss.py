@@ -55,15 +55,13 @@ class WeightComplex:
 
     ``maps[i]`` connects spots i and i+1: for a decreasing complex it is a
     morphism spots[i+1] -> spots[i] (Gysin direction), for an increasing one
-    spots[i] -> spots[i+1] (restriction direction).  ``summands[m]`` records
-    which subset owns which coordinate range of spot m.
+    spots[i] -> spots[i+1] (restriction direction).
     """
 
     weight: int
     spots: tuple
     maps: tuple
     decreasing: bool
-    summands: tuple
 
     def __post_init__(self):
         for i in range(len(self.maps) - 1):
@@ -111,14 +109,14 @@ class WeightComplex:
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _assemble(src_summands, tgt_summands, blocks) -> Matrix:
+def _assemble(src_parts, tgt_parts, blocks) -> Matrix:
     """Glue per-summand blocks into one full matrix in summand order."""
     col_off, cols = {}, 0
-    for subset, obj in src_summands:
+    for subset, obj in src_parts:
         col_off[subset] = cols
         cols += obj.dim
     row_off, rows = {}, 0
-    for subset, obj in tgt_summands:
+    for subset, obj in tgt_parts:
         row_off[subset] = rows
         rows += obj.dim
     if rows == 0 or cols == 0:
@@ -174,7 +172,7 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
                 where=f"gysin differential w={w}, spot {m}",
             )
         )
-    return WeightComplex(w, tuple(spots), tuple(maps), True, tuple(summands))
+    return WeightComplex(w, tuple(spots), tuple(maps), True)
 
 
 @per_atlas
@@ -209,7 +207,7 @@ def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
                 where=f"restriction differential n={n}, spot {m}",
             )
         )
-    return WeightComplex(n, tuple(spots), tuple(maps), False, tuple(summands))
+    return WeightComplex(n, tuple(spots), tuple(maps), False)
 
 
 @per_atlas

@@ -1,14 +1,13 @@
 """Atlas container, JSON round-trips, and the structural validator."""
 
 import copy
+import hashlib
 import json
-import pathlib
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-import absix
 from absix import Matrix
 from absix.atlas import (
     StratumAtlas,
@@ -21,13 +20,29 @@ from absix.atlas import (
     require_valid,
     validate_atlas,
 )
-from absix.corpus import ALIASES, CATALOGUE, builtin
+from absix.corpus import ALIASES, builtin, corpus_names
 from absix.errors import InvalidAtlas, ParseError, UnknownCorpusItem
-from absix.hodgecore import ZERO_OBJECT, pure
+from absix.hodgecore import ZERO_OBJECT, PureObject
 
 from synth import random_atlas
 
-DATA_DIR = pathlib.Path(absix.__file__).parent / "corpus"
+# sha256 of dumps_atlas(builtin(name)) for every catalogue name and alias: the
+# frozen bytes of the corpus, and so of every report's atlas hash.
+PINNED_DIGESTS = {
+    "pn_minus_hyperplane": "28db91a8d717aef77095bead580a584d4212c96d6ed39e0f6bbb8c382d380f23",
+    "gm": "2041c601ab36de2898c73fbd746017d8c375239a81b089da5921184d87180505",
+    "smooth_divisor_ample": "22f388989fb70744e9fbbcaa6359e104d351f49bd6b7b9350ebc590b7b13cce5",
+    "points_in_proper": "a919655d73c12ea6d897304dd60648d223ac131f3317e3ba6f70680ddd3dc04f",
+    "low_dim_Z": "21f5e90a51b9c9f67f7878577402a95328277a6b0769919cba35318bb3605d0f",
+    "middle_dim_Z_selfint_zero": "b8ceb0b3484e42e0d099977b445647fa67f8f981adaa5dfac531a4b0b9b333ca",
+    "middle_dim_Z_selfint_nonzero": "004ebae8fb105d23de7b657f6ac00e8ea4ce30ffaf63df65c7bfa77a9f6730ec",
+    "surface_resolution": "a2eb678f73254f429321ae4066335918d633f3ae44b68085718fd28b7503b486",
+    "gm_times_a1": "8fd2e2ee55fc8c3df3a5cbddd9277582e07f62176351ab116449f1415fb87038",
+    "a1": "876e4350c0a651bc93e439488801ae1ca9a744b45021576344363217084566e3",
+    "a2": "28db91a8d717aef77095bead580a584d4212c96d6ed39e0f6bbb8c382d380f23",
+    "a3": "6caf46e3d8f58c21aa35357651d8cce9a0ed8413ff6e9811feea583608fd5cde",
+    "p1p1_minus_diagonal": "004ebae8fb105d23de7b657f6ac00e8ea4ce30ffaf63df65c7bfa77a9f6730ec",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -46,16 +61,11 @@ def test_aliases_resolve_and_validate():
         assert report.ok, f"{alias}: {report}"
 
 
-def test_shipped_files_equal_builtins():
-    files = sorted(DATA_DIR.glob("*.atlas.json"))
-    names = {f.name[: -len(".atlas.json")] for f in files}
-    assert {item.name for item in CATALOGUE} <= names
-    assert set(ALIASES) <= names
-    for f in files:
-        atlas = read_atlas(f)
-        assert atlas == builtin(f.name[: -len(".atlas.json")])
-        # Canonical serialization reproduces the shipped bytes exactly.
-        assert dumps_atlas(atlas) == f.read_text(encoding="utf-8")
+@pytest.mark.parametrize("name", corpus_names() + sorted(ALIASES))
+def test_builtin_text_matches_pinned_digest(name):
+    text = dumps_atlas(builtin(name))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[name]
+    assert loads_atlas(text) == builtin(name)
 
 
 def test_builtin_rejects_unknown_names_and_bad_parameters():
@@ -301,7 +311,7 @@ def test_finding_degree_range():
     (z,) = base.subsets_of_size(1)
     inflated = make_stratum(
         0,
-        [pure(0, ((0, 0),)), ZERO_OBJECT, pure(2, ((1, 1),))],
+        [PureObject(0, ((0, 0),)), ZERO_OBJECT, PureObject(2, ((1, 1),))],
         [Matrix(1, 1, [[1]])],
     )
     a = StratumAtlas(

@@ -5,14 +5,12 @@ test), asserting exit codes, stream routing, and byte-level determinism.
 """
 
 import json
-import pathlib
 import re
 import subprocess
 import sys
 
 import pytest
 
-import absix
 from absix import __version__
 from absix.absic import (
     absolute_ic,
@@ -20,12 +18,10 @@ from absix.absic import (
     compact_table,
     plain_table,
 )
-from absix.atlas import dump_atlas
+from absix.atlas import dump_atlas, dumps_atlas
 from absix.cli import atlas_hash, main
-from absix.corpus import CATALOGUE, builtin
+from absix.corpus import ALIASES, CATALOGUE, builtin, corpus_names
 from absix.plus import ih_one_point
-
-DATA_DIR = pathlib.Path(absix.__file__).parent / "corpus"
 
 # Two disjoint projective lines: structurally valid but disconnected, so the
 # one-point compactification table must be refused.
@@ -87,12 +83,12 @@ def _expect_json_table(t):
 # validate
 # ---------------------------------------------------------------------------
 
-def test_validate_accepts_every_shipped_file(capsys):
-    files = sorted(DATA_DIR.glob("*.atlas.json"))
-    assert files
-    for f in files:
-        code, out, err = run_cli(capsys, "validate", str(f))
-        assert (code, out, err) == (0, "atlas valid\n", ""), f.name
+def test_validate_accepts_every_builtin_text(tmp_path, capsys):
+    for name in corpus_names() + sorted(ALIASES):
+        path = tmp_path / f"{name}.atlas.json"
+        path.write_text(dumps_atlas(builtin(name)), encoding="utf-8")
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert (code, out, err) == (0, "atlas valid\n", ""), name
 
 
 def test_validate_prints_findings_and_fails(tmp_path, capsys):
@@ -112,10 +108,16 @@ def test_validate_missing_file_is_io_error(tmp_path, capsys):
 
 def test_validate_malformed_json_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text('{"dimension": 1,', encoding="utf-8")
-    code, out, err = run_cli(capsys, "validate", str(path))
-    assert code == 2
-    assert err.startswith("parse error at line 1")
+    for data, location in [
+        (b'{"dimension": 1,', "line 1"),
+        (b"\xff\xfe\x00garbage", "byte 0"),   # not UTF-8
+        (b"[" * 100000 + b"]" * 100000, ": "),  # nested too deeply
+    ]:
+        path.write_bytes(data)
+        for command in ("validate", "compute"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert (code, out) == (2, ""), (command, data[:16])
+            assert err.startswith(f"parse error at {location}"), (command, err)
 
 
 # ---------------------------------------------------------------------------
@@ -144,9 +146,10 @@ def test_compute_unknown_corpus_name_is_domain_error(capsys):
 
 
 def test_compute_bad_parameter_values_are_parse_errors(capsys):
-    code, _, err = run_cli(capsys, "compute", "@pn_minus_hyperplane(n=two)")
-    assert code == 2
-    assert "must be an integer" in err
+    for value in ("two", "1_0", "+3", "\u0663"):  # U+0663 is Arabic-Indic three
+        code, out, err = run_cli(capsys, "compute", f"@pn_minus_hyperplane(n={value})")
+        assert (code, out) == (2, ""), value
+        assert err.startswith("parse error at") and "must be an integer" in err
     code, _, err = run_cli(capsys, "compute", "@pn_minus_hyperplane(n=0)")
     assert code == 2
     assert err.startswith("parse error")

@@ -9,7 +9,7 @@ from absix.absic import absolute_ic
 from absix.atlas import StratumAtlas, load_atlas, make_stratum
 from absix.corpus import builtin
 from absix.errors import MissingSelfIntersections, PreconditionViolated
-from absix.hodgecore import ZERO_OBJECT, pure
+from absix.hodgecore import ZERO_OBJECT, PureObject
 from absix.plus import (
     compare_candidates,
     ih_one_point,
@@ -144,7 +144,7 @@ def _p1_proper_atlas():
     one = Matrix(1, 1, [[1]])
     data = make_stratum(
         1,
-        [pure(0, ((0, 0),)), ZERO_OBJECT, pure(2, ((1, 1),))],
+        [PureObject(0, ((0, 0),)), ZERO_OBJECT, PureObject(2, ((1, 1),))],
         [one, Matrix.zeros(0, 0), one],
     )
     return StratumAtlas(1, (), {(): data}, {})
