@@ -13,6 +13,7 @@ __version__ = "0.1.0"
 from .errors import (
     AbsixError,
     DimensionError,
+    InternalError,
     InvalidAtlas,
     MissingSelfIntersections,
     NotIdempotent,
@@ -76,6 +77,7 @@ __all__ = [
     "__version__",
     "AbsixError",
     "DimensionError",
+    "InternalError",
     "InvalidAtlas",
     "MissingSelfIntersections",
     "NotIdempotent",

@@ -46,6 +46,7 @@ from __future__ import annotations
 import functools
 import json
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
@@ -358,6 +359,44 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     return StratumAtlas(d, comps, strata, restrictions, selfint)
 
 
+# Strings (skipped whole), numbers and brackets: enough of JSON to find where
+# ``json.loads`` stopped at an interpreter limit, since everything before that
+# point parsed.
+_JSON_TOKENS = re.compile(
+    r'"(?:[^"\\]|\\.)*"'
+    r"|-?(?P<int>[0-9]+)(?P<real>(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<open>[\[{])|(?P<close>[\]}])",
+    re.DOTALL,
+)
+
+
+def _limit_location(text: str, deep: bool) -> str:
+    """``line L, column C`` of the place where ``json.loads`` hit a limit.
+
+    With ``deep``, the first ``[``/``{`` that opens a level past the
+    recursion limit (or, if the call stack was already deep, the first that
+    opens the document's deepest level); otherwise the first digit of the
+    first integer literal longer than the int digit limit.
+    """
+    depth = deepest = pos = 0
+    for m in _JSON_TOKENS.finditer(text):
+        if m["open"]:
+            depth += 1
+            if deep and depth > deepest:
+                deepest, pos = depth, m.start()
+                if depth > sys.getrecursionlimit():
+                    break
+        elif m["close"]:
+            depth -= 1
+        elif (not deep and m["int"] and not m["real"]
+              and len(m["int"]) > sys.get_int_max_str_digits()):
+            pos = m.start("int")
+            break
+    line = text.count("\n", 0, pos) + 1
+    column = pos - text.rfind("\n", 0, pos)  # counted as json.JSONDecodeError does
+    return f"line {line}, column {column}"
+
+
 def loads_atlas(text: str) -> StratumAtlas:
     """Parse atlas JSON text (ParseError carries line/column on bad JSON)."""
     try:
@@ -365,9 +404,10 @@ def loads_atlas(text: str) -> StratumAtlas:
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from None
     except ValueError as exc:  # an integer literal past the digit limit
-        raise ParseError("", str(exc)) from None
+        raise ParseError(_limit_location(text, deep=False), str(exc)) from None
     except RecursionError:
-        raise ParseError("", "JSON nested too deeply") from None
+        raise ParseError(_limit_location(text, deep=True),
+                         "JSON nested too deeply") from None
     return load_atlas(document)
 
 

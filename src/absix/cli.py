@@ -10,7 +10,7 @@ Usage (installed as ``absix``)::
 ``@name(param=value, ...)`` referring to a built-in corpus atlas.  Output is
 deterministic: identical inputs produce identical bytes.  Exit codes: 0 on
 success, 1 on a domain error (invalid atlas, violated precondition), 2 on
-I/O or parse errors.
+I/O or parse errors, 3 when an internal invariant fails (a bug in absix).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .absic import (
 )
 from .atlas import StratumAtlas, dump_atlas, read_atlas, require_valid, validate_atlas
 from .corpus import CATALOGUE, builtin
-from .errors import AbsixError, InvalidAtlas, ParseError
+from .errors import AbsixError, InternalError, InvalidAtlas, ParseError
 from .hodgecore import CohomologyTable
 from .plus import (
     ComparisonReport,
@@ -281,7 +281,12 @@ _INTEGER = re.compile(r"-?[0-9]+")
 
 
 def resolve_target(target: str) -> tuple:
-    """Turn a CLI target (path or @name(...)) into (atlas, display name)."""
+    """Turn a CLI target (path or @name(...)) into (atlas, display name).
+
+    A corpus target's display name is built from the parsed parameters,
+    ``name`` or ``name(k=v,...)`` with sorted keys, so every spelling of one
+    atlas gives one report.
+    """
     m = _CORPUS_REF.match(target)
     if m:
         name, raw = m.group(1), m.group(2)
@@ -294,6 +299,8 @@ def resolve_target(target: str) -> tuple:
                 if "=" not in chunk:
                     raise ParseError(target, f"expected param=value, got {chunk!r}")
                 key, val = (s.strip() for s in chunk.split("=", 1))
+                if key in params:
+                    raise ParseError(target, f"parameter {key!r} given twice")
                 try:
                     if not _INTEGER.fullmatch(val):
                         raise ValueError
@@ -302,8 +309,9 @@ def resolve_target(target: str) -> tuple:
                     raise ParseError(
                         target, f"parameter {key!r} must be an integer, got {val!r}"
                     ) from None
+        shown = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
         try:
-            return builtin(name, **params), target[1:]
+            return builtin(name, **params), f"{name}({shown})" if shown else name
         except ValueError as exc:
             raise ParseError(target, str(exc)) from None
     return read_atlas(target), target
@@ -388,11 +396,15 @@ def main(argv=None) -> int:
     sub.add_parser("corpus", help="list built-in atlases")
 
     args = parser.parse_args(argv)
-    if args.command == "validate":
-        return cmd_validate(args.path)
-    if args.command == "compute":
-        return cmd_compute(args.target, args.what, args.format, args.degree)
-    return cmd_corpus()
+    try:
+        if args.command == "validate":
+            return cmd_validate(args.path)
+        if args.command == "compute":
+            return cmd_compute(args.target, args.what, args.format, args.degree)
+        return cmd_corpus()
+    except InternalError as exc:
+        print(f"internal error (a bug in absix): {exc}", file=sys.stderr)
+        return 3
 
 
 def entrypoint():

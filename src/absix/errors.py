@@ -1,7 +1,10 @@
 """Exception hierarchy for the absix engine.
 
-Every error raised by the public API derives from :class:`AbsixError`, so
-callers (notably the CLI) can separate domain failures from genuine bugs.
+Every domain error raised by the public API derives from :class:`AbsixError`,
+so callers (notably the CLI) can separate domain failures from genuine bugs.
+A failed internal invariant is such a bug: it raises :class:`InternalError`,
+which deliberately does not derive from :class:`AbsixError`, so no handler of
+domain errors can mistake it for one.
 """
 
 from __future__ import annotations
@@ -62,3 +65,11 @@ class UnknownCorpusItem(AbsixError):
 
 class MissingSelfIntersections(AbsixError):
     """The atlas lacks the optional self-intersection extension field."""
+
+
+class InternalError(Exception):
+    """An internal invariant of the engine failed: a bug in absix, not in its input.
+
+    Raised by explicit checks, never ``assert``, so the invariants stay on
+    under ``python -O``.
+    """

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotIdempotent, PreconditionViolated
+from .errors import InternalError, NotIdempotent, PreconditionViolated
 from .hodgecore import (
     PureMorphism,
     PureObject,
@@ -108,7 +108,8 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
         C = cokernel_projection(m)                # c x t_dim
         sS = left_inverse(K)                      # k x s_dim, sS*K = I
         coords = solve(B, m)                      # r x s_dim, B*coords = m
-        assert coords is not None and B * coords == m
+        if coords is None or B * coords != m:
+            raise InternalError("the image basis must reproduce the block")
         tT = right_inverse(C)                     # t_dim x c, C*tT = I
         i_blocks[lab] = vstack_all(
             [sS, coords, Matrix.zeros(c, s_dim)], cols=s_dim
@@ -119,9 +120,12 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
 
     i_ch = PureMorphism(v.source, total, i_blocks)
     pi_ch = PureMorphism(total, v.target, pi_blocks)
-    assert pi_ch.compose(i_ch) == v, "canonical factorization must recover v"
-    assert i_ch.rank() == v.source.dim, "i_ch must be injective"
-    assert pi_ch.rank() == v.target.dim, "pi_ch must be surjective"
+    if pi_ch.compose(i_ch) != v:
+        raise InternalError("canonical factorization must recover v")
+    if i_ch.rank() != v.source.dim:
+        raise InternalError("i_ch must be injective")
+    if pi_ch.rank() != v.target.dim:
+        raise InternalError("pi_ch must be surjective")
     return ChDecomposition(kernel_part, image_part, cokernel_part, total, i_ch, pi_ch)
 
 
@@ -175,7 +179,8 @@ def _versal_block(vb: Matrix, jb: Matrix, pb: Matrix,
     h2 = H2.cols
     theta = theta.hstack(H2)                             # h x h, invertible
     theta_inv = inverse(theta)
-    assert theta_inv is not None
+    if theta_inv is None:
+        raise InternalError("theta = [j | H1 | H2] must be invertible")
 
     # Retraction of H onto ker(p) = j(ker v) (+) H1 (coordinates in that basis),
     # written in the decomposition H = im(j) (+) H1 (+) H2.
@@ -186,20 +191,24 @@ def _versal_block(vb: Matrix, jb: Matrix, pb: Matrix,
     s_H = vstack_all([top, mid], cols=s_dim + h1 + h2) * theta_inv  # (k+h1) x h
 
     W = kernel_basis(s_H)                                # h x t: lifts T into H
-    assert W.cols == t_dim, "complement of ker(p) must have dimension rank(p)"
+    if W.cols != t_dim:
+        raise InternalError("complement of ker(p) must have dimension rank(p)")
     pW_inv = inverse(pb * W)
-    assert pW_inv is not None
+    if pW_inv is None:
+        raise InternalError("p must be invertible on the complement of ker(p)")
     lift = W * pW_inv                                    # h x t with p*lift = I
 
     iota_b = hstack_all([jK, lift * B, lift * tT], rows=h_dim)
 
     psi = hstack_all([jK, H1, W], rows=h_dim)            # h x h
     psi_inv = inverse(psi)
-    assert psi_inv is not None
+    if psi_inv is None:
+        raise InternalError("psi = [j(ker v) | H1 | W] must be invertible")
     ker_coords = psi_inv.take_rows(range(k))             # k x h
     bt = B.hstack(tT)                                    # t x (r + c)
     bt_inv = inverse(bt)
-    assert bt_inv is not None, "image (+) complement must span the target"
+    if bt_inv is None:
+        raise InternalError("image (+) complement must span the target")
     q_b = vstack_all([ker_coords, bt_inv * pb], cols=h_dim)
     return iota_b, q_b
 
@@ -240,7 +249,8 @@ def versal_embed(v: PureMorphism, h: PureObject, j: PureMorphism,
         iota_blocks[lab] = iota_b
         q_blocks[lab] = q_b
         extra = h_dim - (k + r + c)
-        assert extra >= 0
+        if extra < 0:
+            raise InternalError(f"CH(v) does not fit in h at label {lab}")
         if extra:
             prime_dims[lab] = extra
 
@@ -251,11 +261,16 @@ def versal_embed(v: PureMorphism, h: PureObject, j: PureMorphism,
     )
 
     # The versal identities hold exactly; verify all five.
-    assert q.compose(iota) == PureMorphism.identity(dec.total)
-    assert iota.compose(dec.i_ch) == j
-    assert p.compose(iota) == dec.pi_ch
-    assert q.compose(j) == dec.i_ch
-    assert dec.pi_ch.compose(q) == p
+    if q.compose(iota) != PureMorphism.identity(dec.total):
+        raise InternalError("versal identity q . iota = id fails")
+    if iota.compose(dec.i_ch) != j:
+        raise InternalError("versal identity iota . i_ch = j fails")
+    if p.compose(iota) != dec.pi_ch:
+        raise InternalError("versal identity p . iota = pi_ch fails")
+    if q.compose(j) != dec.i_ch:
+        raise InternalError("versal identity q . j = i_ch fails")
+    if dec.pi_ch.compose(q) != p:
+        raise InternalError("versal identity pi_ch . q = p fails")
     return iota, q, h_prime
 
 

@@ -5,9 +5,19 @@ positive denominator — the stdlib guarantees that normal form).  Matrices are
 immutable.  Rank-revealing computations run fraction-free: each row is first
 cleared to integers, then eliminated Bareiss-style (two-row integer updates
 with exact division by the previous pivot) so intermediate entries stay the
-size of minors instead of exploding.  The pivot is always the first nonzero
-entry in column order, which makes every echelon form — and therefore every
-returned basis — deterministic and byte-reproducible.
+size of minors instead of exploding.  ``rref`` then back-substitutes upward
+on those integer pivot rows, again with exact division, to ``D * RREF`` (``D``
+the last pivot) and builds every entry once as ``Fraction(x, D)``, so no
+``Fraction`` arithmetic runs inside the elimination.  The pivot is always the
+first nonzero entry in column order, and the reduced row echelon form is
+unique, which makes every echelon form — and therefore every returned basis —
+deterministic and byte-reproducible.
+
+The matrix product skips zeros: the nonzero entries of each row of the right
+factor are listed once, and each nonzero entry of a left row adds its
+products into one accumulator row.  Engine matrices (pairings, restrictions,
+selection and block matrices) are mostly zeros, so this does a small share
+of the dense product's multiply-adds and returns the same exact sums.
 
 No floating point enters anywhere.
 """
@@ -18,7 +28,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
-from .errors import DimensionError, PairingNotPerfect
+from .errors import DimensionError, InternalError, PairingNotPerfect
 
 #: Exact scalar type used throughout the engine.
 Scalar = Fraction
@@ -43,7 +53,7 @@ class Matrix:
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
         if rows < 0 or cols < 0:
             raise DimensionError("negative matrix dimensions")
-        tup = tuple(tuple(_frac(x) for x in row) for row in data)
+        tup = tuple(tuple(map(_frac, row)) for row in data)
         if len(tup) != rows or any(len(r) != cols for r in tup):
             raise DimensionError(
                 f"expected {rows}x{cols} data, got rows of lengths {[len(r) for r in tup]}"
@@ -101,15 +111,15 @@ class Matrix:
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
         ocols = other.cols
+        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
         out = []
-        for i in range(self.rows):
-            ri = self._data[i]
-            out.append(
-                tuple(
-                    sum((ri[k] * other._data[k][j] for k in range(self.cols)), _ZERO)
-                    for j in range(ocols)
-                )
-            )
+        for ri in self._data:
+            acc = [_ZERO] * ocols
+            for a, pairs in zip(ri, nonzero):
+                if a:
+                    for j, b in pairs:
+                        acc[j] += a * b
+            out.append(acc)
         return Matrix(self.rows, ocols, out)
 
     def scale(self, k) -> "Matrix":
@@ -202,8 +212,8 @@ def _integer_rows(m: Matrix) -> list:
     """Scale each row by the lcm of its denominators (preserves row space)."""
     out = []
     for row in m.entries():
-        mult = lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * mult) for x in row])
+        mult = lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (mult // x.denominator) for x in row])
     return out
 
 
@@ -211,7 +221,7 @@ def _bareiss_echelon(work: list, cols: int) -> list:
     """In-place fraction-free echelon; returns the pivot column list.
 
     Division by the previous pivot is exact (entries are minors of the
-    integerized input); asserted via divmod.
+    integerized input); checked via divmod.
     """
     pivots = []
     nrows = len(work)
@@ -237,7 +247,8 @@ def _bareiss_echelon(work: list, cols: int) -> list:
             for k in range(c, cols):
                 num = piv * wi[k] - f * work[r][k]
                 q, rem = divmod(num, prev)
-                assert rem == 0, "Bareiss exact-division invariant broken"
+                if rem:
+                    raise InternalError("Bareiss exact-division invariant broken")
                 new[k] = q
             work[i] = new
         prev = piv
@@ -255,17 +266,28 @@ def rref(m: Matrix) -> tuple:
     work = _integer_rows(m)
     pivots = _bareiss_echelon(work, m.cols)
     rank = len(pivots)
-    # Normalize pivot rows to Fractions and back-substitute upward.
-    rows = [[Fraction(x) for x in work[i]] for i in range(rank)]
-    for i in range(rank):
-        piv = rows[i][pivots[i]]
-        rows[i] = [x / piv for x in rows[i]]
-    for i in range(rank - 1, -1, -1):
-        pc = pivots[i]
-        for k in range(i):
-            f = rows[k][pc]
+    # Back-substitute upward on the integer pivot rows E_i.  Their pivot
+    # columns form an upper triangular T with diagonal d_i; with D the last
+    # pivot, F = D * RREF solves T F = D E and is integral (its entries are
+    # minors, by Cramer's rule), so row i is (D E_i - sum_{j>i} T_ij F_j) / d_i
+    # with exact division, and each entry is built once as Fraction(x, D).
+    D = work[rank - 1][pivots[rank - 1]] if rank else 1
+    for i in range(rank - 2, -1, -1):
+        wi = work[i]
+        acc = [D * x for x in wi]
+        for j in range(i + 1, rank):
+            f = wi[pivots[j]]
             if f:
-                rows[k] = [a - f * b for a, b in zip(rows[k], rows[i])]
+                acc = [a - f * b if b else a for a, b in zip(acc, work[j])]
+        d = wi[pivots[i]]
+        if d != 1:
+            for k, a in enumerate(acc):
+                q, rem = divmod(a, d)
+                if rem:
+                    raise InternalError("back-substitution left a remainder")
+                acc[k] = q
+        work[i] = acc
+    rows = [[Fraction(x, D) if x else _ZERO for x in work[i]] for i in range(rank)]
     rows += [[_ZERO] * m.cols for _ in range(m.rows - rank)]
     return Matrix(m.rows, m.cols, rows), tuple(pivots)
 

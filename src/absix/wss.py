@@ -37,6 +37,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .atlas import StratumAtlas, per_atlas
+from .errors import InternalError
 from .hodgecore import (
     MixedGraded,
     PureMorphism,
@@ -69,7 +70,8 @@ class WeightComplex:
                 square = self.maps[i].compose(self.maps[i + 1])
             else:
                 square = self.maps[i + 1].compose(self.maps[i])
-            assert square.is_zero(), f"differential does not square to zero at {i}"
+            if not square.is_zero():
+                raise InternalError(f"differential does not square to zero at {i}")
 
     def spot(self, m: int) -> PureObject:
         if 0 <= m < len(self.spots):
@@ -100,7 +102,8 @@ class WeightComplex:
             r_out = rank(out_map.block(lab)) if out_map is not None else 0
             r_in = rank(in_map.block(lab)) if in_map is not None else 0
             h = total - r_out - r_in
-            assert h >= 0, f"homology count negative at spot {m}, label {lab}"
+            if h < 0:
+                raise InternalError(f"homology count negative at spot {m}, label {lab}")
             if h:
                 counts[lab] = counts.get(lab, 0) + h
         return counts
@@ -260,7 +263,8 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     rc = restriction_complex(a, n)
     gc = gysin_complex(a, n)
     ambient = rc.spot(0)
-    assert ambient.slots == gc.spot(0).slots, "spot-0 objects must agree"
+    if ambient.slots != gc.spot(0).slots:
+        raise InternalError("spot-0 objects must agree")
     d0 = rc.map_out_of(0)
     g1 = gc.map_into(0)
     src_counts, tgt_counts, kernels, projections = {}, {}, {}, {}

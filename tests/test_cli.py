@@ -108,16 +108,21 @@ def test_validate_missing_file_is_io_error(tmp_path, capsys):
 
 def test_validate_malformed_json_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
+    huge = b"9" * (sys.get_int_max_str_digits() + 1)
     for data, location in [
-        (b'{"dimension": 1,', "line 1"),
-        (b"\xff\xfe\x00garbage", "byte 0"),   # not UTF-8
-        (b"[" * 100000 + b"]" * 100000, ": "),  # nested too deeply
+        (b'{"dimension": 1,', r"line 1, column 17"),
+        (b"\xff\xfe\x00garbage", r"byte 0"),   # not UTF-8
+        # Nested too deeply: the location is the first bracket past the limit.
+        (b"[" * 100000 + b"]" * 100000, f"line 1, column {sys.getrecursionlimit() + 1}"),
+        # An integer past the digit limit: the location is its first digit,
+        # not a digit inside a string that comes first.
+        (b'{"d": "' + huge + b'",\n "x": [1.5e3, -' + huge + b"]}", r"line 2, column 16"),
     ]:
         path.write_bytes(data)
         for command in ("validate", "compute"):
             code, out, err = run_cli(capsys, command, str(path))
             assert (code, out) == (2, ""), (command, data[:16])
-            assert err.startswith(f"parse error at {location}"), (command, err)
+            assert re.match(f"parse error at {location}: ", err), (command, err)
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +161,24 @@ def test_compute_bad_parameter_values_are_parse_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "@pn_minus_hyperplane(3)")
     assert code == 2
     assert "expected param=value" in err
+
+
+def test_spellings_of_one_corpus_atlas_print_one_report(capsys):
+    outputs = set()
+    for target in ("@pn_minus_hyperplane(n=3)", "@pn_minus_hyperplane(n=03)",
+                   "@pn_minus_hyperplane( n = 3 ,)"):
+        code, out, err = run_cli(capsys, "compute", target, "--what", "absic",
+                                 "--format", "json")
+        assert (code, err) == (0, ""), target
+        outputs.add(out)
+    assert len(outputs) == 1
+    assert json.loads(outputs.pop())["atlasName"] == "pn_minus_hyperplane(n=3)"
+    bare = run_cli(capsys, "compute", "@gm")
+    assert run_cli(capsys, "compute", "@gm()") == bare
+    assert bare[1].startswith("atlas: gm\n")
+    code, out, err = run_cli(capsys, "compute", "@pn_minus_hyperplane(n=2,n=3)")
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error at") and "given twice" in err
 
 
 def test_compute_unknown_parameter_name_is_domain_error(capsys):
@@ -308,6 +331,16 @@ def test_cohomology_runs_no_absolute_ic(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "compute", "@gm_times_a1", "--what", "cohomology")
     assert (code, err) == (0, "")
     assert "[plain]" in out and "[compactSupport]" in out
+
+
+def test_failed_invariant_exits_3_without_traceback(monkeypatch, capsys):
+    # A rank larger than the spot makes a homology count negative; main
+    # returns (nothing escapes it) with exit code 3 and a one-line message.
+    monkeypatch.setattr("absix.wss.rank", lambda m: m.rows + m.cols + 1)
+    code, out, err = run_cli(capsys, "compute", "@gm", "--what", "cohomology")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error (a bug in absix): homology count negative")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("value", ["1e5000", "1.5", "1_000", " 2 "])

@@ -5,6 +5,7 @@ row reduction over Fraction, no Bareiss, no pivot tricks) so agreement is
 meaningful.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -236,7 +237,6 @@ def test_matrix_shape_errors():
 # ---------------------------------------------------------------------------
 
 def _rand_perfect(seed, n):
-    import random
     rng = random.Random(seed)
     while True:
         m = Matrix(n, n, [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
@@ -250,7 +250,6 @@ def _rand_perfect(seed, n):
 @settings(max_examples=100, deadline=None)
 def test_adjoint_pushforward_satisfies_the_adjunction(na, nb, seed):
     """g = q_src r q_tgt^{-1} transposed, i.e. g^T q_tgt = q_src r exactly."""
-    import random
     rng = random.Random(seed)
     q_src = _rand_perfect(seed + 1, na)
     q_tgt = _rand_perfect(seed + 2, nb)
@@ -266,3 +265,113 @@ def test_adjoint_pushforward_rejects_singular_pairing():
     singular = Matrix(1, 1, [[0]])
     with pytest.raises(PairingNotPerfect):
         adjoint_pushforward(r, Matrix(1, 1, [[1]]), inverse(singular))
+
+
+# ---------------------------------------------------------------------------
+# Sparse and large-entry draws against the oracles
+# ---------------------------------------------------------------------------
+
+def oracle_product(a: Matrix, b: Matrix):
+    """Textbook triple loop, every term summed."""
+    out = [[Fraction(0)] * b.cols for _ in range(a.rows)]
+    for i in range(a.rows):
+        for j in range(b.cols):
+            for k in range(a.cols):
+                out[i][j] += a[i, k] * b[k, j]
+    return out
+
+
+def oracle_inverse(m: Matrix):
+    n = m.rows
+    red, pivots = oracle_rref([list(r) + [Fraction(int(i == j)) for j in range(n)]
+                               for i, r in enumerate(m.to_lists())])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def oracle_solve(m: Matrix, b: Matrix):
+    red, pivots = oracle_rref([r1 + r2 for r1, r2 in zip(m.to_lists(), b.to_lists())])
+    if any(p >= m.cols for p in pivots):
+        return None
+    out = [[Fraction(0)] * b.cols for _ in range(m.cols)]
+    for i, p in enumerate(pivots):
+        out[p] = red[i][m.cols:]
+    return out
+
+
+# name -> (largest side, share of zeros, numerator bits, denominator bits)
+FAMILIES = {
+    "sparse": (10, (0.7, 0.9), 4, 3),
+    "large": (8, (0.0, 0.0), 200, 100),
+}
+
+
+def _entry(rng, zeros, num_bits, den_bits):
+    if rng.random() < zeros:
+        return Fraction(0)
+    return Fraction(rng.randint(-(1 << num_bits), 1 << num_bits),
+                    rng.randint(1, 1 << den_bits))
+
+
+def _draw(rng, rows, cols, family, rank_below=None):
+    """A seeded draw; with ``rank_below``, a product through a thinner middle."""
+    _, (lo, hi), num_bits, den_bits = FAMILIES[family]
+    zeros = rng.uniform(lo, hi)
+    if rank_below is not None:
+        inner = rng.randint(0, max(rank_below - 1, 0))
+        return _draw(rng, rows, inner, family) * _draw(rng, inner, cols, family)
+    return Matrix(rows, cols, [[_entry(rng, zeros, num_bits, den_bits)
+                                for _ in range(cols)] for _ in range(rows)])
+
+
+def _check_against_oracles(m: Matrix, other: Matrix, square: Matrix, rhss):
+    assert (m * other).to_lists() == oracle_product(m, other)
+    red, pivots = rref(m)
+    want_rows, want_pivots = oracle_rref(m.to_lists())
+    assert list(pivots) == want_pivots
+    if m.rows:
+        assert red.to_lists() == want_rows
+    want_kernel = oracle_kernel(m.to_lists(), m.cols)
+    k = kernel_basis(m)
+    assert k.shape == (m.cols, len(want_kernel))
+    assert [list(c) for c in zip(*k.to_lists())] == want_kernel
+    inv = inverse(square)
+    want_inv = oracle_inverse(square)
+    assert (inv is None) == (want_inv is None)
+    if inv is not None:
+        assert inv.to_lists() == want_inv
+    for rhs in rhss:
+        got = solve(m, rhs)
+        want = oracle_solve(m, rhs)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got.to_lists() == want
+
+
+@pytest.mark.parametrize("family, seed, deficient",
+                         [("sparse", s, s % 3 == 0) for s in range(60)]
+                         + [("large", s, s % 3 == 0) for s in range(20)])
+def test_kernels_match_oracles_on_sparse_and_large_draws(family, seed, deficient):
+    rng = random.Random(7000 + seed)
+    side = FAMILIES[family][0]
+    rows, cols, extra = (rng.randint(0, side) for _ in range(3))
+    n = rng.randint(0, side)
+    m = _draw(rng, rows, cols, family, min(rows, cols) if deficient else None)
+    square = _draw(rng, n, n, family, n if deficient else None)
+    if deficient:
+        assert rank(m) < max(min(rows, cols), 1) and rank(square) < max(n, 1)
+    # A consistent right-hand side, and an arbitrary one.
+    rhss = (m * _draw(rng, cols, 2, family), _draw(rng, rows, extra, family))
+    _check_against_oracles(m, _draw(rng, cols, extra, family), square, rhss)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1)])
+def test_kernels_on_zero_sized_and_zero_shapes(shape):
+    rows, cols = shape
+    m = Matrix.zeros(rows, cols)
+    other = Matrix.zeros(cols, 2)
+    _check_against_oracles(m, other, Matrix.zeros(rows, rows), [Matrix.zeros(rows, 1)])
+    assert (m * other).shape == (rows, 2)
+    assert rank(m) == 0
+    assert kernel_basis(m) == Matrix.identity(cols)
