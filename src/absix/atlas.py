@@ -52,9 +52,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .errors import InvalidAtlas, ParseError, WeightMismatch
+from .errors import DimensionError, InvalidAtlas, ParseError, WeightMismatch
 from .hodgecore import PureMorphism, PureObject, ZERO_OBJECT
-from .qmat import Matrix, inverse
+from .qmat import Matrix, _frac, inverse
 
 _TOP_FIELDS = {"dimension", "components", "strata", "restrictions", "self_intersections"}
 _STRATUM_FIELDS = {"subset", "cohomology", "pairings"}
@@ -122,6 +122,7 @@ class StratumAtlas:
             MappingProxyType(dict(self_intersections))
             if self_intersections is not None else None
         )
+        self._subsets = tuple(sorted(self.strata, key=self.subset_key))
         self._cache = {}  # validation report and per_atlas results; set last
 
     def __setattr__(self, name, value):
@@ -134,8 +135,9 @@ class StratumAtlas:
     def subset_key(self, subset: Sequence[str]) -> tuple:
         return (len(subset), tuple(self._index.get(c, len(self.components)) for c in subset))
 
-    def declared_subsets(self) -> list:
-        return sorted(self.strata, key=self.subset_key)
+    def declared_subsets(self) -> tuple:
+        """The declared subsets by size, then in components order (sorted once)."""
+        return self._subsets
 
     def subsets_of_size(self, m: int) -> list:
         return [s for s in self.declared_subsets() if len(s) == m]
@@ -208,22 +210,16 @@ def _expect(cond: bool, loc: str, msg: str):
         raise ParseError(loc, msg)
 
 
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+def _parse_fraction(x, loc: str, *index: int) -> Fraction:
+    """A JSON integer or strict rational string (``qmat``'s grammar) as a Fraction.
 
-
-def _parse_fraction(x, loc: str) -> Fraction:
-    if isinstance(x, bool):
-        raise ParseError(loc, "booleans are not rationals")
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        if not _RATIONAL.fullmatch(x):
-            raise ParseError(loc, f"bad rational {x!r}: expected an integer or p/q")
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
-            raise ParseError(loc, f"bad rational {x!r}: {exc}") from None
-    raise ParseError(loc, f"expected rational string, got {type(x).__name__}")
+    The location is ``loc`` followed by ``[i]`` for each index, formatted
+    only when the value is rejected.
+    """
+    try:
+        return _frac(x)
+    except DimensionError as exc:
+        raise ParseError(loc + "".join(f"[{i}]" for i in index), str(exc)) from None
 
 
 def _parse_matrix(rows, loc: str, expected_cols: Optional[int] = None) -> Matrix:
@@ -233,13 +229,15 @@ def _parse_matrix(rows, loc: str, expected_cols: Optional[int] = None) -> Matrix
     parsed = []
     width = None
     for i, row in enumerate(rows):
-        _expect(isinstance(row, list), f"{loc}[{i}]", "expected a row list")
-        vals = [_parse_fraction(x, f"{loc}[{i}][{j}]") for j, x in enumerate(row)]
+        if not isinstance(row, list):
+            raise ParseError(f"{loc}[{i}]", "expected a row list")
+        vals = [_parse_fraction(x, loc, i, j) for j, x in enumerate(row)]
         if width is None:
             width = len(vals)
-        _expect(len(vals) == width, f"{loc}[{i}]", "ragged matrix rows")
+        elif len(vals) != width:
+            raise ParseError(f"{loc}[{i}]", "ragged matrix rows")
         parsed.append(vals)
-    return Matrix.from_rows(parsed)
+    return Matrix(len(parsed), width, parsed)
 
 
 def _parse_subset(raw, loc: str, index: Mapping) -> tuple:

@@ -16,6 +16,7 @@ I/O or parse errors, 3 when an internal invariant fails (a bug in absix).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import re
@@ -372,7 +373,9 @@ def cmd_corpus() -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every ``main``."""
     parser = argparse.ArgumentParser(
         prog="absix",
         description="Weight-graded cohomology tables for complements of "
@@ -394,8 +397,11 @@ def main(argv=None) -> int:
     p_compute.add_argument("--degree", type=int, default=None)
 
     sub.add_parser("corpus", help="list built-in atlases")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
             return cmd_validate(args.path)

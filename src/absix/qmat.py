@@ -19,11 +19,21 @@ products into one accumulator row.  Engine matrices (pairings, restrictions,
 selection and block matrices) are mostly zeros, so this does a small share
 of the dense product's multiply-adds and returns the same exact sums.
 
+Trust boundary: the public constructors (``Matrix(rows, cols, data)``,
+``from_rows``, ``column``, and the shapes given to ``zeros``/``identity``)
+check the shape and every entry.  An entry is a ``Fraction``, an ``int``
+(not ``bool``) or a string in the strict grammar ``-?[0-9]+(/[0-9]+)?`` that
+the atlas format also uses; anything else is a ``DimensionError``.  Every
+matrix this module computes is built from rows that are already tuples of
+``Fraction`` of the declared shape, so it is wrapped without checking them
+again.
+
 No floating point enters anywhere.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Sequence
@@ -36,13 +46,50 @@ Scalar = Fraction
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """A string in the grammar ``-?[0-9]+(/[0-9]+)?`` as a Fraction.
+
+    Other spellings, a zero denominator and integers past the interpreter's
+    digit limit raise DimensionError.
+    """
+    m = _RATIONAL.fullmatch(text)
+    if m is None:
+        raise DimensionError(f"bad rational {text!r}: expected an integer or p/q")
+    p, q = m.groups()
+    try:
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
+        raise DimensionError(f"bad rational {text!r}: {exc}") from None
+
 
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    raise DimensionError(f"matrix entries must be exact rationals, got {type(x).__name__}")
+    if isinstance(x, str):
+        return _parse_rational(x)
+    raise DimensionError(
+        f"expected rational: an int, a Fraction or a p/q string, got {type(x).__name__}"
+    )
+
+
+def _check_shape(rows: int, cols: int):
+    if rows < 0 or cols < 0:
+        raise DimensionError("negative matrix dimensions")
+
+
+def _wrap(rows: int, cols: int, data: tuple) -> "Matrix":
+    """A Matrix on ``data``, which must already be a ``rows``-tuple of
+    ``cols``-tuples of Fraction: nothing is checked or copied."""
+    m = object.__new__(Matrix)
+    m.rows = rows
+    m.cols = cols
+    m._data = data
+    return m
 
 
 class Matrix:
@@ -51,8 +98,7 @@ class Matrix:
     __slots__ = ("rows", "cols", "_data")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
-        if rows < 0 or cols < 0:
-            raise DimensionError("negative matrix dimensions")
+        _check_shape(rows, cols)
         tup = tuple(tuple(map(_frac, row)) for row in data)
         if len(tup) != rows or any(len(r) != cols for r in tup):
             raise DimensionError(
@@ -66,7 +112,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence]) -> "Matrix":
-        """Build from a list of rows (entries: int, str or Fraction)."""
+        """Build from a list of rows (entries: Fraction, int or p/q string)."""
         data = [list(r) for r in data]
         rows = len(data)
         cols = len(data[0]) if rows else 0
@@ -74,11 +120,14 @@ class Matrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, ((_ZERO,) * cols for _ in range(rows)))
+        _check_shape(rows, cols)
+        return _wrap(rows, cols, ((_ZERO,) * cols,) * rows)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, ((_ONE if i == j else _ZERO for j in range(n)) for i in range(n)))
+        _check_shape(n, n)
+        return _wrap(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
+                                 for i in range(n)))
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -119,49 +168,51 @@ class Matrix:
                 if a:
                     for j, b in pairs:
                         acc[j] += a * b
-            out.append(acc)
-        return Matrix(self.rows, ocols, out)
+            out.append(tuple(acc))
+        return _wrap(self.rows, ocols, tuple(out))
 
     def scale(self, k) -> "Matrix":
         k = _frac(k)
-        return Matrix(self.rows, self.cols, ((k * x for x in r) for r in self._data))
+        if k == 1:
+            return self
+        if k == -1:
+            return -self
+        return _wrap(self.rows, self.cols, tuple(tuple([k * x for x in r]) for r in self._data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return Matrix(
-            self.rows,
-            self.cols,
-            ((a + b for a, b in zip(r1, r2)) for r1, r2 in zip(self._data, other._data)),
-        )
+        return _wrap(self.rows, self.cols, tuple(
+            tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self._data, other._data)
+        ))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self) -> "Matrix":
-        return self.scale(-1)
+        return _wrap(self.rows, self.cols, tuple(tuple([-x for x in r]) for r in self._data))
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, zip(*self._data)) if self.rows and self.cols else Matrix(
-            self.cols, self.rows, ((_ZERO,) * self.rows for _ in range(self.cols))
-        )
+        return _wrap(self.cols, self.rows,
+                     tuple(zip(*self._data)) if self.rows else ((),) * self.cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionError("hstack row mismatch")
-        return Matrix(self.rows, self.cols + other.cols,
-                      (r1 + r2 for r1, r2 in zip(self._data, other._data)))
+        return _wrap(self.rows, self.cols + other.cols,
+                     tuple(r1 + r2 for r1, r2 in zip(self._data, other._data)))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionError("vstack column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, self._data + other._data)
+        return _wrap(self.rows + other.rows, self.cols, self._data + other._data)
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(len(idx), self.cols, (self._data[i] for i in idx))
+        return _wrap(len(idx), self.cols, tuple([self._data[i] for i in idx]))
 
     def take_columns(self, idx: Sequence[int]) -> "Matrix":
-        return Matrix(self.rows, len(idx), (tuple(r[j] for j in idx) for r in self._data))
+        return _wrap(self.rows, len(idx),
+                     tuple(tuple([r[j] for j in idx]) for r in self._data))
 
     def is_zero(self) -> bool:
         return all(x == 0 for r in self._data for x in r)
@@ -287,9 +338,9 @@ def rref(m: Matrix) -> tuple:
                     raise InternalError("back-substitution left a remainder")
                 acc[k] = q
         work[i] = acc
-    rows = [[Fraction(x, D) if x else _ZERO for x in work[i]] for i in range(rank)]
-    rows += [[_ZERO] * m.cols for _ in range(m.rows - rank)]
-    return Matrix(m.rows, m.cols, rows), tuple(pivots)
+    rows = tuple(tuple([Fraction(x, D) if x else _ZERO for x in work[i]]) for i in range(rank))
+    rows += ((_ZERO,) * m.cols,) * (m.rows - rank)
+    return _wrap(m.rows, m.cols, rows), tuple(pivots)
 
 
 def rank(m: Matrix) -> int:
@@ -314,7 +365,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             v[pc] = -R[i, f]
         cols.append(v)
-    return Matrix(m.cols, len(cols), zip(*cols)) if cols else Matrix.zeros(m.cols, 0)
+    return _wrap(m.cols, len(cols), tuple(zip(*cols))) if cols else Matrix.zeros(m.cols, 0)
 
 
 def image_basis(m: Matrix) -> Matrix:
@@ -338,11 +389,10 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     R, pivots = rref(m.hstack(b))
     if any(p >= m.cols for p in pivots):
         return None
-    out = [[_ZERO] * b.cols for _ in range(m.cols)]
+    out = [(_ZERO,) * b.cols] * m.cols
     for i, pc in enumerate(pivots):
-        for j in range(b.cols):
-            out[pc][j] = R[i, m.cols + j]
-    return Matrix(m.cols, b.cols, out)
+        out[pc] = R.row(i)[m.cols:]
+    return _wrap(m.cols, b.cols, tuple(out))
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
@@ -352,7 +402,7 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     R, pivots = rref(m.hstack(Matrix.identity(m.rows)))
     if len(pivots) != m.rows or any(p >= m.cols for p in pivots):
         return None
-    return Matrix(m.rows, m.rows, (row[m.cols:] for row in R.entries()))
+    return _wrap(m.rows, m.rows, tuple([row[m.cols:] for row in R.entries()]))
 
 
 def left_inverse(k: Matrix) -> Matrix:
@@ -369,9 +419,9 @@ def left_inverse(k: Matrix) -> Matrix:
     inv = inverse(sub)
     if inv is None:
         raise DimensionError("left_inverse: matrix does not have full column rank")
-    sel = Matrix(k.cols, k.rows,
-                 ((_ONE if j == pivrows[i] else _ZERO for j in range(k.rows))
-                  for i in range(k.cols)))
+    sel = _wrap(k.cols, k.rows,
+                tuple(tuple(_ONE if j == pivrows[i] else _ZERO for j in range(k.rows))
+                      for i in range(k.cols)))
     return inv * sel
 
 
@@ -383,9 +433,9 @@ def right_inverse(c: Matrix) -> Matrix:
     if len(pivots) != c.rows:
         raise DimensionError("right_inverse: matrix does not have full row rank")
     inv = inverse(c.take_columns(list(pivots)))
-    emb = Matrix(c.cols, c.rows,
-                 ((_ONE if pivots[j] == i else _ZERO for j in range(c.rows))
-                  for i in range(c.cols)))
+    emb = _wrap(c.cols, c.rows,
+                tuple(tuple(_ONE if pivots[j] == i else _ZERO for j in range(c.rows))
+                      for i in range(c.cols)))
     return emb * inv
 
 

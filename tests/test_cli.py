@@ -4,6 +4,7 @@ Everything drives ``absix.cli.main`` in-process (plus one subprocess smoke
 test), asserting exit codes, stream routing, and byte-level determinism.
 """
 
+import argparse
 import json
 import re
 import subprocess
@@ -416,6 +417,43 @@ def test_usage_errors_exit_with_code_two(capsys):
         main(["compute", "@a1", "--what", "bogus"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_calls_in_one_process_print_what_each_prints_alone(tmp_path, capsys, monkeypatch):
+    path = _write_doc(tmp_path, dump_atlas(builtin("gm")))
+    calls = [
+        ["compute", "@gm", "--what", "bogus"],
+        ["compute", "@gm", "--what", "absic", "--degree", "1"],
+        ["compute", "@gm", "--what", "absic"],
+        ["validate", path],
+        ["corpus"],
+    ]
+    alone = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "absix.cli", *argv],
+                              capture_output=True, text=True, timeout=120)
+        alone.append((proc.returncode, proc.stdout, proc.stderr))
+    assert [code for code, _, _ in alone] == [2, 0, 0, 0, 0]
+
+    built = []
+
+    class CountingParser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.prog == "absix":  # the top-level parser, not a subcommand's
+                built.append(self)
+
+    monkeypatch.setattr(argparse, "ArgumentParser", CountingParser)
+    together = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        together.append((code, out, err))
+    assert together == alone
+    assert len(built) <= 1
 
 
 def test_module_is_runnable_as_script():

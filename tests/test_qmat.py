@@ -232,6 +232,35 @@ def test_matrix_shape_errors():
         Matrix(1, 2, [[1, 2]]) * Matrix(1, 2, [[1, 2]])
 
 
+def test_public_constructors_check_shapes_and_entries():
+    for build in (lambda: Matrix(-1, 2, []), lambda: Matrix(2, -1, [[], []]),
+                  lambda: Matrix.zeros(-1, 2), lambda: Matrix.zeros(2, -1),
+                  lambda: Matrix.identity(-1),
+                  lambda: Matrix(2, 2, [[1, 2], [3]]), lambda: Matrix.from_rows([[1, 2], [3]]),
+                  lambda: Matrix(2, 1, [[1]]), lambda: Matrix.from_rows([[1.5]]),
+                  lambda: Matrix.column([0.5])):
+        with pytest.raises(DimensionError):
+            build()
+    accepted = Matrix.from_rows([["3/4", "-2", "0", "-0", "007", "6/8"],
+                                 [1, -5, Fraction(1, 3), "10/1", "-1/2", 2]])
+    assert accepted.to_lists() == [
+        [Fraction(3, 4), -2, 0, 0, 7, Fraction(3, 4)],
+        [1, -5, Fraction(1, 3), 10, Fraction(-1, 2), 2],
+    ]
+    assert all(type(x) is Fraction for row in accepted.entries() for x in row)
+
+
+# The atlas format's grammar, -?[0-9]+(/[0-9]+)?, is the only string form.
+@pytest.mark.parametrize("value", ["1e3", " 2 ", "1_000", "1.5", True, False, "+2", "2/",
+                                   "1/-2", "1/0", "\u0662", "", 1.0, None,
+                                   pytest.param("1" * 5000, id="past-the-digit-limit")])
+def test_entries_outside_the_strict_grammar_are_rejected(value):
+    with pytest.raises(DimensionError):
+        Matrix.from_rows([[value]])
+    with pytest.raises(DimensionError):
+        Matrix(1, 1, [[value]])
+
+
 # ---------------------------------------------------------------------------
 # Adjoint pushforward
 # ---------------------------------------------------------------------------
@@ -349,10 +378,15 @@ def _check_against_oracles(m: Matrix, other: Matrix, square: Matrix, rhss):
             assert got.to_lists() == want
 
 
-@pytest.mark.parametrize("family, seed, deficient",
-                         [("sparse", s, s % 3 == 0) for s in range(60)]
-                         + [("large", s, s % 3 == 0) for s in range(20)])
-def test_kernels_match_oracles_on_sparse_and_large_draws(family, seed, deficient):
+SEEDED_DRAWS = pytest.mark.parametrize(
+    "family, seed, deficient",
+    [("sparse", s, s % 3 == 0) for s in range(60)]
+    + [("large", s, s % 3 == 0) for s in range(20)],
+)
+
+
+def _seeded_case(family, seed, deficient):
+    """(m, other, square, rhss): a matrix, a right factor, a square and two rhs."""
     rng = random.Random(7000 + seed)
     side = FAMILIES[family][0]
     rows, cols, extra = (rng.randint(0, side) for _ in range(3))
@@ -363,7 +397,47 @@ def test_kernels_match_oracles_on_sparse_and_large_draws(family, seed, deficient
         assert rank(m) < max(min(rows, cols), 1) and rank(square) < max(n, 1)
     # A consistent right-hand side, and an arbitrary one.
     rhss = (m * _draw(rng, cols, 2, family), _draw(rng, rows, extra, family))
-    _check_against_oracles(m, _draw(rng, cols, extra, family), square, rhss)
+    return m, _draw(rng, cols, extra, family), square, rhss
+
+
+@SEEDED_DRAWS
+def test_kernels_match_oracles_on_sparse_and_large_draws(family, seed, deficient):
+    _check_against_oracles(*_seeded_case(family, seed, deficient))
+
+
+def _assert_checked(m: Matrix):
+    """``m`` holds tuple rows of exactly Fraction entries in its declared shape."""
+    data = m.entries()
+    assert type(data) is tuple and len(data) == m.rows
+    for row in data:
+        assert type(row) is tuple and len(row) == m.cols
+        assert all(type(x) is Fraction for x in row)
+    assert m == Matrix(m.rows, m.cols, m.to_lists())
+    if m.rows:
+        assert m == Matrix.from_rows(m.to_lists())
+
+
+@SEEDED_DRAWS
+def test_every_result_holds_checked_rows(family, seed, deficient):
+    m, other, square, rhss = _seeded_case(family, seed, deficient)
+    rng = random.Random(seed)
+    rows = [rng.randrange(m.rows) for _ in range(3)] if m.rows else []
+    cols = [rng.randrange(m.cols) for _ in range(3)] if m.cols else []
+    results = [
+        m * other, m + m, m - m.scale(3), m.scale(1), m.scale(-1), m.scale(Fraction(-2, 3)),
+        -m, m.transpose(), m.hstack(rhss[1]), m.vstack(m), m.take_rows(rows),
+        m.take_columns(cols), rref(m)[0], kernel_basis(m), image_basis(m),
+        cokernel_projection(m), Matrix.zeros(m.rows, m.cols),
+        Matrix.identity(m.cols), hstack_all([m, m], m.rows), vstack_all([], m.cols),
+    ]
+    results.append(left_inverse(kernel_basis(m)))
+    results.append(right_inverse(cokernel_projection(m)))
+    inv = inverse(square)
+    if inv is not None:
+        results.append(inv)
+    results += [x for x in (solve(m, b) for b in rhss) if x is not None]
+    for result in results:
+        _assert_checked(result)
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1)])

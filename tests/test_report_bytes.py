@@ -1,8 +1,11 @@
-"""Every frozen ``--what all`` request of the benchmark prints the same bytes.
+"""Every frozen request of the benchmark prints the same bytes.
 
 The requests, exit codes and stdout sha256 digests are read from
 ``perfbench/inputs/manifest.json``; the request model (argv templates, keys,
-capture and hashing) is the benchmark's own ``perfbench/harness.py``.
+capture and hashing) is the benchmark's own ``perfbench/harness.py``.  All
+1072 requests are served: the ``--what all`` reports of three workloads, and
+``request_mix``'s ``validate`` requests and its selective ``--what``,
+``--format json`` and ``--degree`` requests on every atlas of its pool.
 Nothing is written under ``perfbench/``.
 """
 
@@ -14,29 +17,34 @@ import absix.cli
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
-WORKLOADS = ("sweep_small", "ambient_wide", "boundary_deep")
 
 
-def _requests():
+def _requests(manifest):
+    for workload, spec in manifest["workloads"].items():
+        kinds = spec["kinds"] + ([spec["validate"]] if "validate" in spec else [])
+        for kind in kinds:
+            for atlas in spec["atlases"]:
+                yield workload, kind, atlas
+
+
+def test_every_frozen_request_prints_the_frozen_bytes(monkeypatch):
     manifest = json.loads((BENCH / "inputs" / "manifest.json").read_text(encoding="utf-8"))
-    for workload in WORKLOADS:
-        (kind,) = manifest["workloads"][workload]["kinds"]
-        assert "--what" in kind and kind[kind.index("--what") + 1] == "all"
-        for atlas in manifest["workloads"][workload]["atlases"]:
-            yield workload, kind, atlas, manifest["expected"]
-
-
-def test_every_frozen_what_all_request_prints_the_frozen_bytes(monkeypatch):
+    expected = manifest["expected"]
     # run_path compiles the source in memory: nothing is written under perfbench/.
     harness = runpy.run_path(str(BENCH / "harness.py"))
     monkeypatch.chdir(ROOT)  # atlas paths, and so the report bytes, are root-relative
-    counts, mismatches = {}, []
-    for workload, kind, atlas, expected in _requests():
+    counts, served, mismatches = {}, set(), []
+    for workload, kind, atlas in _requests(manifest):
         argv = harness["kind_argv"](kind, atlas)
-        want = expected[harness["request_key"](argv)]
+        key = harness["request_key"](argv)
+        want = expected[key]
         code, digest, _ = harness["serve"](absix.cli, argv)
         counts[workload] = counts.get(workload, 0) + 1
+        served.add(key)
         if (code, digest) != (want["exit"], want["sha256"]):
-            mismatches.append(" ".join(argv))
-    assert counts == {"sweep_small": 31, "ambient_wide": 5, "boundary_deep": 13}
+            mismatches.append(key)
+    # request_mix: 33 validate requests and 30 compute kinds on each of 33 atlases.
+    assert counts == {"sweep_small": 31, "ambient_wide": 5, "boundary_deep": 13,
+                      "request_mix": 33 + 30 * 33}
+    assert served == set(expected) and len(served) == 1072
     assert mismatches == []
