@@ -616,14 +616,16 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                 flag("UnitCheck", f"{where}.matrices[0]",
                      f"row {i} must contain a single 1 (fundamental classes)")
 
-    # presence of all adjacent restrictions
-    for subset in a.declared_subsets():
-        for other in a.declared_subsets():
-            if len(other) == len(subset) + 1 and set(subset) < set(other):
-                if (subset, other) not in a.restrictions:
-                    flag("MissingRestriction",
-                         f"{_subset_name(subset)}->{_subset_name(other)}",
-                         "adjacent strata need a declared restriction")
+    # presence of all adjacent restrictions: each declared stratum against its
+    # declared faces (drop one element), in declared order of (face, stratum)
+    order = {subset: i for i, subset in enumerate(a.declared_subsets())}
+    for _, _, face, subset in sorted(
+        (order[face], order[subset], face, subset) for subset in a.declared_subsets()
+        for face in {subset[:i] + subset[i + 1:] for i in range(len(subset))}
+        if face in a.strata and (face, subset) not in a.restrictions
+    ):
+        flag("MissingRestriction", f"{_subset_name(face)}->{_subset_name(subset)}",
+             "adjacent strata need a declared restriction")
 
     # commuting squares
     for subset in a.declared_subsets():

@@ -46,12 +46,17 @@ class PureObject:
         object.__setattr__(self, "slots", slots)
         if not slots:
             object.__setattr__(self, "weight", 0)
-            return
-        for (p, q) in slots:
+        positions: dict = {}
+        for i, (p, q) in enumerate(slots):
             if p + q != self.weight:
                 raise WeightMismatch(
                     f"slot ({p},{q}) does not lie on weight {self.weight}"
                 )
+            positions.setdefault(slots[i], []).append(i)
+        # label -> basis indices carrying it, with the labels sorted once
+        object.__setattr__(self, "_positions",
+                           {lab: tuple(positions[lab]) for lab in sorted(positions)})
+        object.__setattr__(self, "_labels", tuple(self._positions))
 
     @property
     def dim(self) -> int:
@@ -62,20 +67,17 @@ class PureObject:
         return not self.slots
 
     def hodge_numbers(self) -> dict:
-        out: dict = {}
-        for s in self.slots:
-            out[s] = out.get(s, 0) + 1
-        return dict(sorted(out.items()))
+        return {lab: len(pos) for lab, pos in self._positions.items()}
 
     def labels(self) -> tuple:
-        return tuple(sorted(set(self.slots)))
+        return self._labels
 
     def positions(self, label) -> tuple:
         """Basis indices carrying the given (p, q) label, in order."""
-        return tuple(i for i, s in enumerate(self.slots) if s == label)
+        return self._positions.get(label, ())
 
     def count(self, label) -> int:
-        return sum(1 for s in self.slots if s == label)
+        return len(self.positions(label))
 
 
 ZERO_OBJECT = PureObject(0, ())
@@ -122,7 +124,7 @@ class PureMorphism:
     only when both sides are nonzero there.
     """
 
-    __slots__ = ("source", "target", "_blocks")
+    __slots__ = ("source", "target", "_blocks", "_labels")
 
     def __init__(self, source: PureObject, target: PureObject, blocks: Mapping):
         if not source.is_zero and not target.is_zero and source.weight != target.weight:
@@ -142,6 +144,8 @@ class PureMorphism:
             if tgt and src:
                 stored[label] = m
         self._blocks = stored
+        src, tgt = source.labels(), target.labels()
+        self._labels = src if src == tgt else tuple(sorted(set(src) | set(tgt)))
 
     # -- constructors ------------------------------------------------------
 
@@ -159,9 +163,9 @@ class PureMorphism:
                          m: Matrix, where: str = "") -> "PureMorphism":
         """Split a full matrix (in slot order) into per-label blocks.
 
-        Entries between different (p, q) labels must vanish exactly; a
-        nonzero off-block entry means the matrix does not define a morphism
-        of pure structures.
+        Validation's splitter for declared restriction matrices: entries
+        between different (p, q) labels must vanish exactly, and a nonzero
+        off-block entry (DimensionError) is no morphism of pure structures.
         """
         if m.shape != (target.dim, source.dim):
             raise DimensionError(
@@ -190,7 +194,7 @@ class PureMorphism:
         return Matrix.zeros(self.target.count(label), self.source.count(label))
 
     def labels(self) -> tuple:
-        return tuple(sorted(set(self.source.labels()) | set(self.target.labels())))
+        return self._labels
 
     def full_matrix(self) -> Matrix:
         """Reassemble the single matrix in the slot order of source/target."""

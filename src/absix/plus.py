@@ -91,15 +91,6 @@ class CriteriaReport:
     lefschetz: Optional[tuple]
 
 
-def _lefschetz_composite(a: StratumAtlas, n: int) -> Matrix:
-    """Full matrix of H^(n-2)(Z)(-1) -> H^n(Y) -> H^n(Z) over all strata."""
-    gys = gysin_complex(a, n).map_into(0)
-    restr = restriction_complex(a, n).map_out_of(0)
-    if gys is None or restr is None:
-        return Matrix.zeros(0, 0)
-    return restr.compose(gys).full_matrix()
-
-
 def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     """Evaluate the boundary-weight conditions on an atlas."""
     boundary = boundary_cohomology(a)
@@ -131,11 +122,11 @@ def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     if len(a.components) == 1 and a.depth() == 1:
         z = (a.components[0],)
         if a.pure_at(z, 0).dim == 1:
-            rows = []
-            for n in range(2, d + 1):
-                m = _lefschetz_composite(a, n)
-                rows.append((n, rank(m) == m.cols))
-            lefschetz = tuple(rows)
+            lefschetz = tuple(
+                (n, restriction_complex(a, n).map_out_of(0)
+                    .compose(gysin_complex(a, n).map_into(0)).is_injective())
+                for n in range(2, d + 1)
+            )
 
     return CriteriaReport(
         cond2=cond2,
@@ -310,17 +301,14 @@ def intersection_matrix(a: StratumAtlas) -> Matrix:
         raise MissingSelfIntersections(
             f"no self-intersection declared for component(s) {missing}"
         )
-    k = len(a.components)
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for i, ci in enumerate(a.components):
-        rows[i][i] = Fraction(a.self_intersections[ci])
-        for j in range(i + 1, k):
-            pair = tuple(sorted((ci, a.components[j]),
-                                key=a.components.index))
-            count = a.pure_at(pair, 0).dim
-            rows[i][j] = Fraction(count)
-            rows[j][i] = Fraction(count)
-    return Matrix.from_rows(rows) if k else Matrix.zeros(0, 0)
+    comps = a.components
+    rows = [
+        [Fraction(a.self_intersections[ci]) if i == j
+         else Fraction(a.pure_at((ci, cj) if i < j else (cj, ci), 0).dim)
+         for j, cj in enumerate(comps)]
+        for i, ci in enumerate(comps)
+    ]
+    return Matrix(len(comps), len(comps), rows)
 
 
 def intersection_matrix_rank(a: StratumAtlas) -> int:

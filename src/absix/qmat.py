@@ -49,20 +49,25 @@ _ONE = Fraction(1)
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _echo(text: str) -> str:
+    """``repr`` of a rejected value, cut to 40 characters with its length noted."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _parse_rational(text: str) -> Fraction:
     """A string in the grammar ``-?[0-9]+(/[0-9]+)?`` as a Fraction.
 
     Other spellings, a zero denominator and integers past the interpreter's
-    digit limit raise DimensionError.
+    digit limit raise DimensionError, which quotes the value cut short.
     """
     m = _RATIONAL.fullmatch(text)
     if m is None:
-        raise DimensionError(f"bad rational {text!r}: expected an integer or p/q")
+        raise DimensionError(f"bad rational {_echo(text)}: expected an integer or p/q")
     p, q = m.groups()
     try:
         return Fraction(int(p), int(q)) if q else Fraction(int(p))
     except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
-        raise DimensionError(f"bad rational {text!r}: {exc}") from None
+        raise DimensionError(f"bad rational {_echo(text)}: {exc}") from None
 
 
 def _frac(x) -> Fraction:

@@ -27,13 +27,13 @@ cross-check.  ``u_map`` assembles the canonical comparison
 whose kernel/image/cokernel decomposition everything downstream consumes.
 
 All spots, maps and homology objects are bigraded; computations happen one
-(p, q) block at a time over exact rationals.
+(p, q) block at a time over exact rationals.  Each differential is gathered
+label by label from the signed summand matrices, with no full matrix formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .atlas import StratumAtlas, per_atlas
@@ -47,7 +47,8 @@ from .hodgecore import (
     mixed,
     tate_twist,
 )
-from .qmat import Matrix, adjoint_pushforward, cokernel_projection, kernel_basis, rank
+from .qmat import (_ZERO, Matrix, _wrap, adjoint_pushforward, cokernel_projection,
+                   kernel_basis, rank)
 
 
 @dataclass(frozen=True)
@@ -112,30 +113,38 @@ class WeightComplex:
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _assemble(src_parts, tgt_parts, blocks) -> Matrix:
-    """Glue per-summand blocks into one full matrix in summand order."""
-    col_off, cols = {}, 0
-    for subset, obj in src_parts:
-        col_off[subset] = cols
-        cols += obj.dim
-    row_off, rows = {}, 0
-    for subset, obj in tgt_parts:
-        row_off[subset] = rows
-        rows += obj.dim
-    if rows == 0 or cols == 0:
-        return Matrix.zeros(rows, cols)
-    grid = [[Fraction(0)] * cols for _ in range(rows)]
+def _label_first(source: PureObject, target: PureObject,
+                 src_parts, tgt_parts, blocks, where: str) -> PureMorphism:
+    """The morphism with summand blocks ``blocks[(tgt, src)]`` (absent pairs zero).
+
+    ``source``/``target`` are the direct sums of the ``subset -> object``
+    summands ``src_parts``/``tgt_parts``.  A label block takes that label's
+    rows and columns in summand order, then slot order: the full matrix's
+    order.  Blocks of validated data link no two different labels.
+    """
     for (tgt, src), m in blocks.items():
-        r0, c0 = row_off[tgt], col_off[src]
+        tslots, sslots = tgt_parts[tgt].slots, src_parts[src].slots
         for i, row in enumerate(m.entries()):
             for j, x in enumerate(row):
-                if x:
-                    grid[r0 + i][c0 + j] = x
-    return Matrix.from_rows(grid)
-
-
-def _sign(position: int) -> Fraction:
-    return Fraction(1) if position % 2 == 0 else Fraction(-1)
+                if sslots[j] != tslots[i] and x:
+                    raise InternalError(f"{where}: block {list(src)}->{list(tgt)} links "
+                                        f"slot {sslots[j]} to slot {tslots[i]}")
+    label_blocks, zeros = {}, (_ZERO,) * source.dim
+    for lab in source.labels():
+        if not target.count(lab):
+            continue
+        cols = [(src, obj.positions(lab)) for src, obj in src_parts.items()]
+        rows = []
+        for tgt, obj in tgt_parts.items():
+            pieces = [(blocks.get((tgt, src)), pos) for src, pos in cols]
+            for i in obj.positions(lab):
+                row = []
+                for m, pos in pieces:
+                    entries = zeros if m is None else m.row(i)
+                    row.extend([entries[j] for j in pos])
+                rows.append(tuple(row))
+        label_blocks[lab] = _wrap(len(rows), source.count(lab), tuple(rows))
+    return PureMorphism(source, target, label_blocks)
 
 
 @per_atlas
@@ -143,18 +152,13 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     """The weight-w Gysin complex; homology at spot m is Gr^W_w H^(w-m)(X)."""
     d = a.dimension
     depth = a.depth()
-    summands, spots = [], []
-    for m in range(depth + 1):
-        sm = tuple(
-            (subset, tate_twist(a.pure_at(subset, w - 2 * m), -m))
-            for subset in a.subsets_of_size(m)
-        )
-        summands.append(sm)
-        spots.append(direct_sum_all([obj for _, obj in sm]))
+    summands = [{s: tate_twist(a.pure_at(s, w - 2 * m), -m) for s in a.subsets_of_size(m)}
+                for m in range(depth + 1)]
+    spots = [direct_sum_all(list(sm.values())) for sm in summands]
     maps = []
     for m in range(1, depth + 1):
         blocks = {}
-        for subset, obj in summands[m]:
+        for subset, obj in summands[m].items():
             if obj.is_zero:
                 continue
             for pos, dropped in enumerate(subset):
@@ -167,14 +171,9 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
                                         a.strata[smaller].pairing_inverses[j + 2])
                 if g.is_zero():
                     continue
-                blocks[(smaller, subset)] = g.scale(_sign(pos))
-        full = _assemble(summands[m], summands[m - 1], blocks)
-        maps.append(
-            PureMorphism.from_full_matrix(
-                spots[m], spots[m - 1], full,
-                where=f"gysin differential w={w}, spot {m}",
-            )
-        )
+                blocks[(smaller, subset)] = -g if pos % 2 else g
+        maps.append(_label_first(spots[m], spots[m - 1], summands[m], summands[m - 1],
+                                 blocks, f"gysin differential w={w}, spot {m}"))
     return WeightComplex(w, tuple(spots), tuple(maps), True)
 
 
@@ -182,17 +181,12 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
 def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
     """The degree-n restriction complex (weight n at every spot)."""
     depth = a.depth()
-    summands, spots = [], []
-    for m in range(depth + 1):
-        sm = tuple(
-            (subset, a.pure_at(subset, n)) for subset in a.subsets_of_size(m)
-        )
-        summands.append(sm)
-        spots.append(direct_sum_all([obj for _, obj in sm]))
+    summands = [{s: a.pure_at(s, n) for s in a.subsets_of_size(m)} for m in range(depth + 1)]
+    spots = [direct_sum_all(list(sm.values())) for sm in summands]
     maps = []
     for m in range(depth):
         blocks = {}
-        for subset, obj in summands[m + 1]:
+        for subset, obj in summands[m + 1].items():
             if obj.is_zero:
                 continue
             for pos, added in enumerate(subset):
@@ -202,14 +196,9 @@ def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
                 r = a.restriction_matrix(smaller, subset, n)
                 if r.is_zero():
                     continue
-                blocks[(subset, smaller)] = r.scale(_sign(pos))
-        full = _assemble(summands[m], summands[m + 1], blocks)
-        maps.append(
-            PureMorphism.from_full_matrix(
-                spots[m], spots[m + 1], full,
-                where=f"restriction differential n={n}, spot {m}",
-            )
-        )
+                blocks[(subset, smaller)] = -r if pos % 2 else r
+        maps.append(_label_first(spots[m], spots[m + 1], summands[m], summands[m + 1],
+                                 blocks, f"restriction differential n={n}, spot {m}"))
     return WeightComplex(n, tuple(spots), tuple(maps), False)
 
 

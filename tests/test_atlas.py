@@ -11,6 +11,7 @@ import pytest
 from absix import Matrix
 from absix.atlas import (
     StratumAtlas,
+    _subset_name,
     dump_atlas,
     dumps_atlas,
     load_atlas,
@@ -453,6 +454,41 @@ def test_finding_missing_restriction():
     doc = _doc()
     doc["restrictions"] = []
     assert "MissingRestriction" in _codes_of(doc)
+
+
+def _missing_restrictions_by_double_loop(a):
+    """The adjacency check as a loop over all pairs of declared strata."""
+    return [
+        f"{_subset_name(subset)}->{_subset_name(other)}"
+        for subset in a.declared_subsets()
+        for other in a.declared_subsets()
+        if len(other) == len(subset) + 1 and set(subset) < set(other)
+        and (subset, other) not in a.restrictions
+    ]
+
+
+def _without(a, dropped):
+    kept = {pair: m for pair, m in a.restrictions.items() if pair not in dropped}
+    return StratumAtlas(a.dimension, a.components, dict(a.strata), kept,
+                        a.self_intersections)
+
+
+def test_missing_restrictions_match_the_double_loop(corpus):
+    rng = Random(4242)
+    atlases = list(corpus.values()) + [random_atlas(rng) for _ in range(20)]
+    removed = 0
+    for a in atlases:
+        pairs = sorted(a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1])))
+        cases = [a]
+        if pairs:
+            cases.append(_without(a, {rng.choice(pairs)}))
+            cases.append(_without(a, set(rng.sample(pairs, rng.randint(1, len(pairs))))))
+        for b in cases:
+            found = [f.where for f in validate_atlas(b).findings
+                     if f.code == "MissingRestriction"]
+            assert found == _missing_restrictions_by_double_loop(b), b
+            removed += bool(found)
+    assert removed >= 20  # the removals are seen, not just the valid atlases
 
 
 def test_finding_square_incompatible():

@@ -107,9 +107,16 @@ def test_validate_missing_file_is_io_error(tmp_path, capsys):
     assert out == ""
 
 
+def _with_pairing_entry(value: str) -> bytes:
+    doc = dump_atlas(builtin("gm"))
+    doc["strata"][0]["pairings"][0][0][0] = value
+    return json.dumps(doc).encode()
+
+
 def test_validate_malformed_json_is_parse_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     huge = b"9" * (sys.get_int_max_str_digits() + 1)
+    entry = re.escape("strata[0].pairings[0][0][0]")
     for data, location in [
         (b'{"dimension": 1,', r"line 1, column 17"),
         (b"\xff\xfe\x00garbage", r"byte 0"),   # not UTF-8
@@ -118,12 +125,17 @@ def test_validate_malformed_json_is_parse_error(tmp_path, capsys):
         # An integer past the digit limit: the location is its first digit,
         # not a digit inside a string that comes first.
         (b'{"d": "' + huge + b'",\n "x": [1.5e3, -' + huge + b"]}", r"line 2, column 16"),
+        # Rational strings past the digit limit or outside the grammar: the
+        # message quotes only the start of the value.
+        (_with_pairing_entry("1" * 5000), entry),
+        (_with_pairing_entry("1.5" * 2000), entry),
     ]:
         path.write_bytes(data)
         for command in ("validate", "compute"):
             code, out, err = run_cli(capsys, command, str(path))
             assert (code, out) == (2, ""), (command, data[:16])
             assert re.match(f"parse error at {location}: ", err), (command, err)
+            assert err.count("\n") == 1 and len(err) < 300, (command, err[:300])
 
 
 # ---------------------------------------------------------------------------

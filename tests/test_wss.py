@@ -3,8 +3,15 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
+
 from absix import Matrix
+from absix.atlas import dumps_atlas
+from absix.cli import main
 from absix.corpus import builtin
+from absix.errors import InternalError
+from absix.hodgecore import tate_twist
+from absix.qmat import adjoint_pushforward, inverse
 from absix.wss import (
     grW,
     grW_c,
@@ -14,7 +21,7 @@ from absix.wss import (
     u_map,
 )
 
-from synth import random_atlas, random_proper_atlas
+from synth import random_atlas, random_boundary_atlas, random_proper_atlas
 
 
 def _tables(a, fn):
@@ -108,6 +115,131 @@ def test_differentials_and_euler_on_synthetic_atlases():
         for w in range(2 * a.dimension + 1):
             _check_complex(gysin_complex(a, w))
             _check_complex(restriction_complex(a, w))
+
+
+# ---------------------------------------------------------------------------
+# Label-first differentials against the dense assembly they replace
+# ---------------------------------------------------------------------------
+
+def _dense(src_parts, tgt_parts, blocks):
+    """Glue per-summand blocks into one full matrix in summand order."""
+    col_off, cols = {}, 0
+    for subset, obj in src_parts:
+        col_off[subset] = cols
+        cols += obj.dim
+    row_off, rows = {}, 0
+    for subset, obj in tgt_parts:
+        row_off[subset] = rows
+        rows += obj.dim
+    if rows == 0 or cols == 0:
+        return Matrix.zeros(rows, cols)
+    grid = [[Fraction(0)] * cols for _ in range(rows)]
+    for (tgt, src), m in blocks.items():
+        r0, c0 = row_off[tgt], col_off[src]
+        for i, row in enumerate(m.entries()):
+            for j, x in enumerate(row):
+                grid[r0 + i][c0 + j] = x
+    return Matrix.from_rows(grid)
+
+
+def _dense_gysin(a, w):
+    """The Gysin differentials of weight w as densely assembled full matrices."""
+    d = a.dimension
+    parts = [[(s, tate_twist(a.pure_at(s, w - 2 * m), -m)) for s in a.subsets_of_size(m)]
+             for m in range(a.depth() + 1)]
+    out = []
+    for m in range(1, a.depth() + 1):
+        blocks = {}
+        for subset, obj in parts[m]:
+            for pos in range(len(subset) if obj.dim else 0):
+                smaller = subset[:pos] + subset[pos + 1:]
+                j = w - 2 * m
+                if a.pairing_at(smaller, j + 2).rows == 0:
+                    continue
+                g = adjoint_pushforward(a.restriction_matrix(smaller, subset, 2 * d - w),
+                                        a.pairing_at(subset, j),
+                                        inverse(a.pairing_at(smaller, j + 2)))
+                blocks[(smaller, subset)] = g.scale((-1) ** pos)
+        out.append(_dense(parts[m], parts[m - 1], blocks))
+    return out
+
+
+def _dense_restriction(a, n):
+    """The degree-n restriction differentials as densely assembled full matrices."""
+    parts = [[(s, a.pure_at(s, n)) for s in a.subsets_of_size(m)]
+             for m in range(a.depth() + 1)]
+    out = []
+    for m in range(a.depth()):
+        blocks = {}
+        for subset, obj in parts[m + 1]:
+            for pos in range(len(subset)):
+                smaller = subset[:pos] + subset[pos + 1:]
+                if a.stratum(smaller) is not None:
+                    blocks[(subset, smaller)] = (
+                        a.restriction_matrix(smaller, subset, n).scale((-1) ** pos))
+        out.append(_dense(parts[m], parts[m + 1], blocks))
+    return out
+
+
+def _check_against_dense(a) -> int:
+    """Compare every differential with the dense reference; count mixed-label maps."""
+    mixed = 0
+    for w in range(2 * a.dimension + 1):
+        for c, ref in ((gysin_complex(a, w), _dense_gysin(a, w)),
+                       (restriction_complex(a, w), _dense_restriction(a, w))):
+            assert [f.full_matrix() for f in c.maps] == ref, (a, w, c.decreasing)
+            mixed += sum(len(f.labels()) > 1 for f in c.maps)
+    return mixed
+
+
+def test_label_first_differentials_match_dense_assembly_on_corpus(corpus):
+    for a in corpus.values():
+        _check_against_dense(a)
+
+
+def test_label_first_differentials_match_dense_assembly_on_synthetic_atlases():
+    rng = Random(6060)
+    mixed = sum(_check_against_dense(random_atlas(rng)) for _ in range(20))
+    assert mixed >= 20  # the draws exercise differentials with several labels
+
+
+def _off_label_atlas():
+    """A surface whose H^2 is ((0,2), (2,0)) with one boundary point class."""
+    a = random_boundary_atlas(Random(0), 2, 1)
+    assert a.pure_at((), 2).slots == ((0, 2), (2, 0))
+    return a
+
+
+def _off_label_pushforward(monkeypatch):
+    """Make every Gysin block send its first column onto its first row."""
+    real = adjoint_pushforward
+
+    def patched(r, q_source, q_target_inverse):
+        g = real(r, q_source, q_target_inverse)
+        rows = g.to_lists()
+        rows[0][0] += 1
+        return Matrix.from_rows(rows)
+
+    monkeypatch.setattr("absix.wss.adjoint_pushforward", patched)
+
+
+def test_off_label_gysin_block_is_an_internal_error(monkeypatch):
+    a = _off_label_atlas()
+    _off_label_pushforward(monkeypatch)
+    # Weight 2: the (1,1) point class would land on the (0,2) line of H^2(Y).
+    with pytest.raises(InternalError, match=r"gysin differential w=2, spot 1: .*\(1, 1\) to slot \(0, 2\)"):
+        gysin_complex(a, 2)
+
+
+def test_off_label_gysin_block_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "surface.atlas.json"
+    path.write_text(dumps_atlas(_off_label_atlas()), encoding="utf-8")
+    _off_label_pushforward(monkeypatch)
+    assert main(["compute", str(path), "--what", "cohomology"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error (a bug in absix): gysin differential w=2")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
