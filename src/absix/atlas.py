@@ -33,10 +33,15 @@ rejected)::
 
 Subsets are listed in the order their elements appear in ``components``;
 the loader rejects unsorted subsets so that serialization is canonical.
+``load_atlas`` parses each distinct rational string once per document.
 ``validate_atlas`` audits the semantic invariants (closure, degree ranges,
 Hodge symmetry and duality of slot counts, perfect/block-compatible pairings,
-commuting restriction squares, degree-0 unit rows) and returns the complete
-list of findings; computational modules refuse atlases with findings.
+block-diagonal restriction matrices, commuting restriction squares, degree-0
+unit rows) and returns the complete list of findings; computational modules
+refuse atlases with findings.  Its work follows what the atlas declares: each
+square S < S+i, S+j < S+i+j is found from a declared S+i+j, and compared only
+in degrees where D_S and D_(S+i+j) have cohomology and its four matrices have
+their declared shapes.
 An atlas is immutable; ``per_atlas`` computes a layer once per atlas object
 and caches it on the atlas, next to its validation report.
 """
@@ -53,8 +58,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, InvalidAtlas, ParseError, WeightMismatch
-from .hodgecore import PureMorphism, PureObject, ZERO_OBJECT
-from .qmat import Matrix, _frac, inverse
+from .hodgecore import PureObject, ZERO_OBJECT, cross_label_entry
+from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse
 
 _TOP_FIELDS = {"dimension", "components", "strata", "restrictions", "self_intersections"}
 _STRATUM_FIELDS = {"subset", "cohomology", "pairings"}
@@ -172,13 +177,6 @@ class StratumAtlas:
             return Matrix.zeros(*want)
         return m
 
-    def restriction_morphism(self, src, dst, k: int) -> PureMorphism:
-        return PureMorphism.from_full_matrix(
-            self.pure_at(src, k), self.pure_at(dst, k),
-            self.restriction_matrix(src, dst, k),
-            where=f"restriction {list(src)}->{list(dst)} degree {k}",
-        )
-
     @property
     def connected(self) -> bool:
         """X is connected iff Y is, read off the declared H^0(Y) basis."""
@@ -210,19 +208,33 @@ def _expect(cond: bool, loc: str, msg: str):
         raise ParseError(loc, msg)
 
 
-def _parse_fraction(x, loc: str, *index: int) -> Fraction:
+class _Rationals(dict):
+    """The distinct rational strings of one document, each parsed once.
+
+    Only values with ``type(x) is str`` may be looked up here: ``True == 1``
+    and ``1.0 == 1`` hash alike, yet must still be rejected.  A rejected
+    string raises and is not stored.
+    """
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = _parse_rational(text)
+        return value
+
+
+def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int) -> Fraction:
     """A JSON integer or strict rational string (``qmat``'s grammar) as a Fraction.
 
     The location is ``loc`` followed by ``[i]`` for each index, formatted
     only when the value is rejected.
     """
     try:
-        return _frac(x)
+        return rationals[x] if type(x) is str else _frac(x)
     except DimensionError as exc:
         raise ParseError(loc + "".join(f"[{i}]" for i in index), str(exc)) from None
 
 
-def _parse_matrix(rows, loc: str, expected_cols: Optional[int] = None) -> Matrix:
+def _parse_matrix(rows, rationals: _Rationals, loc: str,
+                  expected_cols: Optional[int] = None) -> Matrix:
     _expect(isinstance(rows, list), loc, "expected a list of matrix rows")
     if not rows:
         return Matrix.zeros(0, expected_cols or 0)
@@ -231,13 +243,13 @@ def _parse_matrix(rows, loc: str, expected_cols: Optional[int] = None) -> Matrix
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ParseError(f"{loc}[{i}]", "expected a row list")
-        vals = [_parse_fraction(x, loc, i, j) for j, x in enumerate(row)]
+        vals = tuple([_parse_fraction(x, rationals, loc, i, j) for j, x in enumerate(row)])
         if width is None:
             width = len(vals)
         elif len(vals) != width:
             raise ParseError(f"{loc}[{i}]", "ragged matrix rows")
         parsed.append(vals)
-    return Matrix(len(parsed), width, parsed)
+    return _wrap(len(parsed), width, tuple(parsed))
 
 
 def _parse_subset(raw, loc: str, index: Mapping) -> tuple:
@@ -286,6 +298,7 @@ def load_atlas(document: Mapping) -> StratumAtlas:
             "components", "must be a list of nonempty strings")
     _expect(len(set(comps)) == len(comps), "components", "duplicate component names")
     index = {c: i for i, c in enumerate(comps)}
+    rationals = _Rationals()
 
     strata = {}
     raw_strata = document["strata"]
@@ -316,7 +329,8 @@ def load_atlas(document: Mapping) -> StratumAtlas:
         for k, rows in enumerate(raw_pairs):
             dual_deg = 2 * e - k
             expected_cols = dims[dual_deg] if 0 <= dual_deg < len(dims) else 0
-            pairings.append(_parse_matrix(rows, f"{loc}.pairings[{k}]", expected_cols))
+            pairings.append(
+                _parse_matrix(rows, rationals, f"{loc}.pairings[{k}]", expected_cols))
         strata[subset] = make_stratum(e, cohomology, pairings)
 
     restrictions = {}
@@ -339,7 +353,7 @@ def load_atlas(document: Mapping) -> StratumAtlas:
         mats = []
         for k, rows in enumerate(raw_mats):
             cols = src_dims[k] if k < len(src_dims) else 0
-            m = _parse_matrix(rows, f"{loc}.matrices[{k}]", cols)
+            m = _parse_matrix(rows, rationals, f"{loc}.matrices[{k}]", cols)
             if m.rows == 0 and m.cols == 0 and k < len(dst_dims) and dst_dims[k] == 0:
                 m = Matrix.zeros(0, cols)
             mats.append(m)
@@ -352,7 +366,7 @@ def load_atlas(document: Mapping) -> StratumAtlas:
         selfint = {}
         for name, val in raw_si.items():
             _expect(name in index, f"self_intersections.{name}", "unknown component")
-            selfint[name] = _parse_fraction(val, f"self_intersections.{name}")
+            selfint[name] = _parse_fraction(val, rationals, f"self_intersections.{name}")
 
     return StratumAtlas(d, comps, strata, restrictions, selfint)
 
@@ -584,6 +598,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                              f"entry ({i},{j}) pairs slot ({p},{q}) with ({pp},{qq})")
 
     # restriction checks
+    misshaped = set()  # (src, dst, degree) of each RestrictionShape finding
     for (src, dst) in sorted(
         a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1]))
     ):
@@ -597,17 +612,21 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
             continue
         mats = a.restrictions[(src, dst)]
         for k, m in enumerate(mats):
-            want = (a.pure_at(dst, k).dim, a.pure_at(src, k).dim)
+            source, target = a.pure_at(src, k), a.pure_at(dst, k)
+            want = (target.dim, source.dim)
             if m.rows == 0 and m.cols == 0 and want[0] == 0:
                 continue
             if m.shape != want:
+                misshaped.add((src, dst, k))
                 flag("RestrictionShape", f"{where}.matrices[{k}]",
                      f"shape {m.shape}, expected {want}")
                 continue
-            try:
-                a.restriction_morphism(src, dst, k)
-            except Exception as exc:  # off-block entries
-                flag("RestrictionBlocks", f"{where}.matrices[{k}]", str(exc))
+            hit = cross_label_entry(source, target, m) if m.rows and m.cols else None
+            if hit is not None:
+                i, j = hit
+                flag("RestrictionBlocks", f"{where}.matrices[{k}]",
+                     f"restriction {list(src)}->{list(dst)} degree {k}: nonzero entry "
+                     f"({i},{j}) links slot {source.slots[j]} to slot {target.slots[i]}")
         # degree-0 unit rows: one 1 per connected piece of the target
         m0 = a.restriction_matrix(src, dst, 0)
         for i in range(m0.rows):
@@ -627,30 +646,36 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
         flag("MissingRestriction", f"{_subset_name(face)}->{_subset_name(subset)}",
              "adjacent strata need a declared restriction")
 
-    # commuting squares
-    for subset in a.declared_subsets():
-        comps = [c for c in a.components if c not in subset]
-        for x in range(len(comps)):
-            for y in range(x + 1, len(comps)):
-                i, jc = comps[x], comps[y]
-                si = tuple(sorted(subset + (i,), key=a._index.__getitem__))
-                sj = tuple(sorted(subset + (jc,), key=a._index.__getitem__))
-                sij = tuple(sorted(subset + (i, jc), key=a._index.__getitem__))
-                if not (si in a.strata and sj in a.strata and sij in a.strata):
-                    continue
-                if not all(
-                    pair in a.restrictions
-                    for pair in [(subset, si), (subset, sj), (si, sij), (sj, sij)]
-                ):
-                    continue
-                for k in range(2 * a.e(subset) + 1):
-                    one = a.restriction_matrix(si, sij, k) * a.restriction_matrix(subset, si, k)
-                    two = a.restriction_matrix(sj, sij, k) * a.restriction_matrix(subset, sj, k)
-                    if one != two:
-                        flag("SquareIncompatible",
-                             f"{_subset_name(subset)}->{_subset_name(sij)}.degree[{k}]",
-                             "the two restriction paths disagree")
-                        break
+    # commuting squares S < S+i, S+j < S+i+j, found from each declared top
+    # S+i+j (its elements in components order) and checked in declared order
+    # of S, then components order of i and j
+    squares = []
+    for top in a.declared_subsets():
+        pos = [a._index.get(c, -1) for c in top]
+        if len(top) < 2 or not all(0 <= x < y for x, y in zip(pos, pos[1:])):
+            continue
+        for x in range(len(top)):
+            for y in range(x + 1, len(top)):
+                base = top[:x] + top[x + 1:y] + top[y + 1:]
+                si, sj = top[:y] + top[y + 1:], top[:x] + top[x + 1:]
+                paths = ((si, top), (base, si), (sj, top), (base, sj))
+                if (base in order and si in a.strata and sj in a.strata
+                        and all(pair in a.restrictions for pair in paths)):
+                    squares.append((order[base], pos[x], pos[y], base, top, paths))
+    for _, _, _, base, top, paths in sorted(squares):
+        e = a.e(base)
+        for k, obj in enumerate(a.strata[top].cohomology):
+            # an empty corner makes both paths the same zero-sized map, and a
+            # misshaped matrix has its RestrictionShape finding already
+            if (k > 2 * e or obj.is_zero or a.pure_at(base, k).is_zero
+                    or any((src, dst, k) in misshaped for src, dst in paths)):
+                continue
+            r = [a.restriction_matrix(src, dst, k) for src, dst in paths]
+            if r[0] * r[1] != r[2] * r[3]:
+                flag("SquareIncompatible",
+                     f"{_subset_name(base)}->{_subset_name(top)}.degree[{k}]",
+                     "the two restriction paths disagree")
+                break
 
     report = ValidationReport(tuple(findings))
     a._cache["validation"] = report

@@ -43,20 +43,12 @@ class PureObject:
 
     def __post_init__(self):
         slots = tuple((int(p), int(q)) for p, q in self.slots)
-        object.__setattr__(self, "slots", slots)
-        if not slots:
-            object.__setattr__(self, "weight", 0)
-        positions: dict = {}
-        for i, (p, q) in enumerate(slots):
+        for p, q in slots:
             if p + q != self.weight:
                 raise WeightMismatch(
                     f"slot ({p},{q}) does not lie on weight {self.weight}"
                 )
-            positions.setdefault(slots[i], []).append(i)
-        # label -> basis indices carrying it, with the labels sorted once
-        object.__setattr__(self, "_positions",
-                           {lab: tuple(positions[lab]) for lab in sorted(positions)})
-        object.__setattr__(self, "_labels", tuple(self._positions))
+        _index_slots(self, self.weight, slots)
 
     @property
     def dim(self) -> int:
@@ -80,6 +72,26 @@ class PureObject:
         return len(self.positions(label))
 
 
+def _index_slots(obj: PureObject, weight: int, slots: tuple):
+    """Set the fields of ``obj`` and index its slots by label, labels sorted once."""
+    positions: dict = {}
+    for i, lab in enumerate(slots):
+        positions.setdefault(lab, []).append(i)
+    object.__setattr__(obj, "weight", weight if slots else 0)
+    object.__setattr__(obj, "slots", slots)
+    object.__setattr__(obj, "_positions",
+                       {lab: tuple(positions[lab]) for lab in sorted(positions)})
+    object.__setattr__(obj, "_labels", tuple(obj._positions))
+
+
+def _pure(weight: int, slots: tuple) -> PureObject:
+    """A PureObject on ``slots``, which must already be a tuple of int pairs
+    on ``weight``: nothing is converted or checked."""
+    obj = object.__new__(PureObject)
+    _index_slots(obj, weight, slots)
+    return obj
+
+
 ZERO_OBJECT = PureObject(0, ())
 
 
@@ -87,33 +99,51 @@ def from_hodge_numbers(weight: int, numbers: Mapping) -> PureObject:
     """Pure object with lexicographically sorted slots of given multiplicity."""
     slots = []
     for (p, q) in sorted(numbers):
-        slots.extend([(p, q)] * numbers[(p, q)])
-    return PureObject(weight, tuple(slots))
+        mult = numbers[(p, q)]
+        if mult > 0:
+            if p + q != weight:
+                raise WeightMismatch(f"slot ({p},{q}) does not lie on weight {weight}")
+            slots.extend([(p, q)] * mult)
+    return _pure(weight, tuple(slots))
 
 
 def tate_twist(v: PureObject, m: int) -> PureObject:
     """Twist by Q(m): weight - 2m, slots (p - m, q - m)."""
     if v.is_zero:
         return ZERO_OBJECT
-    return PureObject(v.weight - 2 * m, tuple((p - m, q - m) for (p, q) in v.slots))
+    return _pure(v.weight - 2 * m, tuple([(p - m, q - m) for (p, q) in v.slots]))
 
 
 def direct_sum(a: PureObject, b: PureObject) -> PureObject:
     """Concatenate slot lists; weights must agree unless one side is zero."""
-    if a.is_zero:
-        return b
-    if b.is_zero:
-        return a
-    if a.weight != b.weight:
-        raise WeightMismatch(f"direct sum of weights {a.weight} and {b.weight}")
-    return PureObject(a.weight, a.slots + b.slots)
+    return direct_sum_all((a, b))
 
 
 def direct_sum_all(parts: Sequence[PureObject]) -> PureObject:
-    out = ZERO_OBJECT
-    for p in parts:
-        out = direct_sum(out, p)
-    return out
+    """One object on the concatenated slots of the nonzero parts, in order."""
+    nonzero = [p for p in parts if not p.is_zero]
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ZERO_OBJECT
+    weight = nonzero[0].weight
+    for p in nonzero:
+        if p.weight != weight:
+            raise WeightMismatch(f"direct sum of weights {weight} and {p.weight}")
+    return _pure(weight, tuple([s for p in nonzero for s in p.slots]))
+
+
+def cross_label_entry(source: PureObject, target: PureObject, m: Matrix):
+    """The first ``(i, j)``, in row-major order, where ``m`` (target x source,
+    in slot order) has a nonzero entry linking target slot i to a different
+    source slot j; None when every nonzero entry stays within one label."""
+    labels = source.labels()
+    if len(labels) == 1 and labels == target.labels():
+        return None
+    sslots = source.slots
+    for i, (t, row) in enumerate(zip(target.slots, m.entries())):
+        for j, x in enumerate(row):
+            if x and sslots[j] != t:
+                return i, j
+    return None
 
 
 class PureMorphism:
@@ -163,21 +193,21 @@ class PureMorphism:
                          m: Matrix, where: str = "") -> "PureMorphism":
         """Split a full matrix (in slot order) into per-label blocks.
 
-        Validation's splitter for declared restriction matrices: entries
-        between different (p, q) labels must vanish exactly, and a nonzero
-        off-block entry (DimensionError) is no morphism of pure structures.
+        Entries between different (p, q) labels must vanish exactly: a
+        nonzero off-block entry (DimensionError) is no morphism of pure
+        structures.
         """
         if m.shape != (target.dim, source.dim):
             raise DimensionError(
                 f"{where or 'matrix'}: shape {m.shape}, expected {(target.dim, source.dim)}"
             )
-        for i in range(target.dim):
-            for j in range(source.dim):
-                if target.slots[i] != source.slots[j] and m[i, j] != 0:
-                    raise DimensionError(
-                        f"{where or 'matrix'}: nonzero entry ({i},{j}) links slot "
-                        f"{source.slots[j]} to slot {target.slots[i]}"
-                    )
+        hit = cross_label_entry(source, target, m)
+        if hit is not None:
+            i, j = hit
+            raise DimensionError(
+                f"{where or 'matrix'}: nonzero entry ({i},{j}) links slot "
+                f"{source.slots[j]} to slot {target.slots[i]}"
+            )
         blocks = {}
         for lab in set(source.labels()) & set(target.labels()):
             rows = target.positions(lab)

@@ -404,6 +404,8 @@ def inverse(m: Matrix) -> Optional[Matrix]:
     """Exact inverse of a square matrix, or None if singular."""
     if m.rows != m.cols:
         return None
+    if not m.rows:
+        return m
     R, pivots = rref(m.hstack(Matrix.identity(m.rows)))
     if len(pivots) != m.rows or any(p >= m.cols for p in pivots):
         return None

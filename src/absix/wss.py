@@ -42,6 +42,7 @@ from .hodgecore import (
     MixedGraded,
     PureMorphism,
     PureObject,
+    cross_label_entry,
     direct_sum_all,
     from_hodge_numbers,
     mixed,
@@ -123,12 +124,11 @@ def _label_first(source: PureObject, target: PureObject,
     order.  Blocks of validated data link no two different labels.
     """
     for (tgt, src), m in blocks.items():
-        tslots, sslots = tgt_parts[tgt].slots, src_parts[src].slots
-        for i, row in enumerate(m.entries()):
-            for j, x in enumerate(row):
-                if sslots[j] != tslots[i] and x:
-                    raise InternalError(f"{where}: block {list(src)}->{list(tgt)} links "
-                                        f"slot {sslots[j]} to slot {tslots[i]}")
+        hit = cross_label_entry(src_parts[src], tgt_parts[tgt], m)
+        if hit is not None:
+            i, j = hit
+            raise InternalError(f"{where}: block {list(src)}->{list(tgt)} links slot "
+                                f"{src_parts[src].slots[j]} to slot {tgt_parts[tgt].slots[i]}")
     label_blocks, zeros = {}, (_ZERO,) * source.dim
     for lab in source.labels():
         if not target.count(lab):

@@ -3,6 +3,7 @@
 import copy
 import hashlib
 import json
+import time
 from fractions import Fraction
 from random import Random
 
@@ -10,6 +11,7 @@ import pytest
 
 from absix import Matrix
 from absix.atlas import (
+    Finding,
     StratumAtlas,
     _subset_name,
     dump_atlas,
@@ -22,10 +24,10 @@ from absix.atlas import (
     validate_atlas,
 )
 from absix.corpus import ALIASES, builtin, corpus_names
-from absix.errors import InvalidAtlas, ParseError, UnknownCorpusItem
-from absix.hodgecore import ZERO_OBJECT, PureObject
+from absix.errors import DimensionError, InvalidAtlas, ParseError, UnknownCorpusItem
+from absix.hodgecore import ZERO_OBJECT, PureMorphism, PureObject
 
-from synth import random_atlas
+from synth import kunneth, random_atlas, random_boundary_atlas
 
 # sha256 of dumps_atlas(builtin(name)) for every catalogue name and alias: the
 # frozen bytes of the corpus, and so of every report's atlas hash.
@@ -232,6 +234,25 @@ def test_rationals_follow_the_strict_grammar(value):
     doc = _doc()
     doc["strata"][0]["pairings"][0] = [[value]]
     assert _perr(doc).location == "strata[0].pairings[0][0][0]"
+
+
+@pytest.mark.parametrize("value", [True, 1.0])
+def test_a_value_equal_to_a_parsed_string_is_still_rejected(value):
+    doc = _doc()
+    assert doc["strata"][0]["pairings"][0] == [["1"]]  # "1" is parsed first
+    doc["restrictions"][0]["matrices"][0] = [[value]]
+    err = _perr(doc)
+    assert err.location == "restrictions[0].matrices[0][0][0]"
+    assert "expected rational" in err.message
+
+
+def test_a_bad_string_used_twice_is_reported_at_its_first_use():
+    doc = _doc()
+    doc["strata"][0]["pairings"][0] = [["1", "2"], ["3", "1/0"]]
+    doc["restrictions"][0]["matrices"][0] = [["1/0"]]
+    err = _perr(doc)
+    assert err.location == "strata[0].pairings[0][1][1]"
+    assert "bad rational" in err.message
 
 
 def test_integers_past_the_digit_limit_are_parse_errors():
@@ -447,7 +468,14 @@ def test_finding_restriction_blocks():
     doc = copy.deepcopy(ODD_SURFACE_DOC)
     # Degree-2 restriction now sends the (0,2) line to the (1,1) line.
     doc["restrictions"][0]["matrices"][2] = [["1", "0", "0"]]
-    assert "RestrictionBlocks" in _codes_of(doc)
+    a = load_atlas(doc)
+    (finding,) = [f for f in validate_atlas(a).findings if f.code == "RestrictionBlocks"]
+    assert finding.where == "Y->{E}.matrices[2]"
+    with pytest.raises(DimensionError) as exc:  # the detail is the splitter's message
+        PureMorphism.from_full_matrix(a.pure_at((), 2), a.pure_at(("E",), 2),
+                                      a.restrictions[((), ("E",))][2],
+                                      where="restriction []->['E'] degree 2")
+    assert finding.detail == str(exc.value)
 
 
 def test_finding_missing_restriction():
@@ -497,6 +525,109 @@ def test_finding_square_incompatible():
     assert pairs
     pairs[0]["matrices"][0] = [["-1"]]
     assert "SquareIncompatible" in _codes_of(doc)
+
+
+def _square_findings_by_double_loop(a):
+    """The square check as a loop over each declared S and each pair of other
+    components, skipping a degree where one of the four matrices is misshaped."""
+    def misshaped(src, dst, k):
+        mats = a.restrictions[(src, dst)]
+        if k >= len(mats):
+            return False
+        m, want = mats[k], (a.pure_at(dst, k).dim, a.pure_at(src, k).dim)
+        return m.shape != want and not (m.rows == 0 and m.cols == 0 and want[0] == 0)
+
+    found = []
+    for subset in a.declared_subsets():
+        comps = [c for c in a.components if c not in subset]
+        for x in range(len(comps)):
+            for y in range(x + 1, len(comps)):
+                si, sj, sij = (tuple(sorted(subset + extra, key=a.components.index))
+                               for extra in ((comps[x],), (comps[y],), (comps[x], comps[y])))
+                paths = [(subset, si), (si, sij), (subset, sj), (sj, sij)]
+                if not (si in a.strata and sj in a.strata and sij in a.strata
+                        and all(p in a.restrictions for p in paths)):
+                    continue
+                for k in range(2 * a.e(subset) + 1):
+                    if any(misshaped(*p, k) for p in paths):
+                        continue
+                    one = a.restriction_matrix(si, sij, k) * a.restriction_matrix(subset, si, k)
+                    two = a.restriction_matrix(sj, sij, k) * a.restriction_matrix(subset, sj, k)
+                    if one != two:
+                        found.append(Finding(
+                            "SquareIncompatible",
+                            f"{_subset_name(subset)}->{_subset_name(sij)}.degree[{k}]",
+                            "the two restriction paths disagree"))
+                        break
+    return found
+
+
+def _with_matrix(a, pair, k, m):
+    mats = list(a.restrictions[pair])
+    mats[k] = m
+    return StratumAtlas(a.dimension, a.components, dict(a.strata),
+                        {**a.restrictions, pair: tuple(mats)}, a.self_intersections)
+
+
+def _broken(a, rng):
+    """One nonzero restriction entry doubled, or None if every entry is zero."""
+    cells = [(pair, k, i, j) for pair, mats in a.restrictions.items()
+             for k, m in enumerate(mats) for i, row in enumerate(m.entries())
+             for j, x in enumerate(row) if x]
+    if not cells:
+        return None
+    pair, k, i, j = rng.choice(sorted(cells, key=repr))
+    rows = a.restrictions[pair][k].to_lists()
+    rows[i][j] *= 2
+    return _with_matrix(a, pair, k, Matrix.from_rows(rows))
+
+
+def _reshaped(a, rng, pair):
+    """One matrix of ``pair`` with a zero row or a zero column appended."""
+    k = rng.randrange(len(a.restrictions[pair]))
+    m = a.restrictions[pair][k]
+    grown = (m.vstack(Matrix.zeros(1, m.cols)) if rng.random() < 0.5
+             else m.hstack(Matrix.zeros(m.rows, 1)))
+    return _with_matrix(a, pair, k, grown)
+
+
+def test_squares_match_the_double_loop(corpus):
+    rng = Random(4343)
+    atlases = list(corpus.values()) + [random_atlas(rng) for _ in range(20)] + [
+        kunneth(random_boundary_atlas(rng, rng.randint(1, 2), rng.randint(1, 2)),
+                random_boundary_atlas(rng, 1, rng.randint(1, 2)))
+        for _ in range(20)
+    ]
+    # Doubling the degree-0 maps Y->A.Z1 and Y->B.Z1 breaks the squares up to
+    # {A.Z1,B.Z2} and {A.Z2,B.Z1} but not {A.Z1,B.Z1}: their order shows.
+    crossed = kunneth(random_boundary_atlas(rng, 1, 2), random_boundary_atlas(rng, 1, 2))
+    for comp in ("A.Z1", "B.Z1"):
+        crossed = _with_matrix(crossed, ((), (comp,)), 0, Matrix.from_rows([[2]]))
+    atlases.append(crossed)
+    fired = reshaped = 0
+    for a in atlases:
+        pairs = sorted(a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1])))
+        twice = _broken(a, rng)
+        cases = [a, twice, twice and _broken(twice, rng)]
+        if pairs:
+            cases.append(_without(a, {rng.choice(pairs)}))
+            cases.append(_reshaped(a, rng, rng.choice(pairs)))
+        for b in filter(None, cases):
+            findings = validate_atlas(b).findings
+            found = [f for f in findings if f.code == "SquareIncompatible"]
+            assert found == _square_findings_by_double_loop(b), b
+            fired += bool(found)
+            reshaped += any(f.code == "RestrictionShape" for f in findings)
+    assert fired >= 10 and reshaped >= 30  # the mutations are seen
+
+
+def test_validation_of_many_components_is_quick():
+    a = builtin("points_in_proper", points=300)
+    for st in a.strata.values():
+        st.pairing_inverses  # the dense 301x301 inverse is not what is timed
+    start = time.perf_counter()
+    assert validate_atlas(a).ok
+    assert time.perf_counter() - start < 2.0
 
 
 def test_require_valid_raises_with_findings():

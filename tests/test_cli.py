@@ -213,6 +213,20 @@ def test_compute_invalid_atlas_file_is_domain_error(tmp_path, capsys):
     assert err.startswith("invalid atlas:")
 
 
+def test_misshaped_square_matrix_is_a_finding_not_a_crash(tmp_path, capsys):
+    doc = dump_atlas(builtin("surface_resolution"))
+    (r,) = [r for r in doc["restrictions"] if (r["from"], r["to"]) == (["E1"], ["E1", "E2"])]
+    r["matrices"][0] = [["1", "0"]]
+    path = _write_doc(tmp_path, doc)
+    code, out, err = run_cli(capsys, "validate", path)
+    assert (code, err) == (1, "")
+    assert out == ("[RestrictionShape] {E1}->{E1,E2}.matrices[0]: "
+                   "shape (1, 2), expected (1, 1)\n")
+    code, out, err = run_cli(capsys, "compute", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("invalid atlas:") and "RestrictionShape" in err
+
+
 def test_compute_ihplus_needs_connected_atlas(tmp_path, capsys):
     path = _write_doc(tmp_path, DISCONNECTED_DOC)
     code, out, err = run_cli(capsys, "compute", path, "--what", "ihplus")

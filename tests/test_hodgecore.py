@@ -5,7 +5,9 @@ from random import Random
 
 import pytest
 
-from absix import Matrix
+from absix import Matrix, hodgecore
+from absix.cli import build_report
+from absix.corpus import builtin, corpus_names
 from absix.errors import DimensionError, WeightMismatch
 from absix.hodgecore import (
     CohomologyTable,
@@ -23,7 +25,7 @@ from absix.hodgecore import (
     weight_support,
 )
 
-from synth import random_morphism
+from synth import random_atlas, random_morphism
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,47 @@ def test_direct_sum_concatenates_and_checks_weights():
     assert direct_sum_all([a, ZERO_OBJECT, b]).dim == 3
     with pytest.raises(WeightMismatch):
         direct_sum(a, PureObject(4, ((2, 2),)))
+
+
+def test_direct_sum_all_builds_one_object_and_checks_each_weight():
+    a = PureObject(2, ((1, 1),))
+    b = PureObject(2, ((0, 2),))
+    c = PureObject(2, ((2, 0),))
+    total = direct_sum_all([ZERO_OBJECT, a, b, ZERO_OBJECT, c])
+    assert total == PureObject(2, a.slots + b.slots + c.slots)
+    assert total.positions((1, 1)) == (0,) and total.labels() == ((0, 2), (1, 1), (2, 0))
+    assert direct_sum_all([ZERO_OBJECT, b]) is b
+    assert direct_sum_all([]) == ZERO_OBJECT
+    with pytest.raises(WeightMismatch, match="direct sum of weights 2 and 4"):
+        direct_sum_all([a, b, PureObject(4, ((2, 2),))])
+
+
+def test_from_hodge_numbers_checks_each_label_once():
+    with pytest.raises(WeightMismatch, match=r"slot \(1,0\) does not lie on weight 2"):
+        from_hodge_numbers(2, {(1, 1): 1, (1, 0): 2})
+    assert from_hodge_numbers(2, {(1, 0): 0}) == ZERO_OBJECT
+
+
+def test_engine_built_objects_equal_their_checked_construction(monkeypatch):
+    built = []
+    trusted = hodgecore._pure
+
+    def recording(weight, slots):
+        built.append(trusted(weight, slots))
+        return built[-1]
+
+    monkeypatch.setattr(hodgecore, "_pure", recording)
+    rng = Random(2468)
+    for a in [builtin(name) for name in corpus_names()] + [random_atlas(rng) for _ in range(8)]:
+        build_report(a, "atlas", "all")
+    assert len(built) > 500
+    for obj in built:
+        assert type(obj.slots) is tuple
+        assert all(type(s) is tuple and len(s) == 2 and type(s[0]) is type(s[1]) is int
+                   for s in obj.slots)
+        checked = PureObject(obj.weight, obj.slots)
+        assert obj == checked and obj.labels() == checked.labels()
+        assert all(obj.positions(lab) == checked.positions(lab) for lab in checked.labels())
 
 
 # ---------------------------------------------------------------------------

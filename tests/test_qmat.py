@@ -197,6 +197,7 @@ def test_inverse_roundtrip_and_singular():
     assert inv * m == Matrix.identity(3)
     assert inverse(Matrix(2, 2, [[1, 2], [2, 4]])) is None
     assert inverse(Matrix(2, 3, [[1, 0, 0], [0, 1, 0]])) is None
+    assert inverse(Matrix.zeros(0, 0)) == Matrix.zeros(0, 0)
 
 
 def test_one_sided_inverses():
