@@ -84,6 +84,7 @@ def absolute_ic(a: StratumAtlas) -> AbsicResult:
     )
 
 
+@per_atlas
 def boundary_cohomology(a: StratumAtlas) -> CohomologyTable:
     """The weight-graded boundary cohomology table (degrees 0 .. 2d-1).
 

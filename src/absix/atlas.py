@@ -109,6 +109,17 @@ def make_stratum(e: int, cohomology: Sequence[PureObject],
     return StratumData(tuple(coh), tuple(prs))
 
 
+def _matrix_at(mats: Optional[tuple], source: PureObject, target: PureObject,
+               k: int) -> Matrix:
+    """Degree k of a restriction's matrices ``mats`` (None when undeclared)
+    from ``source`` to ``target``: zeros of their shape when absent."""
+    want = (target.dim, source.dim)
+    m = mats[k] if mats is not None and 0 <= k < len(mats) else None
+    if m is None or (m.shape != want and m.rows == 0 and m.cols == 0):
+        return Matrix.zeros(*want)
+    return m
+
+
 class StratumAtlas:
     """One atlas; immutable, so that results cached on it stay correct."""
 
@@ -168,14 +179,8 @@ class StratumAtlas:
 
     def restriction_matrix(self, src, dst, k: int) -> Matrix:
         """Pullback matrix H^k(D_src) -> H^k(D_dst) (dst = src + one element)."""
-        mats = self.restrictions.get((tuple(src), tuple(dst)))
-        want = (self.pure_at(dst, k).dim, self.pure_at(src, k).dim)
-        if mats is None or not (0 <= k < len(mats)):
-            return Matrix.zeros(*want)
-        m = mats[k]
-        if m.shape != want and m.rows == 0 and m.cols == 0:
-            return Matrix.zeros(*want)
-        return m
+        return _matrix_at(self.restrictions.get((tuple(src), tuple(dst))),
+                          self.pure_at(src, k), self.pure_at(dst, k), k)
 
     @property
     def connected(self) -> bool:
@@ -611,8 +616,9 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
             flag("BadRestriction", where, "'to' must be 'from' plus one component")
             continue
         mats = a.restrictions[(src, dst)]
+        src_st, dst_st = a.strata[src], a.strata[dst]
         for k, m in enumerate(mats):
-            source, target = a.pure_at(src, k), a.pure_at(dst, k)
+            source, target = src_st.pure_at(k), dst_st.pure_at(k)
             want = (target.dim, source.dim)
             if m.rows == 0 and m.cols == 0 and want[0] == 0:
                 continue
@@ -628,7 +634,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                      f"restriction {list(src)}->{list(dst)} degree {k}: nonzero entry "
                      f"({i},{j}) links slot {source.slots[j]} to slot {target.slots[i]}")
         # degree-0 unit rows: one 1 per connected piece of the target
-        m0 = a.restriction_matrix(src, dst, 0)
+        m0 = _matrix_at(mats, src_st.pure_at(0), dst_st.pure_at(0), 0)
         for i in range(m0.rows):
             row = m0.row(i)
             if sorted(row) != sorted([1] + [0] * (len(row) - 1)):
@@ -664,13 +670,16 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                     squares.append((order[base], pos[x], pos[y], base, top, paths))
     for _, _, _, base, top, paths in sorted(squares):
         e = a.e(base)
+        base_st = a.strata[base]
+        edges = [(a.restrictions[pair], a.strata[pair[0]], a.strata[pair[1]])
+                 for pair in paths]
         for k, obj in enumerate(a.strata[top].cohomology):
             # an empty corner makes both paths the same zero-sized map, and a
             # misshaped matrix has its RestrictionShape finding already
-            if (k > 2 * e or obj.is_zero or a.pure_at(base, k).is_zero
+            if (k > 2 * e or obj.is_zero or base_st.pure_at(k).is_zero
                     or any((src, dst, k) in misshaped for src, dst in paths)):
                 continue
-            r = [a.restriction_matrix(src, dst, k) for src, dst in paths]
+            r = [_matrix_at(mats, s.pure_at(k), t.pure_at(k), k) for mats, s, t in edges]
             if r[0] * r[1] != r[2] * r[3]:
                 flag("SquareIncompatible",
                      f"{_subset_name(base)}->{_subset_name(top)}.degree[{k}]",

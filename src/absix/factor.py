@@ -5,14 +5,19 @@ For a morphism v: S -> T of pure objects, the canonical object
     CH(v) = ker(v) (+) im(v) (+) coker(v)
 
 sits in a factorization  v = piCH . iCH  with iCH: S -> CH(v) injective and
-piCH: CH(v) -> T surjective.  Concretely, per (p, q) block:
+piCH: CH(v) -> T surjective.  Concretely, per (p, q) block m (t x s) of rank
+r, with R = rref(m), pivot columns P, free columns F and free rows G (the
+non-pivot columns of m's transpose):
 
-    iCH  = (s, q, 0)   s: a left inverse of ker(v) -> S, q: S ->> im(v)
-    piCH = (0, i, t)   i: im(v) -> T the inclusion, t: a right inverse of
-                       T ->> coker(v)
+    iCH  = (s, q, 0)   s = the rows e_f (f in F), a left inverse of
+                       kernel_basis(m); q = R[:r]: S ->> im(v)
+    piCH = (0, i, t)   i = the columns P of m, the inclusion im(v) -> T;
+                       t = the columns e_g (g in G), a right inverse of
+                       cokernel_projection(m)
 
-All choices are the deterministic pivot-order ones from :mod:`absix.qmat`,
-so repeated runs produce identical matrices.
+q holds the coordinates of m in the basis i, since m = i * R[:r].  So each
+block is eliminated twice, once for rref(m) and once for the pivots of its
+transpose, and repeated runs produce identical matrices.
 
 CH(v) is versal for such factorizations: whenever v = p . j with j mono and
 p epi through some pure h, there is an embedding iota: CH(v) -> h and a
@@ -33,28 +38,30 @@ from .errors import InternalError, NotIdempotent, PreconditionViolated
 from .hodgecore import (
     PureMorphism,
     PureObject,
-    ZERO_OBJECT,
     direct_sum_all,
     from_hodge_numbers,
 )
 from .qmat import (
     Matrix,
-    cokernel_projection,
+    _selection,
     hstack_all,
-    image_basis,
     inverse,
     kernel_basis,
-    left_inverse,
-    rank,
-    right_inverse,
-    solve,
+    pivot_columns,
+    rref,
     vstack_all,
 )
 
 
 @dataclass(frozen=True)
 class ChDecomposition:
-    """CH(v) with its canonical factorization v = pi_ch . i_ch."""
+    """CH(v) with its canonical factorization v = pi_ch . i_ch.
+
+    Per label, the rows of the i_ch block and the columns of the pi_ch block
+    come in kernel, image, cokernel order.  The kernel rows of i_ch select the
+    free (non-pivot) source coordinates of the block; the cokernel columns of
+    pi_ch are the unit vectors at the non-pivot columns of its transpose.
+    """
 
     kernel_part: PureObject
     image_part: PureObject
@@ -64,60 +71,35 @@ class ChDecomposition:
     pi_ch: PureMorphism
 
 
-def _part_dims(v: PureMorphism) -> tuple:
-    """Per-label (kernel, image, cokernel) dimensions of a morphism."""
-    kerd, imd, cokd = {}, {}, {}
-    for lab in v.labels():
-        m = v.block(lab)
-        r = rank(m)
-        if m.cols - r:
-            kerd[lab] = m.cols - r
-        if r:
-            imd[lab] = r
-        if m.rows - r:
-            cokd[lab] = m.rows - r
-    return kerd, imd, cokd
-
-
-def _weight_of(v: PureMorphism) -> int:
-    if not v.source.is_zero:
-        return v.source.weight
-    return v.target.weight
-
-
 def ch_factorization(v: PureMorphism) -> ChDecomposition:
-    """The canonical factorization of v through CH(v), blockwise pivot-order."""
-    kerd, imd, cokd = _part_dims(v)
-    w = _weight_of(v)
-    kernel_part = from_hodge_numbers(w, kerd) if kerd else ZERO_OBJECT
-    image_part = from_hodge_numbers(w, imd) if imd else ZERO_OBJECT
-    cokernel_part = from_hodge_numbers(w, cokd) if cokd else ZERO_OBJECT
-    total = direct_sum_all([kernel_part, image_part, cokernel_part])
-
+    """The canonical factorization of v through CH(v), blockwise pivot-order
+    (see the module docstring for the choice of each block)."""
+    kerd, imd, cokd = {}, {}, {}
     i_blocks, pi_blocks = {}, {}
     for lab in v.labels():
         m = v.block(lab)
-        k = kerd.get(lab, 0)
-        r = imd.get(lab, 0)
-        c = cokd.get(lab, 0)
-        s_dim, t_dim = m.cols, m.rows
-        if k + r + c == 0:
-            continue
-        K = kernel_basis(m)                       # s_dim x k
-        B = image_basis(m)                        # t_dim x r
-        C = cokernel_projection(m)                # c x t_dim
-        sS = left_inverse(K)                      # k x s_dim, sS*K = I
-        coords = solve(B, m)                      # r x s_dim, B*coords = m
-        if coords is None or B * coords != m:
+        t_dim, s_dim = m.shape
+        R, pivots = rref(m)
+        pivcols, pivrows = set(pivots), set(pivot_columns(m.transpose()))
+        free = [j for j in range(s_dim) if j not in pivcols]
+        cofree = [i for i in range(t_dim) if i not in pivrows]
+        k, r, c = len(free), len(pivots), len(cofree)
+        B = m.take_columns(pivots)                          # t x r
+        coords = R.take_rows(range(r))                      # r x s
+        if B * coords != m:
             raise InternalError("the image basis must reproduce the block")
-        tT = right_inverse(C)                     # t_dim x c, C*tT = I
+        kerd[lab], imd[lab], cokd[lab] = k, r, c
         i_blocks[lab] = vstack_all(
-            [sS, coords, Matrix.zeros(c, s_dim)], cols=s_dim
+            [_selection(free, s_dim), coords, Matrix.zeros(c, s_dim)], cols=s_dim
         )
         pi_blocks[lab] = hstack_all(
-            [Matrix.zeros(t_dim, k), B, tT], rows=t_dim
+            [Matrix.zeros(t_dim, k), B, _selection(cofree, t_dim).transpose()], rows=t_dim
         )
 
+    w = (v.target if v.source.is_zero else v.source).weight
+    kernel_part, image_part, cokernel_part = (
+        from_hodge_numbers(w, dims) for dims in (kerd, imd, cokd))
+    total = direct_sum_all([kernel_part, image_part, cokernel_part])
     i_ch = PureMorphism(v.source, total, i_blocks)
     pi_ch = PureMorphism(total, v.target, pi_blocks)
     if pi_ch.compose(i_ch) != v:
@@ -130,18 +112,11 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
 
 
 def _extend_to_basis(current: Matrix, candidates: Matrix) -> Matrix:
-    """Greedily append candidate columns that raise the rank (pivot order)."""
-    picked = []
-    have = current
-    r = rank(have)
-    for j in range(candidates.cols):
-        col = candidates.take_columns([j])
-        trial = have.hstack(col)
-        tr = rank(trial)
-        if tr > r:
-            have, r = trial, tr
-            picked.append(j)
-    return candidates.take_columns(picked)
+    """The candidate columns outside the span of ``current`` and the earlier
+    candidates: the candidate pivot columns of ``[current | candidates]``."""
+    n = current.cols
+    return candidates.take_columns(
+        [p - n for p in pivot_columns(current.hstack(candidates)) if p >= n])
 
 
 def _versal_block(vb: Matrix, jb: Matrix, pb: Matrix,
@@ -256,9 +231,7 @@ def versal_embed(v: PureMorphism, h: PureObject, j: PureMorphism,
 
     iota = PureMorphism(dec.total, h, iota_blocks)
     q = PureMorphism(h, dec.total, q_blocks)
-    h_prime = (
-        from_hodge_numbers(_weight_of(j), prime_dims) if prime_dims else ZERO_OBJECT
-    )
+    h_prime = from_hodge_numbers(h.weight, prime_dims)
 
     # The versal identities hold exactly; verify all five.
     if q.compose(iota) != PureMorphism.identity(dec.total):

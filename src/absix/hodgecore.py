@@ -264,15 +264,18 @@ class PureMorphism:
         return all(m.is_zero() for m in self._blocks.values())
 
     def __eq__(self, other) -> bool:
+        """Blockwise equality: an all-zero block equals an omitted one."""
         return (
             isinstance(other, PureMorphism)
             and self.source == other.source
             and self.target == other.target
-            and self.full_matrix() == other.full_matrix()
+            and all(self.block(lab) == other.block(lab)
+                    for lab in self._blocks.keys() | other._blocks.keys())
         )
 
     def __hash__(self):
-        return hash((self.source, self.target, self.full_matrix()))
+        return hash((self.source, self.target,
+                     tuple((lab, m) for lab, m in self._blocks.items() if not m.is_zero())))
 
     def __repr__(self) -> str:
         return f"PureMorphism({self.source.dim}->{self.target.dim}, w={self.target.weight})"

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .absic import absolute_ic, boundary_cohomology
-from .atlas import StratumAtlas, require_valid
+from .atlas import StratumAtlas, per_atlas, require_valid
 from .errors import MissingSelfIntersections, PreconditionViolated
 from .hodgecore import (
     CohomologyTable,
@@ -46,6 +46,7 @@ def _require_connected(a: StratumAtlas, what: str):
         )
 
 
+@per_atlas
 def ih_one_point(a: StratumAtlas) -> CohomologyTable:
     """Weight-graded intersection cohomology of the one-point compactification."""
     _require_connected(a, "the one-point compactification table")
@@ -91,6 +92,7 @@ class CriteriaReport:
     lefschetz: Optional[tuple]
 
 
+@per_atlas
 def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     """Evaluate the boundary-weight conditions on an atlas."""
     boundary = boundary_cohomology(a)

@@ -348,10 +348,14 @@ def rref(m: Matrix) -> tuple:
     return _wrap(m.rows, m.cols, rows), tuple(pivots)
 
 
+def pivot_columns(m: Matrix) -> tuple:
+    """The pivot columns of m's echelon form: one elimination, no back-substitution."""
+    return tuple(_bareiss_echelon(_integer_rows(m), m.cols))
+
+
 def rank(m: Matrix) -> int:
     """Exact rank."""
-    work = _integer_rows(m)
-    return len(_bareiss_echelon(work, m.cols))
+    return len(pivot_columns(m))
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -426,10 +430,7 @@ def left_inverse(k: Matrix) -> Matrix:
     inv = inverse(sub)
     if inv is None:
         raise DimensionError("left_inverse: matrix does not have full column rank")
-    sel = _wrap(k.cols, k.rows,
-                tuple(tuple(_ONE if j == pivrows[i] else _ZERO for j in range(k.rows))
-                      for i in range(k.cols)))
-    return inv * sel
+    return inv * _selection(pivrows, k.rows)
 
 
 def right_inverse(c: Matrix) -> Matrix:
@@ -440,10 +441,13 @@ def right_inverse(c: Matrix) -> Matrix:
     if len(pivots) != c.rows:
         raise DimensionError("right_inverse: matrix does not have full row rank")
     inv = inverse(c.take_columns(list(pivots)))
-    emb = _wrap(c.cols, c.rows,
-                tuple(tuple(_ONE if pivots[j] == i else _ZERO for j in range(c.rows))
-                      for i in range(c.cols)))
-    return emb * inv
+    return _selection(pivots, c.cols).transpose() * inv
+
+
+def _selection(idx: Sequence[int], n: int) -> Matrix:
+    """The rows e_i (i in ``idx``, in order) of the n x n identity."""
+    return _wrap(len(idx), n, tuple(tuple(_ONE if j == i else _ZERO for j in range(n))
+                                    for i in idx))
 
 
 def adjoint_pushforward(r: Matrix, q_source: Matrix,

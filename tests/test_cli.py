@@ -6,12 +6,15 @@ test), asserting exit codes, stream routing, and byte-level determinism.
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import absix
 from absix import __version__
 from absix.absic import (
     absolute_ic,
@@ -21,7 +24,7 @@ from absix.absic import (
 )
 from absix.atlas import dump_atlas, dumps_atlas
 from absix.cli import atlas_hash, main
-from absix.corpus import ALIASES, CATALOGUE, builtin, corpus_names
+from absix.corpus import ALIASES, CATALOGUE, MAX_N, MAX_POINTS, builtin, corpus_names
 from absix.plus import ih_one_point
 
 # Two disjoint projective lines: structurally valid but disconnected, so the
@@ -174,6 +177,19 @@ def test_compute_bad_parameter_values_are_parse_errors(capsys):
     code, _, err = run_cli(capsys, "compute", "@pn_minus_hyperplane(3)")
     assert code == 2
     assert "expected param=value" in err
+
+
+def test_corpus_parameters_over_their_cap_are_parse_errors(capsys):
+    for target, cap in (("@pn_minus_hyperplane(n=100000000)", MAX_N),
+                        (f"@points_in_proper(points={MAX_POINTS + 1})", MAX_POINTS)):
+        code, out, err = run_cli(capsys, "compute", target, "--what", "cohomology",
+                                 "--degree", "0")
+        assert (code, out) == (2, ""), target
+        assert err.startswith("parse error at") and f"<= {cap}" in err
+        assert err.count("\n") == 1
+    code, out, _ = run_cli(capsys, "corpus")
+    assert f"pn_minus_hyperplane(1<=n<={MAX_N}" in out
+    assert f"points_in_proper(1<=points<={MAX_POINTS}" in out
 
 
 def test_spellings_of_one_corpus_atlas_print_one_report(capsys):
@@ -445,6 +461,14 @@ def test_usage_errors_exit_with_code_two(capsys):
     capsys.readouterr()
 
 
+def _run_module(*argv):
+    """``python -m absix.cli *argv`` in a child that imports this same package."""
+    paths = [str(Path(absix.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, "-m", "absix.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
 def test_calls_in_one_process_print_what_each_prints_alone(tmp_path, capsys, monkeypatch):
     path = _write_doc(tmp_path, dump_atlas(builtin("gm")))
     calls = [
@@ -456,8 +480,7 @@ def test_calls_in_one_process_print_what_each_prints_alone(tmp_path, capsys, mon
     ]
     alone = []
     for argv in calls:
-        proc = subprocess.run([sys.executable, "-m", "absix.cli", *argv],
-                              capture_output=True, text=True, timeout=120)
+        proc = _run_module(*argv)
         alone.append((proc.returncode, proc.stdout, proc.stderr))
     assert [code for code, _, _ in alone] == [2, 0, 0, 0, 0]
 
@@ -483,11 +506,6 @@ def test_calls_in_one_process_print_what_each_prints_alone(tmp_path, capsys, mon
 
 
 def test_module_is_runnable_as_script():
-    proc = subprocess.run(
-        [sys.executable, "-m", "absix.cli", "corpus"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = _run_module("corpus")
     assert proc.returncode == 0
     assert "  --  " in proc.stdout.splitlines()[0]

@@ -4,15 +4,17 @@ from random import Random
 
 import pytest
 
-from absix import Matrix
+from absix import Matrix, qmat
 from absix.errors import NotIdempotent, PreconditionViolated
 from absix.factor import (
+    _extend_to_basis,
     ch_factorization,
     idempotent_kernel,
     versal_embed,
 )
 from absix.hodgecore import PureMorphism, PureObject, from_hodge_numbers
-from absix.qmat import kernel_basis, rank
+from absix.qmat import cokernel_projection, image_basis, kernel_basis, rank, solve
+from absix.wss import u_map
 
 from synth import (
     rand_block,
@@ -65,6 +67,84 @@ def test_ch_factorization_of_zero_and_identity():
     dec = ch_factorization(idm)
     assert dec.kernel_part.dim == 0 and dec.cokernel_part.dim == 0
     assert dec.image_part == idm.source
+
+
+def _ch_morphisms(corpus) -> list:
+    """Every corpus u_n, then the seeded morphisms of the random test above."""
+    rng = Random(2024)
+    return ([u_map(a, n) for a in corpus.values() for n in range(2 * a.dimension + 1)]
+            + [random_morphism(rng) for _ in range(60)])
+
+
+def test_ch_factorization_eliminates_each_block_twice(monkeypatch, corpus):
+    morphisms = _ch_morphisms(corpus)
+    counted, in_rank = [0], [False]
+    echelon, morphism_rank = qmat._bareiss_echelon, PureMorphism.rank
+
+    def counting_echelon(work, cols):
+        counted[0] += not in_rank[0]
+        return echelon(work, cols)
+
+    def uncounted_rank(self):  # the invariant checks on i_ch and pi_ch
+        in_rank[0] = True
+        try:
+            return morphism_rank(self)
+        finally:
+            in_rank[0] = False
+
+    monkeypatch.setattr(qmat, "_bareiss_echelon", counting_echelon)
+    monkeypatch.setattr(PureMorphism, "rank", uncounted_rank)
+    for v in morphisms:
+        counted[0] = 0
+        ch_factorization(v)
+        assert counted[0] == 2 * len(v.labels()), v
+
+
+def test_ch_blocks_agree_with_the_qmat_helpers(corpus):
+    for v in _ch_morphisms(corpus):
+        dec = ch_factorization(v)
+        for lab in v.labels():
+            m = v.block(lab)
+            k = dec.kernel_part.count(lab)
+            r = dec.image_part.count(lab)
+            c = dec.cokernel_part.count(lab)
+            i_b, pi_b = dec.i_ch.block(lab), dec.pi_ch.block(lab)
+            B = pi_b.take_columns(range(k, k + r))
+            assert B == image_basis(m)
+            assert i_b.take_rows(range(k, k + r)) == solve(B, m)
+            assert i_b.take_rows(range(k)) * kernel_basis(m) == Matrix.identity(k)
+            tT = pi_b.take_columns(range(k + r, k + r + c))
+            assert cokernel_projection(m) * tT == Matrix.identity(c)
+
+
+def _extend_greedily(current: Matrix, candidates: Matrix) -> Matrix:
+    """Reference: append each candidate column that raises the rank."""
+    picked, have = [], current
+    for j in range(candidates.cols):
+        trial = have.hstack(candidates.take_columns([j]))
+        if rank(trial) > rank(have):
+            have = trial
+            picked.append(j)
+    return candidates.take_columns(picked)
+
+
+def test_extend_to_basis_matches_the_greedy_loop():
+    rng = Random(3000)
+    for _ in range(300):
+        rows = rng.randint(0, 4)
+        current = rand_block(rng, rows, rng.randint(0, 3))
+        cols = [current.take_columns([j]) for j in range(current.cols)]
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.randint(0, 2)
+            if kind == 0 or not cols:  # a fresh column, likely independent
+                col = rand_block(rng, rows, 1)
+            elif kind == 1:  # a zero column
+                col = Matrix.zeros(rows, 1)
+            else:  # a combination of earlier columns
+                col = rng.choice(cols).scale(rng.randint(-2, 2)) + rng.choice(cols)
+            cols.append(col)
+        candidates = qmat.hstack_all(cols[current.cols:], rows=rows)
+        assert _extend_to_basis(current, candidates) == _extend_greedily(current, candidates)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,11 @@ def test_morphism_blocks_and_full_matrix_roundtrip():
     assert again == f
     assert f.block((0, 2)).shape == (0, 1)  # absent block defaults to zeros
     assert f.rank() == 1
+    # A stored all-zero block equals an omitted one, and hashes alike.
+    stored_zero = PureMorphism(src, tgt, {(1, 1): Matrix.zeros(1, 2)})
+    omitted = PureMorphism.zero(src, tgt)
+    assert stored_zero == omitted and hash(stored_zero) == hash(omitted)
+    assert stored_zero != f and omitted != f
 
 
 def test_from_full_matrix_rejects_entries_across_labels():

@@ -110,6 +110,9 @@ def test_each_layer_is_computed_once_per_atlas_object():
     assert gysin_complex(a, 2) is gysin_complex(a, 2)
     assert grW(a, 1) is grW(a, 1)
     assert absolute_ic(a) is absolute_ic(a)
+    assert boundary_cohomology(a) is boundary_cohomology(a)
+    assert ih_one_point(a) is ih_one_point(a)
+    assert weight_criteria(a) is weight_criteria(a)
     fresh = loads_atlas(dumps_atlas(a))
     assert absolute_ic(fresh) is not absolute_ic(a)
     assert absolute_ic(fresh) == absolute_ic(a)
