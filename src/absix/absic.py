@@ -1,4 +1,4 @@
-"""Absolute intersection cohomology of the open variety.
+"""Absolute intersection cohomology of the open variety, one degree at a time.
 
 For each degree n the comparison map
 
@@ -7,13 +7,18 @@ For each degree n the comparison map
 has a canonical kernel/image/cokernel decomposition (see ``factor``); the
 degree-n absolute intersection cohomology is the pure weight-n object
 
-    H^n_!*(X)  =  ker(u_n) (+) im(u_n) (+) coker(u_n),
+    H^n_!*(X)  =  ker(u_n) (+) im(u_n) (+) coker(u_n).
 
-packaged here as a table alongside the maps and decompositions themselves.
-The module also assembles the weight-graded boundary cohomology (the long
-exact sequence between compact and ordinary cohomology splits weightwise)
-and the dimension check that H^n_!* embeds Hodge-blockwise into H^n of the
-chosen compactification.
+The unit of work is one degree.  ``ch_at(a, n)`` factorizes u_n once per
+atlas; ``absic_at`` reads H^n_!* off it, and ``boundary_at`` assembles the
+weight-graded boundary cohomology bH^n (the long exact sequence between
+compact and ordinary cohomology splits weightwise) from u_n, u_(n+1) and
+the plain and compact pieces.  ``tabulate`` collects a piece over a tuple
+of degrees, once per atlas; ``absolute_ic``, ``boundary_cohomology``,
+``plain_table`` and ``compact_table`` are such collections over every
+degree.
+``direct_factor_check`` audits that H^n_!* embeds Hodge-blockwise into H^n
+of the chosen compactification.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from .atlas import StratumAtlas, per_atlas
 from .factor import ChDecomposition, ch_factorization
 from .hodgecore import (
     CohomologyTable,
+    MixedGraded,
     PureMorphism,
     PureObject,
     from_hodge_numbers,
@@ -52,41 +58,45 @@ class AbsicResult:
     decompositions: tuple       # ((n, ChDecomposition), ...)
 
     def u(self, n: int) -> PureMorphism:
-        for k, v in self.comparisons:
-            if k == n:
-                return v
-        raise KeyError(f"no comparison map in degree {n}")
+        return dict(self.comparisons)[n]
 
     def decomposition(self, n: int) -> ChDecomposition:
-        for k, v in self.decompositions:
-            if k == n:
-                return v
-        raise KeyError(f"no decomposition in degree {n}")
+        return dict(self.decompositions)[n]
 
     def degrees(self) -> tuple:
         return tuple(k for k, _ in self.comparisons)
 
 
-@per_atlas
-def absolute_ic(a: StratumAtlas) -> AbsicResult:
-    """Compute H^n_!*(X) for every degree n in [0, 2d]."""
-    d = a.dimension
-    comparisons, decompositions, by_degree = [], [], {}
-    for n in range(2 * d + 1):
-        u = u_map(a, n)
-        dec = ch_factorization(u)
-        comparisons.append((n, u))
-        decompositions.append((n, dec))
-        if not dec.total.is_zero:
-            by_degree[n] = pure_mixed(dec.total)
-    return AbsicResult(
-        table("absoluteIC", by_degree), tuple(comparisons), tuple(decompositions)
-    )
+def all_degrees(a: StratumAtlas) -> tuple:
+    """The degrees 0 .. 2d that a table on X spans."""
+    return tuple(range(2 * a.dimension + 1))
+
+
+def boundary_degrees(a: StratumAtlas) -> tuple:
+    """The degrees 0 .. 2d-1 that the boundary table spans."""
+    return tuple(range(2 * a.dimension))
 
 
 @per_atlas
-def boundary_cohomology(a: StratumAtlas) -> CohomologyTable:
-    """The weight-graded boundary cohomology table (degrees 0 .. 2d-1).
+def tabulate(a: StratumAtlas, kind: str, piece, degrees: tuple) -> CohomologyTable:
+    """The ``kind`` table of ``piece(a, n)`` for n in ``degrees``, built once per atlas."""
+    return table(kind, {n: piece(a, n) for n in degrees})
+
+
+@per_atlas
+def ch_at(a: StratumAtlas, n: int) -> ChDecomposition:
+    """The CH factorization of u_n, computed once per atlas and degree."""
+    return ch_factorization(u_map(a, n))
+
+
+def absic_at(a: StratumAtlas, n: int) -> MixedGraded:
+    """H^n_!*(X) = CH(u_n), pure of weight n."""
+    return pure_mixed(ch_at(a, n).total)
+
+
+@per_atlas
+def boundary_at(a: StratumAtlas, n: int) -> MixedGraded:
+    """The weight-graded boundary cohomology bH^n(X).
 
     The long exact sequence ... -> H^n_c(X) -> H^n(X) -> bH^n -> H^(n+1)_c(X)
     -> ... splits on weight-graded pieces, giving for each weight w
@@ -94,38 +104,47 @@ def boundary_cohomology(a: StratumAtlas) -> CohomologyTable:
         Gr_w bH^n = [w = n] coker(u_n)  (+)  [w > n] Gr_w H^n(X)
                     (+) [w <= n] Gr_w H^(n+1)_c(X) (+) [w = n+1] ker(u_(n+1)).
     """
-    result = absolute_ic(a)
-    d = a.dimension
-    by_degree = {}
-    for n in range(2 * d):
-        contributions: dict = {}
+    contributions: dict = {}
 
-        def put(w, obj):
-            if not obj.is_zero:
-                contributions.setdefault(w, []).append(obj)
+    def put(w, obj):
+        if not obj.is_zero:
+            contributions.setdefault(w, []).append(obj)
 
-        put(n, result.decomposition(n).cokernel_part)
-        put(n + 1, result.decomposition(n + 1).kernel_part)
-        for w, obj in grW(a, n).pieces:
-            if w > n:
-                put(w, obj)
-        for w, obj in grW_c(a, n + 1).pieces:
-            if w <= n:
-                put(w, obj)
-        by_degree[n] = mixed(
-            {w: _merge(w, objs) for w, objs in contributions.items()}
-        )
-    return table("boundary", by_degree)
+    put(n, ch_at(a, n).cokernel_part)
+    put(n + 1, ch_at(a, n + 1).kernel_part)
+    for w, obj in grW(a, n).pieces:
+        if w > n:
+            put(w, obj)
+    for w, obj in grW_c(a, n + 1).pieces:
+        if w <= n:
+            put(w, obj)
+    return mixed({w: _merge(w, objs) for w, objs in contributions.items()})
+
+
+@per_atlas
+def absolute_ic(a: StratumAtlas) -> AbsicResult:
+    """Compute H^n_!*(X) for every degree n in [0, 2d]."""
+    degrees = all_degrees(a)
+    return AbsicResult(
+        tabulate(a, "absoluteIC", absic_at, degrees),
+        tuple((n, u_map(a, n)) for n in degrees),
+        tuple((n, ch_at(a, n)) for n in degrees),
+    )
+
+
+def boundary_cohomology(a: StratumAtlas) -> CohomologyTable:
+    """The weight-graded boundary cohomology table (degrees 0 .. 2d-1)."""
+    return tabulate(a, "boundary", boundary_at, boundary_degrees(a))
 
 
 def plain_table(a: StratumAtlas) -> CohomologyTable:
     """H^n(X) with its full weight grading, for n in [0, 2d]."""
-    return table("plain", {n: grW(a, n) for n in range(2 * a.dimension + 1)})
+    return tabulate(a, "plain", grW, all_degrees(a))
 
 
 def compact_table(a: StratumAtlas) -> CohomologyTable:
     """H^n_c(X) with its full weight grading, for n in [0, 2d]."""
-    return table("compactSupport", {n: grW_c(a, n) for n in range(2 * a.dimension + 1)})
+    return tabulate(a, "compactSupport", grW_c, all_degrees(a))
 
 
 @dataclass(frozen=True)
@@ -139,10 +158,7 @@ class FactorCheck:
         return all(flag for _, flag in self.by_degree)
 
     def holds(self, n: int) -> bool:
-        for k, flag in self.by_degree:
-            if k == n:
-                return flag
-        return True
+        return dict(self.by_degree).get(n, True)
 
 
 def direct_factor_check(a: StratumAtlas) -> FactorCheck:
@@ -152,13 +168,9 @@ def direct_factor_check(a: StratumAtlas) -> FactorCheck:
     any smooth compactification, so each Hodge block must fit inside the
     corresponding block of H^n(Y); this audits that containment numerically.
     """
-    result = absolute_ic(a)
     rows = []
-    for n in range(2 * a.dimension + 1):
-        total = result.decomposition(n).total
+    for n in all_degrees(a):
+        numbers = ch_at(a, n).total.hodge_numbers()
         ambient = a.pure_at((), n).hodge_numbers()
-        fits = all(
-            k <= ambient.get(lab, 0) for lab, k in total.hodge_numbers().items()
-        )
-        rows.append((n, fits))
+        rows.append((n, all(k <= ambient.get(lab, 0) for lab, k in numbers.items())))
     return FactorCheck(tuple(rows))

@@ -32,7 +32,8 @@ rejected)::
     }
 
 Subsets are listed in the order their elements appear in ``components``;
-the loader rejects unsorted subsets so that serialization is canonical.
+the loader rejects unsorted subsets so that serialization is canonical, and
+a ``dimension`` above ``MAX_DIMENSION``.
 ``load_atlas`` parses each distinct rational string once per document.
 ``validate_atlas`` audits the semantic invariants (closure, degree ranges,
 Hodge symmetry and duality of slot counts, perfect/block-compatible pairings,
@@ -61,6 +62,7 @@ from .errors import DimensionError, InvalidAtlas, ParseError, WeightMismatch
 from .hodgecore import PureObject, ZERO_OBJECT, cross_label_entry
 from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse
 
+MAX_DIMENSION = 1000  # each stratum spans 2e+1 degrees, so work grows with d
 _TOP_FIELDS = {"dimension", "components", "strata", "restrictions", "self_intersections"}
 _STRATUM_FIELDS = {"subset", "cohomology", "pairings"}
 _RESTRICTION_FIELDS = {"from", "to", "matrices"}
@@ -297,6 +299,7 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     d = document["dimension"]
     _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 0,
             "dimension", "must be a nonnegative integer")
+    _expect(d <= MAX_DIMENSION, "dimension", f"must be at most {MAX_DIMENSION}")
 
     comps = document["components"]
     _expect(isinstance(comps, list) and all(isinstance(c, str) and c for c in comps),

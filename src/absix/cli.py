@@ -7,10 +7,13 @@ Usage (installed as ``absix``)::
     absix corpus
 
 ``compute`` accepts either a path to an atlas JSON file or ``@name`` /
-``@name(param=value, ...)`` referring to a built-in corpus atlas.  Output is
-deterministic: identical inputs produce identical bytes.  Exit codes: 0 on
-success, 1 on a domain error (invalid atlas, violated precondition), 2 on
-I/O or parse errors, 3 when an internal invariant fails (a bug in absix).
+``@name(param=value, ...)`` referring to a built-in corpus atlas.  Each table
+is collected from its degree-n pieces, so ``--degree N`` computes degree N
+alone; the criteria, comparison and dichotomy always cover every degree.
+Output is deterministic: identical inputs produce identical bytes.  Exit
+codes, mapped from the error classes in ``main`` alone: 0 on success, 1 on a
+domain error (invalid atlas, violated precondition), 2 on I/O or parse
+errors, 3 when an internal invariant fails (a bug in absix).
 """
 
 from __future__ import annotations
@@ -25,32 +28,29 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
-from .absic import (
-    absolute_ic,
-    boundary_cohomology,
-    compact_table,
-    plain_table,
-)
+from .absic import absic_at, all_degrees, boundary_at, boundary_degrees, tabulate
 from .atlas import StratumAtlas, dump_atlas, read_atlas, require_valid, validate_atlas
 from .corpus import CATALOGUE, builtin
-from .errors import AbsixError, InternalError, InvalidAtlas, ParseError
+from .errors import AbsixError, InternalError, InvalidAtlas, ParseError, PreconditionViolated
 from .hodgecore import CohomologyTable
 from .plus import (
     ComparisonReport,
     CriteriaReport,
     DichotomyResult,
     compare_candidates,
-    ih_one_point,
+    ih_plus_at,
     plus_dichotomy,
     weight_criteria,
 )
+from .wss import grW, grW_c
 
-_TABLE_TITLES = {
-    "plain": "H^n(X), weight-graded",
-    "compactSupport": "H^n_c(X), weight-graded",
-    "absoluteIC": "absolute intersection cohomology H^n_!*(X)",
-    "boundary": "boundary cohomology bH^n(X)",
-    "onePointIC": "IH^n of the one-point compactification",
+# kind -> (title, the degree-n piece, the degrees the table spans)
+_TABLES = {
+    "plain": ("H^n(X), weight-graded", grW, all_degrees),
+    "compactSupport": ("H^n_c(X), weight-graded", grW_c, all_degrees),
+    "absoluteIC": ("absolute intersection cohomology H^n_!*(X)", absic_at, all_degrees),
+    "boundary": ("boundary cohomology bH^n(X)", boundary_at, boundary_degrees),
+    "onePointIC": ("IH^n of the one-point compactification", ih_plus_at, all_degrees),
 }
 
 _WHAT_TABLES = {
@@ -81,18 +81,23 @@ class Report:
     provenance: dict
 
 
-def build_report(a: StratumAtlas, name: str, what: str) -> Report:
-    """Compute exactly the parts of the report that ``what`` renders."""
+def build_report(a: StratumAtlas, name: str, what: str,
+                 degree: Optional[int] = None) -> Report:
+    """Compute exactly the parts of the report that ``what`` renders.
+
+    Each table is collected from its degree-n pieces over the degrees it
+    spans, or at ``degree`` alone when one is given.  The criteria, the
+    comparison and the dichotomy always cover every degree.
+    """
     require_valid(a)
-    build = {
-        "plain": plain_table,
-        "compactSupport": compact_table,
-        "absoluteIC": lambda atlas: absolute_ic(atlas).table,
-        "boundary": boundary_cohomology,
-        "onePointIC": ih_one_point,
-    }
-    tables = {t: build[t](a) for t in _WHAT_TABLES[what]
-              if t != "onePointIC" or a.connected}
+    if what == "ihplus" and not a.connected:
+        raise PreconditionViolated("the one-point table needs a connected X")
+    tables = {}
+    for kind in _WHAT_TABLES[what]:
+        _, piece, span = _TABLES[kind]
+        if kind != "onePointIC" or a.connected:
+            degrees = tuple(n for n in span(a) if degree is None or n == degree)
+            tables[kind] = tabulate(a, kind, piece, degrees)
     criteria = weight_criteria(a) if what in ("criteria", "all") else None
     comparison = compare_candidates(a) if what == "all" and a.connected else None
     dichotomy = None
@@ -112,16 +117,12 @@ def build_report(a: StratumAtlas, name: str, what: str) -> Report:
 # JSON rendering
 # ---------------------------------------------------------------------------
 
-def _table_json(t: CohomologyTable, degree: Optional[int]) -> dict:
-    degrees = {}
-    for n in t.degrees():
-        if degree is not None and n != degree:
-            continue
-        mg = t.degree(n)
-        degrees[str(n)] = {
-            str(w): {f"{p},{q}": k for (p, q), k in obj.hodge_numbers().items()}
-            for w, obj in mg.pieces
-        }
+def _table_json(t: CohomologyTable) -> dict:
+    degrees = {
+        str(n): {str(w): {f"{p},{q}": k for (p, q), k in obj.hodge_numbers().items()}
+                 for w, obj in t.degree(n).pieces}
+        for n in t.degrees()
+    }
     return {"kind": t.kind, "byDegree": degrees}
 
 
@@ -160,14 +161,14 @@ def _dichotomy_json(d: DichotomyResult) -> dict:
     }
 
 
-def report_json(report: Report, degree: Optional[int]) -> dict:
+def report_json(report: Report) -> dict:
     doc = {
         "schema": 1,
         "atlasName": report.atlasName,
         "provenance": report.provenance,
     }
     if report.tables:
-        doc["tables"] = {t: _table_json(x, degree) for t, x in report.tables.items()}
+        doc["tables"] = {t: _table_json(x) for t, x in report.tables.items()}
     if report.criteria is not None:
         doc["criteria"] = _criteria_json(report.criteria)
     if report.dichotomy is not None:
@@ -181,9 +182,9 @@ def report_json(report: Report, degree: Optional[int]) -> dict:
 # Text rendering
 # ---------------------------------------------------------------------------
 
-def _render_table(name: str, t: CohomologyTable, degree: Optional[int]) -> list:
-    lines = [f"{_TABLE_TITLES[name]} [{name}]"]
-    degrees = [n for n in t.degrees() if degree is None or n == degree]
+def _render_table(kind: str, t: CohomologyTable) -> list:
+    lines = [f"{_TABLES[kind][0]} [{kind}]"]
+    degrees = t.degrees()
     if not degrees:
         lines.append("  (zero)")
         return lines
@@ -248,7 +249,7 @@ def _render_comparison(c: ComparisonReport) -> list:
     return lines
 
 
-def report_text(report: Report, degree: Optional[int]) -> str:
+def report_text(report: Report) -> str:
     lines = [
         f"atlas: {report.atlasName}",
         f"engine: {report.provenance['engine']}  "
@@ -256,7 +257,7 @@ def report_text(report: Report, degree: Optional[int]) -> str:
     ]
     for t, x in report.tables.items():
         lines.append("")
-        lines.extend(_render_table(t, x, degree))
+        lines.extend(_render_table(t, x))
     if report.criteria is not None:
         lines.append("")
         lines.extend(_render_criteria(report.criteria))
@@ -321,9 +322,6 @@ def resolve_target(target: str) -> tuple:
 def cmd_validate(path: str) -> int:
     try:
         a = read_atlas(path)
-    except ParseError as exc:
-        print(f"parse error at {exc.location}: {exc.message}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 2
@@ -339,30 +337,14 @@ def cmd_validate(path: str) -> int:
 def cmd_compute(target: str, what: str, fmt: str, degree: Optional[int]) -> int:
     try:
         a, name = resolve_target(target)
-    except ParseError as exc:
-        print(f"parse error at {exc.location}: {exc.message}", file=sys.stderr)
-        return 2
     except OSError as exc:
         print(f"cannot read {target}: {exc}", file=sys.stderr)
         return 2
-    except AbsixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        report = build_report(a, name, what)
-        if what == "ihplus" and "onePointIC" not in report.tables:
-            print("error: the one-point table needs a connected X", file=sys.stderr)
-            return 1
-    except InvalidAtlas as exc:
-        print(f"invalid atlas: {exc}", file=sys.stderr)
-        return 1
-    except AbsixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    report = build_report(a, name, what, degree)
     if fmt == "json":
-        print(json.dumps(report_json(report, degree), indent=2, sort_keys=True))
+        print(json.dumps(report_json(report), indent=2, sort_keys=True))
     else:
-        print(report_text(report, degree), end="")
+        print(report_text(report), end="")
     return 0
 
 
@@ -408,6 +390,15 @@ def main(argv=None) -> int:
         if args.command == "compute":
             return cmd_compute(args.target, args.what, args.format, args.degree)
         return cmd_corpus()
+    except ParseError as exc:
+        print(f"parse error at {exc.location}: {exc.message}", file=sys.stderr)
+        return 2
+    except InvalidAtlas as exc:
+        print(f"invalid atlas: {exc}", file=sys.stderr)
+        return 1
+    except AbsixError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except InternalError as exc:
         print(f"internal error (a bug in absix): {exc}", file=sys.stderr)
         return 3

@@ -1,11 +1,14 @@
 """One-point compactification cohomology and candidate comparisons.
 
-``ih_one_point`` tabulates the intersection cohomology of the one-point
+``ih_plus_at(a, n)`` is the degree-n intersection cohomology of the one-point
 compactification X+ of a connected X of pure dimension d:
 
     degree n < d : the full weight-graded H^n(X),
     degree n = d : the image of u_d (pure of weight d),
-    degree n > d : the full weight-graded H^n_c(X).
+    degree n > d : the full weight-graded H^n_c(X),
+
+so only u_d is ever factorized; ``ih_one_point`` tabulates it over every
+degree.
 
 ``weight_criteria`` evaluates the weight conditions on the boundary
 cohomology that characterize when X+ already computes absolute intersection
@@ -22,15 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .absic import absolute_ic, boundary_cohomology
+from .absic import absolute_ic, all_degrees, boundary_at, ch_at, tabulate
 from .atlas import StratumAtlas, per_atlas, require_valid
 from .errors import MissingSelfIntersections, PreconditionViolated
 from .hodgecore import (
     CohomologyTable,
+    MixedGraded,
     from_hodge_numbers,
     pure_mixed,
     table,
-    weight_support,
 )
 from .qmat import Matrix, rank
 from .wss import grW, grW_c, gysin_complex, restriction_complex
@@ -46,21 +49,20 @@ def _require_connected(a: StratumAtlas, what: str):
         )
 
 
-@per_atlas
+def ih_plus_at(a: StratumAtlas, n: int) -> MixedGraded:
+    """IH^n(X+), weight-graded: the degree-n row of ``ih_one_point``."""
+    _require_connected(a, "the one-point compactification table")
+    d = a.dimension
+    if n < d:
+        return grW(a, n)
+    if n == d:
+        return pure_mixed(ch_at(a, d).image_part)
+    return grW_c(a, n)
+
+
 def ih_one_point(a: StratumAtlas) -> CohomologyTable:
     """Weight-graded intersection cohomology of the one-point compactification."""
-    _require_connected(a, "the one-point compactification table")
-    result = absolute_ic(a)
-    d = a.dimension
-    by_degree = {}
-    for n in range(2 * d + 1):
-        if n < d:
-            by_degree[n] = grW(a, n)
-        elif n == d:
-            by_degree[n] = pure_mixed(result.decomposition(d).image_part)
-        else:
-            by_degree[n] = grW_c(a, n)
-    return table("onePointIC", by_degree)
+    return tabulate(a, "onePointIC", ih_plus_at, all_degrees(a))
 
 
 @dataclass(frozen=True)
@@ -95,12 +97,11 @@ class CriteriaReport:
 @per_atlas
 def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     """Evaluate the boundary-weight conditions on an atlas."""
-    boundary = boundary_cohomology(a)
     d = a.dimension
 
     cond2_rows, cond3_rows = [], []
     for n in range(2 * d):
-        ws = weight_support(boundary, n)
+        ws = boundary_at(a, n).weights()
         if n <= d - 1:
             cond2_rows.append((n, all(w <= n for w in ws)))
         if n >= d:
@@ -108,15 +109,11 @@ def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     cond2 = all(ok for _, ok in cond2_rows)
     cond3 = all(ok for _, ok in cond3_rows)
 
-    cond6 = all(
-        set(grW(a, n).weights()) <= {n} for n in range(min(d, 2 * d + 1))
-    )
-    cond7 = all(
-        set(grW_c(a, n).weights()) <= {n} for n in range(d + 1, 2 * d + 1)
-    )
+    cond6 = all(set(grW(a, n).weights()) <= {n} for n in range(d))
+    cond7 = all(set(grW_c(a, n).weights()) <= {n} for n in range(d + 1, 2 * d + 1))
 
     injectivity = tuple(
-        (n, all(w <= n - 1 for w in weight_support(boundary, n - 1)))
+        (n, all(w <= n - 1 for w in boundary_at(a, n - 1).weights()))
         for n in range(2, d + 1)
     )
 
@@ -210,9 +207,7 @@ def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
 
     one_point = ih_one_point(a)
     absolute = absolute_ic(a).table
-    mismatch = tuple(
-        n for n in range(2 * d + 1) if one_point.hodge(n) != absolute.hodge(n)
-    )
+    mismatch = tuple(n for n in all_degrees(a) if one_point.hodge(n) != absolute.hodge(n))
     if mismatch:
         return DichotomyResult(
             mode="general",
@@ -249,28 +244,17 @@ class ComparisonReport:
 def compare_candidates(a: StratumAtlas) -> ComparisonReport:
     """Compare H_!*(X) against the one-point and smooth compactifications."""
     _require_connected(a, "candidate comparison")
-    result = absolute_ic(a)
-    h_star = result.table
+    h_star = absolute_ic(a).table
     ih_plus = ih_one_point(a)
-    d = a.dimension
-    h_y = table(
-        "plain",
-        {
-            n: pure_mixed(from_hodge_numbers(n, a.pure_at((), n).hodge_numbers()))
-            for n in range(2 * d + 1)
-        },
-    )
+    h_y = table("plain", {n: pure_mixed(from_hodge_numbers(n, a.pure_at((), n).hodge_numbers()))
+                          for n in all_degrees(a)})
 
-    plus_mismatch = tuple(
-        n for n in range(2 * d + 1) if h_star.hodge(n) != ih_plus.hodge(n)
-    )
-    mid = result.decomposition(d)
+    plus_mismatch = tuple(n for n in all_degrees(a) if h_star.hodge(n) != ih_plus.hodge(n))
+    mid = ch_at(a, a.dimension)
     interior_consistent = mid.kernel_part.is_zero and mid.cokernel_part.is_zero
     matches_plus = not plus_mismatch and interior_consistent
 
-    y_mismatch = tuple(
-        n for n in range(2 * d + 1) if h_star.hodge(n) != h_y.hodge(n)
-    )
+    y_mismatch = tuple(n for n in all_degrees(a) if h_star.hodge(n) != h_y.hodge(n))
     return ComparisonReport(
         hStar=h_star,
         ihPlus=ih_plus,

@@ -209,7 +209,7 @@ def grW(a: StratumAtlas, n: int) -> MixedGraded:
     if n < 0 or n > 2 * d:
         return MixedGraded(())
     pieces = {}
-    for w in range(n, min(2 * n, n + d) + 1):
+    for w in range(n, min(2 * n, n + a.depth()) + 1):  # spot w - n <= depth
         obj = gysin_complex(a, w).homology_object(w - n)
         if not obj.is_zero:
             pieces[w] = obj
@@ -241,6 +241,7 @@ def lowest_weight_compact(a: StratumAtlas, n: int) -> PureObject:
     return restriction_complex(a, n).homology_object(0)
 
 
+@per_atlas
 def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     """The comparison u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X).
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,7 +23,7 @@ from absix.absic import (
     compact_table,
     plain_table,
 )
-from absix.atlas import dump_atlas, dumps_atlas
+from absix.atlas import MAX_DIMENSION, dump_atlas, dumps_atlas
 from absix.cli import atlas_hash, main
 from absix.corpus import ALIASES, CATALOGUE, MAX_N, MAX_POINTS, builtin, corpus_names
 from absix.plus import ih_one_point
@@ -461,11 +462,11 @@ def test_usage_errors_exit_with_code_two(capsys):
     capsys.readouterr()
 
 
-def _run_module(*argv):
-    """``python -m absix.cli *argv`` in a child that imports this same package."""
+def _run_module(*argv, flags=()):
+    """``python *flags -m absix.cli *argv`` in a child that imports this same package."""
     paths = [str(Path(absix.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    return subprocess.run([sys.executable, "-m", "absix.cli", *argv],
+    return subprocess.run([sys.executable, *flags, "-m", "absix.cli", *argv],
                           capture_output=True, text=True, timeout=120, env=env)
 
 
@@ -509,3 +510,35 @@ def test_module_is_runnable_as_script():
     proc = _run_module("corpus")
     assert proc.returncode == 0
     assert "  --  " in proc.stdout.splitlines()[0]
+
+
+def test_optimized_interpreter_prints_the_same_report(capsys):
+    argv = ("compute", "@surface_resolution", "--what", "all")
+    proc = _run_module(*argv, flags=("-O",))
+    assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
+
+
+def _point_doc(d: int, full: bool) -> dict:
+    """Y alone with H^0, and with H^2d too when ``full`` (then it validates)."""
+    cohomology, pairings = [[[0, 0]]], [[["1"]]]
+    if full:
+        cohomology += [[]] * (2 * d - 1) + [[[d, d]]]
+        pairings += [[]] * (2 * d - 1) + [[["1"]]]
+    return {"dimension": d, "components": [], "restrictions": [],
+            "strata": [{"subset": [], "cohomology": cohomology, "pairings": pairings}]}
+
+
+def test_dimension_over_the_cap_is_a_parse_error(tmp_path, capsys):
+    for d in (MAX_DIMENSION + 1, 10 ** 7):
+        path = _write_doc(tmp_path, _point_doc(d, full=False))
+        assert os.path.getsize(path) < 150
+        start = time.perf_counter()
+        for command in ("validate", "compute"):
+            code, out, err = run_cli(capsys, command, path)
+            assert (code, out) == (2, ""), (d, command)
+            assert err == f"parse error at dimension: must be at most {MAX_DIMENSION}\n"
+        assert time.perf_counter() - start < 0.5, d
+    path = _write_doc(tmp_path, _point_doc(MAX_DIMENSION, full=True))
+    start = time.perf_counter()
+    assert run_cli(capsys, "validate", path) == (0, "atlas valid\n", "")
+    assert time.perf_counter() - start < 10

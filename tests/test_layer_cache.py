@@ -7,16 +7,26 @@ from random import Random
 import pytest
 
 from absix.absic import (
+    absic_at,
     absolute_ic,
+    boundary_at,
     boundary_cohomology,
+    ch_at,
     compact_table,
+    tabulate,
     direct_factor_check,
     plain_table,
 )
 from absix.atlas import dump_atlas, dumps_atlas, load_atlas, loads_atlas
 from absix.corpus import builtin
 from absix.errors import InvalidAtlas
-from absix.plus import compare_candidates, ih_one_point, plus_dichotomy, weight_criteria
+from absix.plus import (
+    compare_candidates,
+    ih_one_point,
+    ih_plus_at,
+    plus_dichotomy,
+    weight_criteria,
+)
 from absix.wss import grW, grW_c, gysin_complex, lowest_weight_compact, restriction_complex, u_map
 
 from synth import random_atlas
@@ -28,6 +38,11 @@ COMPUTATIONS = {
     "grW_c": lambda a: grW_c(a, 1),
     "lowest_weight_compact": lambda a: lowest_weight_compact(a, 0),
     "u_map": lambda a: u_map(a, 0),
+    "ch_at": lambda a: ch_at(a, 1),
+    "absic_at": lambda a: absic_at(a, 1),
+    "boundary_at": lambda a: boundary_at(a, 1),
+    "ih_plus_at": lambda a: ih_plus_at(a, 1),
+    "tabulate": lambda a: tabulate(a, "plain", grW, (1,)),
     "absolute_ic": absolute_ic,
     "boundary_cohomology": boundary_cohomology,
     "plain_table": plain_table,
@@ -109,6 +124,9 @@ def test_each_layer_is_computed_once_per_atlas_object():
     a = builtin("gm_times_a1")
     assert gysin_complex(a, 2) is gysin_complex(a, 2)
     assert grW(a, 1) is grW(a, 1)
+    assert u_map(a, 1) is u_map(a, 1)
+    assert ch_at(a, 1) is ch_at(a, 1)
+    assert boundary_at(a, 1) is boundary_at(a, 1)
     assert absolute_ic(a) is absolute_ic(a)
     assert boundary_cohomology(a) is boundary_cohomology(a)
     assert ih_one_point(a) is ih_one_point(a)
