@@ -54,7 +54,6 @@ import json
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -223,13 +222,14 @@ class _Rationals(dict):
     string raises and is not stored.
     """
 
-    def __missing__(self, text: str) -> Fraction:
+    def __missing__(self, text: str):
         value = self[text] = _parse_rational(text)
         return value
 
 
-def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int) -> Fraction:
-    """A JSON integer or strict rational string (``qmat``'s grammar) as a Fraction.
+def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int):
+    """A JSON integer or strict rational string (``qmat``'s grammar) as a
+    canonical ``qmat`` scalar: an int, or a Fraction with denominator > 1.
 
     The location is ``loc`` followed by ``[i]`` for each index, formatted
     only when the value is rejected.
@@ -290,11 +290,11 @@ def _parse_pure(entries, degree: int, loc: str) -> PureObject:
 
 def load_atlas(document: Mapping) -> StratumAtlas:
     """Build a StratumAtlas from an already-parsed JSON document."""
-    _expect(isinstance(document, dict), "", "atlas document must be an object")
+    _expect(isinstance(document, dict), "document", "atlas document must be an object")
     unknown = set(document) - _TOP_FIELDS
-    _expect(not unknown, "", f"unknown fields: {sorted(unknown)}")
+    _expect(not unknown, "document", f"unknown fields: {sorted(unknown)}")
     for field in ("dimension", "components", "strata", "restrictions"):
-        _expect(field in document, "", f"missing field {field!r}")
+        _expect(field in document, "document", f"missing field {field!r}")
 
     d = document["dimension"]
     _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 0,
@@ -599,9 +599,9 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
             if obj.dim != dualobj.dim or st.pairing_inverses[k] is None:
                 flag("PairingNotPerfect", f"{where}.pairing[{k}]",
                      "pairing matrix is not square invertible")
-            for i, (p, q) in enumerate(obj.slots):
-                for j, (pp, qq) in enumerate(dualobj.slots):
-                    if pk[i, j] != 0 and (p + pp != e or q + qq != e):
+            for i, ((p, q), row) in enumerate(zip(obj.slots, pk.entries())):
+                for j, (x, (pp, qq)) in enumerate(zip(row, dualobj.slots)):
+                    if x and (p + pp != e or q + qq != e):
                         flag("PairingHodge", f"{where}.pairing[{k}]",
                              f"entry ({i},{j}) pairs slot ({p},{q}) with ({pp},{qq})")
 

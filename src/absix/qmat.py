@@ -1,23 +1,40 @@
 """Exact linear algebra over the rationals.
 
-Scalars are ``fractions.Fraction`` values (always stored reduced, with
-positive denominator — the stdlib guarantees that normal form).  Matrices are
-immutable.  Rank-revealing computations run fraction-free: each row is first
-cleared to integers, then eliminated Bareiss-style (two-row integer updates
-with exact division by the previous pivot) so intermediate entries stay the
-size of minors instead of exploding.  ``rref`` then back-substitutes upward
-on those integer pivot rows, again with exact division, to ``D * RREF`` (``D``
-the last pivot) and builds every entry once as ``Fraction(x, D)``, so no
-``Fraction`` arithmetic runs inside the elimination.  The pivot is always the
-first nonzero entry in column order, and the reduced row echelon form is
-unique, which makes every echelon form — and therefore every returned basis —
-deterministic and byte-reproducible.
+Scalars have one canonical form: an integral entry is stored as an ``int``,
+any other entry as a reduced ``fractions.Fraction`` with denominator > 1.
+Since ``Fraction(n) == n``, ``hash(Fraction(n)) == hash(n)`` and
+``str(Fraction(n)) == str(n)``, matrix equality, hashing and printed forms
+are those of the rationals; the form only makes the common case fast, as
+almost every engine entry is a small integer and ``int`` arithmetic runs in
+C.  Every constructor and every kernel returns canonical entries.  Nothing
+here divides two entries (``int / int`` would be a float): division is exact
+integer division or the building of a ``Fraction``.  The public views
+``m[i, j]`` and ``to_lists()`` give ``Fraction`` values; ``row()`` and
+``entries()`` give the stored canonical tuples.
 
-The matrix product skips zeros: the nonzero entries of each row of the right
-factor are listed once, and each nonzero entry of a left row adds its
-products into one accumulator row.  Engine matrices (pairings, restrictions,
-selection and block matrices) are mostly zeros, so this does a small share
-of the dense product's multiply-adds and returns the same exact sums.
+Each matrix has a sparse view, built on first use and kept: its rows as
+``{column: entry}`` dicts of their nonzeros.  Products and elimination read
+it, so a zero entry costs nothing and a factor reused many times (a
+pairing inverse, a restriction) is scanned once.  Sums of integers stay
+integers; when a ``Fraction`` takes part, the sums run on ``Fraction``
+accumulators and integral results go back to ``int``.
+
+Rank-revealing computations run fraction-free on sparse integer rows: each
+row is cleared to integers by the lcm of its denominators and kept as
+``{column: int}``, then eliminated Bareiss-style (two-row integer updates
+with exact division by the previous pivot) so entries stay the size of
+minors.  Only structural nonzeros are touched: a row with a zero in the
+pivot column is not updated, because Bareiss would only scale it by the
+ratio of two pivots, and that scaling is applied, exactly, when the row is
+next used.  ``rref`` then back-substitutes upward on the integer pivot rows,
+again with exact division, to ``D * RREF`` (``D`` the last pivot) and
+divides each entry by ``D`` once.  A remainder in either exact division
+raises InternalError.  The pivot is always the first nonzero in column
+order, and the reduced row echelon form is unique, which makes every
+echelon form -- and therefore every returned basis -- deterministic and
+byte-reproducible.  Each matrix memoizes its pivot columns, so ``rank`` and
+``pivot_columns`` eliminate a matrix at most once, and not at all after
+``rref``.
 
 Trust boundary: the public constructors (``Matrix(rows, cols, data)``,
 ``from_rows``, ``column``, and the shapes given to ``zeros``/``identity``)
@@ -25,8 +42,8 @@ check the shape and every entry.  An entry is a ``Fraction``, an ``int``
 (not ``bool``) or a string in the strict grammar ``-?[0-9]+(/[0-9]+)?`` that
 the atlas format also uses; anything else is a ``DimensionError``.  Every
 matrix this module computes is built from rows that are already tuples of
-``Fraction`` of the declared shape, so it is wrapped without checking them
-again.
+canonical entries of the declared shape, so it is wrapped without checking
+them again.
 
 No floating point enters anywhere.
 """
@@ -35,16 +52,17 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain, compress
 from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InternalError, PairingNotPerfect
 
-#: Exact scalar type used throughout the engine.
+#: Exact scalar type of the public views (``m[i, j]``, ``to_lists()``).
 Scalar = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+_INT = frozenset([int])
 
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
@@ -54,8 +72,8 @@ def _echo(text: str) -> str:
     return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
 
 
-def _parse_rational(text: str) -> Fraction:
-    """A string in the grammar ``-?[0-9]+(/[0-9]+)?`` as a Fraction.
+def _parse_rational(text: str):
+    """A string in the grammar ``-?[0-9]+(/[0-9]+)?`` as a canonical scalar.
 
     Other spellings, a zero denominator and integers past the interpreter's
     digit limit raise DimensionError, which quotes the value cut short.
@@ -65,21 +83,32 @@ def _parse_rational(text: str) -> Fraction:
         raise DimensionError(f"bad rational {_echo(text)}: expected an integer or p/q")
     p, q = m.groups()
     try:
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        if not q:
+            return int(p)
+        x = Fraction(int(p), int(q))
     except (ValueError, ZeroDivisionError) as exc:  # zero denominator, digit limit
         raise DimensionError(f"bad rational {_echo(text)}: {exc}") from None
+    return x.numerator if x.denominator == 1 else x
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
+def _frac(x):
+    """``x`` as a canonical scalar: an int, or a Fraction with denominator > 1."""
+    if type(x) is int:
         return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
     if isinstance(x, int) and not isinstance(x, bool):
-        return Fraction(x)
+        return int(x)
     if isinstance(x, str):
         return _parse_rational(x)
     raise DimensionError(
         f"expected rational: an int, a Fraction or a p/q string, got {type(x).__name__}"
     )
+
+
+def _canon(x):
+    """The canonical form of an arithmetic result of canonical scalars."""
+    return x if type(x) is int or x.denominator != 1 else x.numerator
 
 
 def _check_shape(rows: int, cols: int):
@@ -89,18 +118,23 @@ def _check_shape(rows: int, cols: int):
 
 def _wrap(rows: int, cols: int, data: tuple) -> "Matrix":
     """A Matrix on ``data``, which must already be a ``rows``-tuple of
-    ``cols``-tuples of Fraction: nothing is checked or copied."""
+    ``cols``-tuples of canonical scalars: nothing is checked or copied."""
     m = object.__new__(Matrix)
     m.rows = rows
     m.cols = cols
     m._data = data
+    m._nz = m._pivots = None
     return m
 
 
 class Matrix:
-    """Immutable matrix of Fractions; supports zero-sized shapes."""
+    """Immutable matrix of exact rationals; supports zero-sized shapes.
 
-    __slots__ = ("rows", "cols", "_data")
+    ``_nz`` (the sparse view) and ``_pivots`` are memos filled on first use;
+    they never change what the matrix is.
+    """
+
+    __slots__ = ("rows", "cols", "_data", "_nz", "_pivots")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
         _check_shape(rows, cols)
@@ -112,6 +146,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self._data = tup
+        self._nz = self._pivots = None
 
     # -- constructors ------------------------------------------------------
 
@@ -126,13 +161,14 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         _check_shape(rows, cols)
-        return _wrap(rows, cols, ((_ZERO,) * cols,) * rows)
+        m = _wrap(rows, cols, ((0,) * cols,) * rows)
+        m._pivots = ()
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         _check_shape(n, n)
-        return _wrap(n, n, tuple(tuple(_ONE if i == j else _ZERO for j in range(n))
-                                 for i in range(n)))
+        return _wrap(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -142,9 +178,10 @@ class Matrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return self._data[i][j]
+        return Fraction(self._data[i][j])
 
     def row(self, i: int) -> tuple:
+        """Row i as stored: a tuple of canonical scalars."""
         return self._data[i]
 
     @property
@@ -152,10 +189,12 @@ class Matrix:
         return (self.rows, self.cols)
 
     def entries(self) -> tuple:
+        """All rows as stored: tuples of canonical scalars."""
         return self._data
 
     def to_lists(self) -> list:
-        return [list(r) for r in self._data]
+        """The entries as lists of Fractions."""
+        return [list(map(Fraction, r)) for r in self._data]
 
     # -- algebra -----------------------------------------------------------
 
@@ -164,17 +203,32 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        ocols = other.cols
-        nonzero = [[(j, b) for j, b in enumerate(row) if b] for row in other._data]
+        n = other.cols
+        left, left_integral = _sparse(self)
+        right, right_integral = _sparse(other)
         out = []
-        for ri in self._data:
-            acc = [_ZERO] * ocols
-            for a, pairs in zip(ri, nonzero):
-                if a:
-                    for j, b in pairs:
+        if left_integral and right_integral:
+            for row in left:
+                acc = [0] * n
+                for k, a in row.items():
+                    for j, b in right[k].items():
                         acc[j] += a * b
-            out.append(tuple(acc))
-        return _wrap(self.rows, ocols, tuple(out))
+                out.append(tuple(acc))
+        else:
+            # Fraction accumulators, and a Fraction (when there is one) on the
+            # left of each product, so no term goes through Fraction's slower
+            # reflected operators.
+            for row in left:
+                acc = [_ZERO] * n
+                for k, a in row.items():
+                    if type(a) is int:
+                        for j, b in right[k].items():
+                            acc[j] += b * a
+                    else:
+                        for j, b in right[k].items():
+                            acc[j] += a * b
+                out.append(tuple([x.numerator if x.denominator == 1 else x for x in acc]))
+        return _wrap(self.rows, n, tuple(out))
 
     def scale(self, k) -> "Matrix":
         k = _frac(k)
@@ -182,13 +236,15 @@ class Matrix:
             return self
         if k == -1:
             return -self
-        return _wrap(self.rows, self.cols, tuple(tuple([k * x for x in r]) for r in self._data))
+        return _wrap(self.rows, self.cols,
+                     tuple(tuple([_canon(k * x) for x in r]) for r in self._data))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
         return _wrap(self.rows, self.cols, tuple(
-            tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in zip(self._data, other._data)
+            tuple([_canon(a + b) for a, b in zip(r1, r2)])
+            for r1, r2 in zip(self._data, other._data)
         ))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
@@ -220,7 +276,8 @@ class Matrix:
                      tuple(tuple([r[j] for j in idx]) for r in self._data))
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self._data for x in r)
+        # A zero entry is always the int 0, and a Fraction entry is never zero.
+        return not any(map(any, self._data))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -239,6 +296,17 @@ class Matrix:
             return f"Matrix({self.rows}x{self.cols})"
         body = "; ".join(" ".join(str(x) for x in r) for r in self._data)
         return f"Matrix[{body}]"
+
+
+def _sparse(m: Matrix) -> tuple:
+    """The sparse view of ``m``, built once and kept on ``m``: ``(rows,
+    integral)`` with each row a ``{column: entry}`` dict of its nonzeros, and
+    ``integral`` true when every entry is an int.  The dicts are shared and
+    must not be modified."""
+    if m._nz is None:
+        m._nz = (tuple([dict(compress(enumerate(row), row)) for row in m._data]),
+                 _INT.issuperset(map(type, chain.from_iterable(m._data))))
+    return m._nz
 
 
 def hstack_all(mats: Sequence[Matrix], rows: int = 0) -> Matrix:
@@ -264,53 +332,99 @@ def vstack_all(mats: Sequence[Matrix], cols: int = 0) -> Matrix:
 # Elimination core
 # ---------------------------------------------------------------------------
 
-def _integer_rows(m: Matrix) -> list:
-    """Scale each row by the lcm of its denominators (preserves row space)."""
+def _integer_rows(m: Matrix) -> Sequence[dict]:
+    """m's rows as ``{column: int}`` dicts of their nonzeros, each scaled by
+    the lcm of its denominators (which preserves the row space).  Integral
+    rows are the sparse view's own dicts."""
+    rows, integral = _sparse(m)
+    if integral:
+        return rows
     out = []
-    for row in m.entries():
-        mult = lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (mult // x.denominator) for x in row])
+    for row in rows:
+        dens = [x.denominator for x in row.values() if type(x) is not int]
+        if dens:
+            mult = lcm(*dens)
+            row = {j: x.numerator * (mult // x.denominator) for j, x in row.items()}
+        out.append(row)
     return out
 
 
-def _bareiss_echelon(work: list, cols: int) -> list:
-    """In-place fraction-free echelon; returns the pivot column list.
+def _bareiss_echelon(rows: Sequence[dict], cols: int) -> tuple:
+    """Sparse fraction-free echelon of integer rows: ``(pivots, echelon)``.
 
-    Division by the previous pivot is exact (entries are minors of the
-    integerized input); checked via divmod.
+    ``rows`` are ``{column: int}`` dicts of nonzeros and are not modified.
+    Step k takes the smallest leading column c of the remaining rows as its
+    pivot column, and as pivot row the first row, in order of arrival, that
+    leads at c; every other row leading at c gets Bareiss' two-row update
+    with exact division by the previous pivot.  ``echelon[k]`` is the pivot
+    row of step k as it stood then.  A row leading further right is not
+    touched: its true value is its stored value times the current pivot over
+    the pivot when it was stored, and it is brought up to date (exactly) only
+    when it leads.  Every entry is a minor of the input, so each division is
+    exact; a remainder raises InternalError.
     """
-    pivots = []
-    nrows = len(work)
-    r = 0
+    by_lead = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append((1, row))
+    pivots, echelon = [], []
     prev = 1
     for c in range(cols):
-        sel = None
-        for i in range(r, nrows):
-            if work[i][c]:
-                sel = i
-                break
-        if sel is None:
+        bucket = by_lead.pop(c, None)
+        if bucket is None:
             continue
-        if sel != r:
-            work[r], work[sel] = work[sel], work[r]
-        piv = work[r][c]
-        for i in range(r + 1, nrows):
-            wi = work[i]
-            f = wi[c]
-            if f == 0 and piv == prev:
-                continue
-            new = [0] * cols
-            for k in range(c, cols):
-                num = piv * wi[k] - f * work[r][k]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise InternalError("Bareiss exact-division invariant broken")
-                new[k] = q
-            work[i] = new
-        prev = piv
+        lifted = []
+        for stored_at, row in bucket:
+            if stored_at != prev:
+                row = _rescale(row, prev, stored_at)
+            lifted.append(row)
+        top = lifted[0]
+        piv = top[c]
+        for row in lifted[1:]:
+            new = {j: piv * x for j, x in row.items()}
+            _subtract(new, row[c], top)
+            _divide_exactly(new, prev, "Bareiss exact-division invariant broken")
+            if new:
+                by_lead.setdefault(min(new), []).append((piv, new))
         pivots.append(c)
-        r += 1
-    return pivots
+        echelon.append(top)
+        prev = piv
+    return pivots, echelon
+
+
+def _subtract(acc: dict, f: int, row: dict):
+    """``acc -= f * row`` in place; entries that become zero are removed."""
+    for j, y in row.items():
+        v = acc.get(j, 0) - f * y
+        if v:
+            acc[j] = v
+        else:
+            del acc[j]
+
+
+def _divide_exactly(acc: dict, d: int, invariant: str):
+    """Divide each entry of ``acc`` by ``d`` in place; a remainder breaks
+    ``invariant`` and raises InternalError."""
+    if d != 1:
+        for j, v in acc.items():
+            q, rem = divmod(v, d)
+            if rem:
+                raise InternalError(invariant)
+            acc[j] = q
+
+
+def _rescale(row: dict, num: int, den: int) -> dict:
+    """``row * num / den``, each quotient exact (it is a Bareiss minor)."""
+    q, rem = divmod(num, den)
+    if not rem:
+        return {j: x * q for j, x in row.items()}
+    out = {}
+    for j, x in row.items():
+        q, rem = divmod(x * num, den)
+        if rem:
+            raise InternalError("Bareiss exact-division invariant broken")
+        out[j] = q
+    return out
 
 
 def rref(m: Matrix) -> tuple:
@@ -319,38 +433,47 @@ def rref(m: Matrix) -> tuple:
     Returns ``(R, pivots)`` where R is the RREF as a Matrix and pivots the
     tuple of pivot column indices in order.
     """
-    work = _integer_rows(m)
-    pivots = _bareiss_echelon(work, m.cols)
+    pivots, echelon = _bareiss_echelon(_integer_rows(m), m.cols)
+    m._pivots = pivots = tuple(pivots)
     rank = len(pivots)
     # Back-substitute upward on the integer pivot rows E_i.  Their pivot
     # columns form an upper triangular T with diagonal d_i; with D the last
     # pivot, F = D * RREF solves T F = D E and is integral (its entries are
     # minors, by Cramer's rule), so row i is (D E_i - sum_{j>i} T_ij F_j) / d_i
-    # with exact division, and each entry is built once as Fraction(x, D).
-    D = work[rank - 1][pivots[rank - 1]] if rank else 1
+    # with exact division.  F_last = E_last.
+    D = echelon[-1][pivots[-1]] if rank else 1
+    where = {c: i for i, c in enumerate(pivots)}
+    reduced = echelon[:]
     for i in range(rank - 2, -1, -1):
-        wi = work[i]
-        acc = [D * x for x in wi]
-        for j in range(i + 1, rank):
-            f = wi[pivots[j]]
-            if f:
-                acc = [a - f * b if b else a for a, b in zip(acc, work[j])]
-        d = wi[pivots[i]]
-        if d != 1:
-            for k, a in enumerate(acc):
-                q, rem = divmod(a, d)
-                if rem:
-                    raise InternalError("back-substitution left a remainder")
-                acc[k] = q
-        work[i] = acc
-    rows = tuple(tuple([Fraction(x, D) if x else _ZERO for x in work[i]]) for i in range(rank))
-    rows += ((_ZERO,) * m.cols,) * (m.rows - rank)
-    return _wrap(m.rows, m.cols, rows), tuple(pivots)
+        e = echelon[i]
+        acc = {j: D * x for j, x in e.items()}
+        for c, f in e.items():
+            r = where.get(c)
+            if r is not None and r > i:
+                _subtract(acc, f, reduced[r])
+        _divide_exactly(acc, e[pivots[i]], "back-substitution left a remainder")
+        reduced[i] = acc
+    rows = []
+    for f in reduced:
+        row = [0] * m.cols
+        if D == 1:
+            for j, x in f.items():
+                row[j] = x
+        else:
+            for j, x in f.items():
+                q, rem = divmod(x, D)
+                row[j] = Fraction(x, D) if rem else q
+        rows.append(tuple(row))
+    rows += [(0,) * m.cols] * (m.rows - rank)
+    return _wrap(m.rows, m.cols, tuple(rows)), pivots
 
 
 def pivot_columns(m: Matrix) -> tuple:
-    """The pivot columns of m's echelon form: one elimination, no back-substitution."""
-    return tuple(_bareiss_echelon(_integer_rows(m), m.cols))
+    """The pivot columns of m's echelon form, memoized on m: one elimination
+    at most, and no back-substitution."""
+    if m._pivots is None:
+        m._pivots = tuple(_bareiss_echelon(_integer_rows(m), m.cols)[0])
+    return m._pivots
 
 
 def rank(m: Matrix) -> int:
@@ -367,20 +490,22 @@ def kernel_basis(m: Matrix) -> Matrix:
     R, pivots = rref(m)
     pivset = set(pivots)
     free = [j for j in range(m.cols) if j not in pivset]
+    if not free:
+        return Matrix.zeros(m.cols, 0)
+    red = R.entries()
     cols = []
     for f in free:
-        v = [_ZERO] * m.cols
-        v[f] = _ONE
+        v = [0] * m.cols
+        v[f] = 1
         for i, pc in enumerate(pivots):
-            v[pc] = -R[i, f]
+            v[pc] = -red[i][f]
         cols.append(v)
-    return _wrap(m.cols, len(cols), tuple(zip(*cols))) if cols else Matrix.zeros(m.cols, 0)
+    return _wrap(m.cols, len(cols), tuple(zip(*cols)))
 
 
 def image_basis(m: Matrix) -> Matrix:
     """The pivot columns of m — a deterministic basis of im(m)."""
-    _, pivots = rref(m)
-    return m.take_columns(list(pivots))
+    return m.take_columns(list(pivot_columns(m)))
 
 
 def cokernel_projection(m: Matrix) -> Matrix:
@@ -398,7 +523,7 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     R, pivots = rref(m.hstack(b))
     if any(p >= m.cols for p in pivots):
         return None
-    out = [(_ZERO,) * b.cols] * m.cols
+    out = [(0,) * b.cols] * m.cols
     for i, pc in enumerate(pivots):
         out[pc] = R.row(i)[m.cols:]
     return _wrap(m.cols, b.cols, tuple(out))
@@ -425,7 +550,7 @@ def left_inverse(k: Matrix) -> Matrix:
     """
     if k.cols == 0:
         return Matrix.zeros(0, k.rows)
-    _, pivrows = rref(k.transpose())
+    pivrows = pivot_columns(k.transpose())
     sub = k.take_rows(list(pivrows))
     inv = inverse(sub)
     if inv is None:
@@ -437,7 +562,7 @@ def right_inverse(c: Matrix) -> Matrix:
     """Deterministic right inverse of a full-row-rank matrix (pivot columns)."""
     if c.rows == 0:
         return Matrix.zeros(c.cols, 0)
-    _, pivots = rref(c)
+    pivots = pivot_columns(c)
     if len(pivots) != c.rows:
         raise DimensionError("right_inverse: matrix does not have full row rank")
     inv = inverse(c.take_columns(list(pivots)))
@@ -446,8 +571,7 @@ def right_inverse(c: Matrix) -> Matrix:
 
 def _selection(idx: Sequence[int], n: int) -> Matrix:
     """The rows e_i (i in ``idx``, in order) of the n x n identity."""
-    return _wrap(len(idx), n, tuple(tuple(_ONE if j == i else _ZERO for j in range(n))
-                                    for i in idx))
+    return _wrap(len(idx), n, tuple(tuple(int(j == i) for j in range(n)) for i in idx))
 
 
 def adjoint_pushforward(r: Matrix, q_source: Matrix,

@@ -48,8 +48,8 @@ from .hodgecore import (
     mixed,
     tate_twist,
 )
-from .qmat import (_ZERO, Matrix, _wrap, adjoint_pushforward, cokernel_projection,
-                   kernel_basis, rank)
+from .qmat import (Matrix, _wrap, adjoint_pushforward, cokernel_projection, kernel_basis,
+                   rank)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def _label_first(source: PureObject, target: PureObject,
             i, j = hit
             raise InternalError(f"{where}: block {list(src)}->{list(tgt)} links slot "
                                 f"{src_parts[src].slots[j]} to slot {tgt_parts[tgt].slots[i]}")
-    label_blocks, zeros = {}, (_ZERO,) * source.dim
+    label_blocks, zeros = {}, (0,) * source.dim
     for lab in source.labels():
         if not target.count(lab):
             continue
@@ -216,6 +216,7 @@ def grW(a: StratumAtlas, n: int) -> MixedGraded:
     return mixed(pieces)
 
 
+@per_atlas
 def grW_c(a: StratumAtlas, n: int) -> MixedGraded:
     """Weight-graded pieces of H^n_c(X), by duality with degree 2d - n."""
     d = a.dimension

@@ -142,6 +142,20 @@ def test_validate_malformed_json_is_parse_error(tmp_path, capsys):
             assert err.count("\n") == 1 and len(err) < 300, (command, err[:300])
 
 
+def test_document_level_parse_errors_name_the_document(tmp_path, capsys):
+    doc = dump_atlas(builtin("gm"))
+    del doc["dimension"]
+    for data, message in [
+        ([doc], "atlas document must be an object"),
+        ({**dump_atlas(builtin("gm")), "extra": 1}, "unknown fields: ['extra']"),
+        (doc, "missing field 'dimension'"),
+    ]:
+        path = _write_doc(tmp_path, data)
+        for command in ("validate", "compute"):
+            assert run_cli(capsys, command, path) == (
+                2, "", f"parse error at document: {message}\n"), command
+
+
 # ---------------------------------------------------------------------------
 # compute: target resolution and error routing
 # ---------------------------------------------------------------------------

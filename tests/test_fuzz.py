@@ -5,8 +5,8 @@ duplicated or retyped, a subset's order swapped, a restriction dropped, a
 huge or 5000-digit number, or a ``dimension`` over the cap.  It goes through
 ``absix validate`` and ``absix compute --what all`` in-process.  Every run
 exits 0, 1 or 2 (never 3, the code of a failed internal invariant), no
-exception escapes ``main``, exit 2 prints one ``parse error at`` line, and
-both commands give the same exit code.
+exception escapes ``main``, exit 2 prints one ``parse error at`` line with a
+non-empty location, and both commands give the same exit code.
 """
 
 import copy
@@ -105,7 +105,8 @@ def test_mutated_atlases_end_in_a_report_or_a_located_error(tmp_path, capsys):
             out, err = capsys.readouterr()
             assert code in (0, 1, 2), (i, argv[0], err[:300], text[:200])
             if code == 2:
-                assert out == "" and re.fullmatch(r"parse error at [^\n]*\n", err), (i, err)
+                assert out == "" and re.fullmatch(r"parse error at [^:\n]+: [^\n]*\n", err), (
+                    i, err)
             codes[argv[0], code] = codes.get((argv[0], code), 0) + 1
             seen.append(code)
         assert seen[0] == seen[1], (i, "compute refuses exactly what validate rejects")

@@ -124,6 +124,7 @@ def test_each_layer_is_computed_once_per_atlas_object():
     a = builtin("gm_times_a1")
     assert gysin_complex(a, 2) is gysin_complex(a, 2)
     assert grW(a, 1) is grW(a, 1)
+    assert grW_c(a, 1) is grW_c(a, 1)
     assert u_map(a, 1) is u_map(a, 1)
     assert ch_at(a, 1) is ch_at(a, 1)
     assert boundary_at(a, 1) is boundary_at(a, 1)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from absix import Matrix
-from absix.errors import DimensionError, PairingNotPerfect
+from absix.errors import DimensionError, InternalError, PairingNotPerfect
 from absix.qmat import (
+    _rescale,
     adjoint_pushforward,
     cokernel_projection,
     hstack_all,
@@ -248,7 +249,19 @@ def test_public_constructors_check_shapes_and_entries():
         [Fraction(3, 4), -2, 0, 0, 7, Fraction(3, 4)],
         [1, -5, Fraction(1, 3), 10, Fraction(-1, 2), 2],
     ]
-    assert all(type(x) is Fraction for row in accepted.entries() for x in row)
+    _assert_canonical(accepted)
+
+
+def _assert_canonical(m: Matrix):
+    """Each stored entry is an int (never a bool) when integral and otherwise
+    a Fraction with denominator > 1; ``to_lists()`` and ``m[i, j]`` give
+    Fractions equal to the stored entries."""
+    lists = m.to_lists()
+    for i, row in enumerate(m.entries()):
+        for j, x in enumerate(row):
+            assert type(x) is int or (type(x) is Fraction and x.denominator > 1), (i, j, x)
+            assert type(lists[i][j]) is Fraction and lists[i][j] == x, (i, j)
+            assert type(m[i, j]) is Fraction and m[i, j] == x, (i, j)
 
 
 # The atlas format's grammar, -?[0-9]+(/[0-9]+)?, is the only string form.
@@ -407,12 +420,12 @@ def test_kernels_match_oracles_on_sparse_and_large_draws(family, seed, deficient
 
 
 def _assert_checked(m: Matrix):
-    """``m`` holds tuple rows of exactly Fraction entries in its declared shape."""
+    """``m`` holds tuple rows of canonical entries in its declared shape."""
     data = m.entries()
     assert type(data) is tuple and len(data) == m.rows
     for row in data:
         assert type(row) is tuple and len(row) == m.cols
-        assert all(type(x) is Fraction for x in row)
+    _assert_canonical(m)
     assert m == Matrix(m.rows, m.cols, m.to_lists())
     if m.rows:
         assert m == Matrix.from_rows(m.to_lists())
@@ -450,3 +463,9 @@ def test_kernels_on_zero_sized_and_zero_shapes(shape):
     assert (m * other).shape == (rows, 2)
     assert rank(m) == 0
     assert kernel_basis(m) == Matrix.identity(cols)
+
+
+def test_an_inexact_bareiss_rescaling_is_an_internal_error():
+    assert _rescale({0: 4, 3: -6}, 3, 2) == {0: 6, 3: -9}
+    with pytest.raises(InternalError):
+        _rescale({0: 4, 3: -5}, 3, 2)

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from absix import Matrix
+from absix import Matrix, qmat
 from absix.atlas import dumps_atlas
 from absix.cli import main
 from absix.corpus import builtin
@@ -115,6 +115,28 @@ def test_differentials_and_euler_on_synthetic_atlases():
         for w in range(2 * a.dimension + 1):
             _check_complex(gysin_complex(a, w))
             _check_complex(restriction_complex(a, w))
+
+
+def test_homology_eliminates_each_differential_block_once(monkeypatch):
+    """A stored block is the map out of one spot and into the next; its pivot
+    memo makes the two ranks one elimination, and a second pass none."""
+    a = builtin("gm_times_a1")
+    complexes = [gysin_complex(a, w) for w in range(2 * a.dimension + 1)]
+    blocks = {id(f.block(lab)) for c in complexes for f in c.maps for lab in f.labels()
+              if f.source.count(lab) and f.target.count(lab)}
+    counted = [0]
+    echelon = qmat._bareiss_echelon
+
+    def counting_echelon(rows, cols):
+        counted[0] += 1
+        return echelon(rows, cols)
+
+    monkeypatch.setattr(qmat, "_bareiss_echelon", counting_echelon)
+    for _ in range(2):
+        for c in complexes:
+            for m in range(len(c.spots)):
+                c.homology_hodge(m)
+        assert counted[0] == len(blocks) > 0
 
 
 # ---------------------------------------------------------------------------
