@@ -43,7 +43,6 @@ from .atlas import (
     require_valid,
     validate_atlas,
 )
-from .corpus import builtin
 from .wss import (
     WeightComplex,
     grW,
@@ -72,6 +71,15 @@ from .plus import (
     plus_dichotomy,
     weight_criteria,
 )
+
+
+def __getattr__(name: str):
+    """``absix.builtin``, imported on first use: an atlas file never needs the corpus."""
+    if name == "builtin":
+        from .corpus import builtin
+        return builtin
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -23,8 +23,6 @@ of the chosen compactification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .atlas import StratumAtlas, per_atlas
 from .factor import ChDecomposition, ch_factorization
 from .hodgecore import (
@@ -37,6 +35,7 @@ from .hodgecore import (
     pure_mixed,
     table,
 )
+from .record import Record
 from .wss import grW, grW_c, u_map
 
 
@@ -49,13 +48,12 @@ def _merge(weight: int, objects) -> PureObject:
     return from_hodge_numbers(weight, numbers)
 
 
-@dataclass(frozen=True)
-class AbsicResult:
-    """Absolute intersection cohomology with its defining comparison maps."""
+class AbsicResult(Record):
+    """Absolute intersection cohomology with its defining comparison maps:
+    ``table`` (kind "absoluteIC"), ``comparisons`` ((n, PureMorphism), ...)
+    and ``decompositions`` ((n, ChDecomposition), ...)."""
 
-    table: CohomologyTable      # kind "absoluteIC"
-    comparisons: tuple          # ((n, PureMorphism), ...)
-    decompositions: tuple       # ((n, ChDecomposition), ...)
+    __slots__ = _fields = ("table", "comparisons", "decompositions")
 
     def u(self, n: int) -> PureMorphism:
         return dict(self.comparisons)[n]
@@ -147,11 +145,11 @@ def compact_table(a: StratumAtlas) -> CohomologyTable:
     return tabulate(a, "compactSupport", grW_c, all_degrees(a))
 
 
-@dataclass(frozen=True)
-class FactorCheck:
-    """Degreewise answer to: does H^n_!* fit Hodge-blockwise inside H^n(Y)?"""
+class FactorCheck(Record):
+    """Degreewise answer to: does H^n_!* fit Hodge-blockwise inside H^n(Y)?
+    ``by_degree`` is ((n, bool), ...)."""
 
-    by_degree: tuple  # ((n, bool), ...)
+    __slots__ = _fields = ("by_degree",)
 
     @property
     def ok(self) -> bool:

@@ -53,26 +53,30 @@ import functools
 import json
 import re
 import sys
-from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, InvalidAtlas, ParseError, WeightMismatch
 from .hodgecore import PureObject, ZERO_OBJECT, cross_label_entry
 from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse
+from .record import Record
 
 MAX_DIMENSION = 1000  # each stratum spans 2e+1 degrees, so work grows with d
-_TOP_FIELDS = {"dimension", "components", "strata", "restrictions", "self_intersections"}
-_STRATUM_FIELDS = {"subset", "cohomology", "pairings"}
-_RESTRICTION_FIELDS = {"from", "to", "matrices"}
+# The required fields of each object, in the order a missing one is reported.
+_TOP_FIELDS = ("dimension", "components", "strata", "restrictions")
+_STRATUM_FIELDS = ("subset", "cohomology", "pairings")
+_RESTRICTION_FIELDS = ("from", "to", "matrices")
 
 
-@dataclass(frozen=True)
-class StratumData:
-    """Degree-indexed cohomology and pairing matrices of one closed stratum."""
+class StratumData(Record):
+    """Degree-indexed cohomology and pairing matrices of one closed stratum.
 
-    cohomology: tuple   # tuple[PureObject, ...], index = degree
-    pairings: tuple     # tuple[Matrix, ...], pairings[k]: H^k x H^(2e-k)
+    ``cohomology[k]`` is the PureObject H^k and ``pairings[k]`` the matrix of
+    H^k x H^(2e-k) -> Q.
+    """
+
+    __slots__ = ("cohomology", "pairings", "_inverses")
+    _fields = ("cohomology", "pairings")
 
     def pure_at(self, k: int) -> PureObject:
         if 0 <= k < len(self.cohomology):
@@ -90,10 +94,15 @@ class StratumData:
     def top_degree(self) -> int:
         return len(self.cohomology) - 1
 
-    @functools.cached_property
+    @property
     def pairing_inverses(self) -> tuple:
         """``inverse`` of each pairing matrix (None where singular), computed once."""
-        return tuple(map(inverse, self.pairings))
+        try:
+            return self._inverses
+        except AttributeError:
+            inverses = tuple(map(inverse, self.pairings))
+            object.__setattr__(self, "_inverses", inverses)
+            return inverses
 
 
 def make_stratum(e: int, cohomology: Sequence[PureObject],
@@ -227,12 +236,16 @@ class _Rationals(dict):
         return value
 
 
+# Locations are formatted only on failure.  A parser below locates an error
+# relative to what it parses ("[i]" for a matrix row, "" for the whole), and
+# each caller puts its own part in front on the way out: ".pairings[k]" in a
+# degree loop, "strata[i]" or "restrictions[i]" in ``load_atlas``.
+
 def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int):
     """A JSON integer or strict rational string (``qmat``'s grammar) as a
     canonical ``qmat`` scalar: an int, or a Fraction with denominator > 1.
 
-    The location is ``loc`` followed by ``[i]`` for each index, formatted
-    only when the value is rejected.
+    The location is ``loc`` followed by ``[i]`` for each index.
     """
     try:
         return rationals[x] if type(x) is str else _frac(x)
@@ -240,66 +253,131 @@ def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int):
         raise ParseError(loc + "".join(f"[{i}]" for i in index), str(exc)) from None
 
 
-def _parse_matrix(rows, rationals: _Rationals, loc: str,
-                  expected_cols: Optional[int] = None) -> Matrix:
-    _expect(isinstance(rows, list), loc, "expected a list of matrix rows")
+def _parse_matrix(rows, rationals: _Rationals, expected_cols: int) -> Matrix:
+    _expect(isinstance(rows, list), "", "expected a list of matrix rows")
     if not rows:
-        return Matrix.zeros(0, expected_cols or 0)
+        return Matrix.zeros(0, expected_cols)
     parsed = []
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list):
-            raise ParseError(f"{loc}[{i}]", "expected a row list")
-        vals = tuple([_parse_fraction(x, rationals, loc, i, j) for j, x in enumerate(row)])
+            raise ParseError(f"[{i}]", "expected a row list")
+        vals = tuple([_parse_fraction(x, rationals, "", i, j) for j, x in enumerate(row)])
         if width is None:
             width = len(vals)
         elif len(vals) != width:
-            raise ParseError(f"{loc}[{i}]", "ragged matrix rows")
+            raise ParseError(f"[{i}]", "ragged matrix rows")
         parsed.append(vals)
     return _wrap(len(parsed), width, tuple(parsed))
 
 
+def _parse_object(raw, loc: str, what: str, required: tuple, optional: tuple = ()):
+    """Check that ``raw`` is an object with every ``required`` field and no
+    field outside ``required`` and ``optional``."""
+    if not isinstance(raw, dict):
+        raise ParseError(loc, f"{what} must be an object")
+    unknown = raw.keys() - {*required, *optional}
+    if unknown:
+        raise ParseError(loc, f"unknown fields: {sorted(unknown)}")
+    for field in required:
+        if field not in raw:
+            raise ParseError(loc, f"missing field {field!r}")
+
+
 def _parse_subset(raw, loc: str, index: Mapping) -> tuple:
     _expect(isinstance(raw, list), loc, "expected a list of component names")
-    out = []
     for i, name in enumerate(raw):
-        _expect(isinstance(name, str), f"{loc}[{i}]", "component names are strings")
-        _expect(name in index, f"{loc}[{i}]", f"unknown component {name!r}")
-        out.append(name)
-    _expect(len(set(out)) == len(out), loc, "repeated component in subset")
-    ordered = sorted(out, key=index.__getitem__)
-    _expect(ordered == out, loc, "subset not sorted in components order")
-    return tuple(out)
+        if not isinstance(name, str):
+            raise ParseError(f"{loc}[{i}]", "component names are strings")
+        if name not in index:
+            raise ParseError(f"{loc}[{i}]", f"unknown component {name!r}")
+    subset = tuple(raw)
+    _expect(len(set(subset)) == len(subset), loc, "repeated component in subset")
+    _expect(sorted(raw, key=index.__getitem__) == raw, loc,
+            "subset not sorted in components order")
+    return subset
 
 
-def _parse_pure(entries, degree: int, loc: str) -> PureObject:
-    _expect(isinstance(entries, list), loc, "expected a list of [p, q] slots")
-    slots = []
+def _parse_pure(entries, degree: int) -> PureObject:
+    _expect(isinstance(entries, list), "", "expected a list of [p, q] slots")
     for i, s in enumerate(entries):
-        _expect(
-            isinstance(s, list) and len(s) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in s),
-            f"{loc}[{i}]", "slot must be a pair of integers",
-        )
-        slots.append((s[0], s[1]))
+        if not (isinstance(s, list) and len(s) == 2
+                and all(isinstance(x, int) and not isinstance(x, bool) for x in s)):
+            raise ParseError(f"[{i}]", "slot must be a pair of integers")
     try:
-        return PureObject(degree, tuple(slots))
+        return PureObject(degree, entries)
     except WeightMismatch as exc:
-        raise ParseError(loc, str(exc)) from None
+        raise ParseError("", str(exc)) from None
+
+
+def _parse_stratum(raw, d: int, index: Mapping, rationals: _Rationals,
+                   strata: Mapping) -> tuple:
+    """One entry of ``strata`` as ``(subset, StratumData)``, given the strata
+    parsed before it; ParseError locations are relative to the entry."""
+    _parse_object(raw, "", "stratum", _STRATUM_FIELDS)
+    subset = _parse_subset(raw["subset"], ".subset", index)
+    _expect(subset not in strata, ".subset", "duplicate stratum")
+    if len(subset) > d:
+        raise ParseError(".subset", f"stratum would have negative dimension (d = {d})")
+    e = d - len(subset)
+
+    raw_coh = raw["cohomology"]
+    _expect(isinstance(raw_coh, list), ".cohomology", "must be a list")
+    cohomology = []
+    try:
+        for k, entry in enumerate(raw_coh):
+            cohomology.append(_parse_pure(entry, k))
+    except ParseError as exc:
+        raise exc.within(f".cohomology[{k}]") from None
+
+    raw_pairs = raw["pairings"]
+    _expect(isinstance(raw_pairs, list), ".pairings", "must be a list")
+    dims = [obj.dim for obj in cohomology]
+    pairings = []
+    try:
+        for k, rows in enumerate(raw_pairs):
+            dual_deg = 2 * e - k
+            expected_cols = dims[dual_deg] if 0 <= dual_deg < len(dims) else 0
+            pairings.append(_parse_matrix(rows, rationals, expected_cols))
+    except ParseError as exc:
+        raise exc.within(f".pairings[{k}]") from None
+    return subset, make_stratum(e, cohomology, pairings)
+
+
+def _parse_restriction(raw, index: Mapping, rationals: _Rationals, strata: Mapping,
+                       restrictions: Mapping) -> tuple:
+    """One entry of ``restrictions`` as ``((src, dst), matrices)``, given the
+    restrictions parsed before it; ParseError locations are relative to the entry."""
+    _parse_object(raw, "", "restriction", _RESTRICTION_FIELDS)
+    src = _parse_subset(raw["from"], ".from", index)
+    dst = _parse_subset(raw["to"], ".to", index)
+    _expect((src, dst) not in restrictions, "", "duplicate restriction pair")
+    raw_mats = raw["matrices"]
+    _expect(isinstance(raw_mats, list), ".matrices", "must be a list")
+    dst_dims = [o.dim for o in strata[dst].cohomology] if dst in strata else []
+    src_dims = [o.dim for o in strata[src].cohomology] if src in strata else []
+    mats = []
+    try:
+        for k, rows in enumerate(raw_mats):
+            cols = src_dims[k] if k < len(src_dims) else 0
+            m = _parse_matrix(rows, rationals, cols)
+            if m.rows == 0 and m.cols == 0 and k < len(dst_dims) and dst_dims[k] == 0:
+                m = Matrix.zeros(0, cols)
+            mats.append(m)
+    except ParseError as exc:
+        raise exc.within(f".matrices[{k}]") from None
+    return (src, dst), tuple(mats)
 
 
 def load_atlas(document: Mapping) -> StratumAtlas:
     """Build a StratumAtlas from an already-parsed JSON document."""
-    _expect(isinstance(document, dict), "document", "atlas document must be an object")
-    unknown = set(document) - _TOP_FIELDS
-    _expect(not unknown, "document", f"unknown fields: {sorted(unknown)}")
-    for field in ("dimension", "components", "strata", "restrictions"):
-        _expect(field in document, "document", f"missing field {field!r}")
+    _parse_object(document, "document", "atlas document", _TOP_FIELDS, ("self_intersections",))
 
     d = document["dimension"]
     _expect(isinstance(d, int) and not isinstance(d, bool) and d >= 0,
             "dimension", "must be a nonnegative integer")
-    _expect(d <= MAX_DIMENSION, "dimension", f"must be at most {MAX_DIMENSION}")
+    if d > MAX_DIMENSION:
+        raise ParseError("dimension", f"must be at most {MAX_DIMENSION}")
 
     comps = document["components"]
     _expect(isinstance(comps, list) and all(isinstance(c, str) and c for c in comps),
@@ -312,60 +390,21 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     raw_strata = document["strata"]
     _expect(isinstance(raw_strata, list), "strata", "must be a list")
     for si, raw in enumerate(raw_strata):
-        loc = f"strata[{si}]"
-        _expect(isinstance(raw, dict), loc, "stratum must be an object")
-        unknown = set(raw) - _STRATUM_FIELDS
-        _expect(not unknown, loc, f"unknown fields: {sorted(unknown)}")
-        for field in _STRATUM_FIELDS:
-            _expect(field in raw, loc, f"missing field {field!r}")
-        subset = _parse_subset(raw["subset"], f"{loc}.subset", index)
-        _expect(subset not in strata, f"{loc}.subset", "duplicate stratum")
-        _expect(len(subset) <= d, f"{loc}.subset",
-                f"stratum would have negative dimension (d = {d})")
-        e = d - len(subset)
-
-        raw_coh = raw["cohomology"]
-        _expect(isinstance(raw_coh, list), f"{loc}.cohomology", "must be a list")
-        cohomology = [
-            _parse_pure(entry, k, f"{loc}.cohomology[{k}]")
-            for k, entry in enumerate(raw_coh)
-        ]
-        raw_pairs = raw["pairings"]
-        _expect(isinstance(raw_pairs, list), f"{loc}.pairings", "must be a list")
-        dims = [obj.dim for obj in cohomology]
-        pairings = []
-        for k, rows in enumerate(raw_pairs):
-            dual_deg = 2 * e - k
-            expected_cols = dims[dual_deg] if 0 <= dual_deg < len(dims) else 0
-            pairings.append(
-                _parse_matrix(rows, rationals, f"{loc}.pairings[{k}]", expected_cols))
-        strata[subset] = make_stratum(e, cohomology, pairings)
+        try:
+            subset, stratum = _parse_stratum(raw, d, index, rationals, strata)
+        except ParseError as exc:
+            raise exc.within(f"strata[{si}]") from None
+        strata[subset] = stratum
 
     restrictions = {}
     raw_restrictions = document["restrictions"]
     _expect(isinstance(raw_restrictions, list), "restrictions", "must be a list")
     for ri, raw in enumerate(raw_restrictions):
-        loc = f"restrictions[{ri}]"
-        _expect(isinstance(raw, dict), loc, "restriction must be an object")
-        unknown = set(raw) - _RESTRICTION_FIELDS
-        _expect(not unknown, loc, f"unknown fields: {sorted(unknown)}")
-        for field in _RESTRICTION_FIELDS:
-            _expect(field in raw, loc, f"missing field {field!r}")
-        src = _parse_subset(raw["from"], f"{loc}.from", index)
-        dst = _parse_subset(raw["to"], f"{loc}.to", index)
-        _expect((src, dst) not in restrictions, loc, "duplicate restriction pair")
-        raw_mats = raw["matrices"]
-        _expect(isinstance(raw_mats, list), f"{loc}.matrices", "must be a list")
-        dst_dims = [o.dim for o in strata[dst].cohomology] if dst in strata else []
-        src_dims = [o.dim for o in strata[src].cohomology] if src in strata else []
-        mats = []
-        for k, rows in enumerate(raw_mats):
-            cols = src_dims[k] if k < len(src_dims) else 0
-            m = _parse_matrix(rows, rationals, f"{loc}.matrices[{k}]", cols)
-            if m.rows == 0 and m.cols == 0 and k < len(dst_dims) and dst_dims[k] == 0:
-                m = Matrix.zeros(0, cols)
-            mats.append(m)
-        restrictions[(src, dst)] = tuple(mats)
+        try:
+            pair, mats = _parse_restriction(raw, index, rationals, strata, restrictions)
+        except ParseError as exc:
+            raise exc.within(f"restrictions[{ri}]") from None
+        restrictions[pair] = mats
 
     selfint = None
     if "self_intersections" in document:
@@ -373,20 +412,21 @@ def load_atlas(document: Mapping) -> StratumAtlas:
         _expect(isinstance(raw_si, dict), "self_intersections", "must be an object")
         selfint = {}
         for name, val in raw_si.items():
-            _expect(name in index, f"self_intersections.{name}", "unknown component")
-            selfint[name] = _parse_fraction(val, rationals, f"self_intersections.{name}")
+            if name not in index:
+                raise ParseError(f"self_intersections.{name}", "unknown component")
+            selfint[name] = _parse_fraction(val, rationals, "self_intersections." + name)
 
     return StratumAtlas(d, comps, strata, restrictions, selfint)
 
 
 # Strings (skipped whole), numbers and brackets: enough of JSON to find where
 # ``json.loads`` stopped at an interpreter limit, since everything before that
-# point parsed.
-_JSON_TOKENS = re.compile(
+# point parsed.  Compiled on first use, by ``re``'s cache: only a failed parse
+# needs it.
+_JSON_TOKENS = (
     r'"(?:[^"\\]|\\.)*"'
     r"|-?(?P<int>[0-9]+)(?P<real>(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<open>[\[{])|(?P<close>[\]}])",
-    re.DOTALL,
+    r"|(?P<open>[\[{])|(?P<close>[\]}])"
 )
 
 
@@ -399,7 +439,7 @@ def _limit_location(text: str, deep: bool) -> str:
     first integer literal longer than the int digit limit.
     """
     depth = deepest = pos = 0
-    for m in _JSON_TOKENS.finditer(text):
+    for m in re.finditer(_JSON_TOKENS, text, re.DOTALL):
         if m["open"]:
             depth += 1
             if deep and depth > deepest:
@@ -488,19 +528,19 @@ def dumps_atlas(a: StratumAtlas) -> str:
 # Validation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Finding:
-    code: str
-    where: str
-    detail: str
+class Finding(Record):
+    """One failed invariant: its code, where in the atlas, and what is wrong."""
+
+    __slots__ = _fields = ("code", "where", "detail")
 
     def __str__(self):
         return f"[{self.code}] {self.where}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    findings: tuple = ()
+class ValidationReport(Record):
+    """The findings of one validation, in the order they were found."""
+
+    __slots__ = _fields = ("findings",)
 
     @property
     def ok(self) -> bool:

@@ -24,13 +24,11 @@ import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from . import __version__
 from .absic import absic_at, all_degrees, boundary_at, boundary_degrees, tabulate
 from .atlas import StratumAtlas, dump_atlas, read_atlas, require_valid, validate_atlas
-from .corpus import CATALOGUE, builtin
 from .errors import AbsixError, InternalError, InvalidAtlas, ParseError, PreconditionViolated
 from .hodgecore import CohomologyTable
 from .plus import (
@@ -42,6 +40,7 @@ from .plus import (
     plus_dichotomy,
     weight_criteria,
 )
+from .record import Record
 from .wss import grW, grW_c
 
 # kind -> (title, the degree-n piece, the degrees the table spans)
@@ -69,16 +68,14 @@ def atlas_hash(a: StratumAtlas) -> str:
     return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class Report:
-    """The parts of one atlas's report that a ``--what`` selection renders."""
+class Report(Record):
+    """The parts of one atlas's report that a ``--what`` selection renders.
 
-    atlasName: str
-    tables: dict
-    criteria: Optional[CriteriaReport]
-    comparison: Optional[ComparisonReport]
-    dichotomy: Optional[DichotomyResult]
-    provenance: dict
+    ``criteria``, ``comparison`` and ``dichotomy`` are None when not asked for.
+    """
+
+    __slots__ = _fields = ("atlasName", "tables", "criteria", "comparison", "dichotomy",
+                           "provenance")
 
 
 def build_report(a: StratumAtlas, name: str, what: str,
@@ -312,6 +309,7 @@ def resolve_target(target: str) -> tuple:
                         target, f"parameter {key!r} must be an integer, got {val!r}"
                     ) from None
         shown = ",".join(f"{k}={v}" for k, v in sorted(params.items()))
+        from .corpus import builtin  # imported here: a file target never needs it
         try:
             return builtin(name, **params), f"{name}({shown})" if shown else name
         except ValueError as exc:
@@ -349,6 +347,7 @@ def cmd_compute(target: str, what: str, fmt: str, degree: Optional[int]) -> int:
 
 
 def cmd_corpus() -> int:
+    from .corpus import CATALOGUE
     for item in CATALOGUE:
         params = f"({item.parameters})" if item.parameters else ""
         print(f"{item.name}{params}  --  {item.summary}")

@@ -10,7 +10,6 @@ intersection theory on the named varieties and are frozen as data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
@@ -18,6 +17,7 @@ from .atlas import StratumAtlas, StratumData, make_stratum
 from .errors import UnknownCorpusItem
 from .hodgecore import PureObject, ZERO_OBJECT
 from .qmat import Matrix
+from .record import Record
 
 
 def _m(rows) -> Matrix:
@@ -254,12 +254,15 @@ def gm() -> StratumAtlas:
 # Registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CorpusItem:
-    name: str
-    summary: str
-    parameters: str
-    build: Callable = field(repr=False, compare=False)
+class CorpusItem(Record):
+    """One catalogue entry; ``build`` is left out of equality and repr."""
+
+    __slots__ = ("name", "summary", "parameters", "build")
+    _fields = ("name", "summary", "parameters")
+
+    def __init__(self, name: str, summary: str, parameters: str, build: Callable):
+        super().__init__(name, summary, parameters)
+        object.__setattr__(self, "build", build)
 
 
 CATALOGUE = (

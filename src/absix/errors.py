@@ -46,6 +46,10 @@ class ParseError(AbsixError):
         self.message = message
         super().__init__(f"{location}: {message}" if location else message)
 
+    def within(self, prefix: str) -> "ParseError":
+        """The same error, located at ``prefix`` followed by this location."""
+        return ParseError(prefix + self.location, self.message)
+
 
 class InvalidAtlas(AbsixError):
     """An operation was asked to run on an atlas that fails validation.

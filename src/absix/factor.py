@@ -32,8 +32,6 @@ from kernel bases of A and D, no elimination on e itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalError, NotIdempotent, PreconditionViolated
 from .hodgecore import (
     PureMorphism,
@@ -51,10 +49,10 @@ from .qmat import (
     rref,
     vstack_all,
 )
+from .record import Record
 
 
-@dataclass(frozen=True)
-class ChDecomposition:
+class ChDecomposition(Record):
     """CH(v) with its canonical factorization v = pi_ch . i_ch.
 
     Per label, the rows of the i_ch block and the columns of the pi_ch block
@@ -63,12 +61,8 @@ class ChDecomposition:
     pi_ch are the unit vectors at the non-pivot columns of its transpose.
     """
 
-    kernel_part: PureObject
-    image_part: PureObject
-    cokernel_part: PureObject
-    total: PureObject
-    i_ch: PureMorphism
-    pi_ch: PureMorphism
+    __slots__ = _fields = ("kernel_part", "image_part", "cokernel_part", "total",
+                           "i_ch", "pi_ch")
 
 
 def ch_factorization(v: PureMorphism) -> ChDecomposition:

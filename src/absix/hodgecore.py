@@ -24,31 +24,28 @@ cohomology it tabulates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, WeightMismatch
 from .qmat import Matrix
+from .record import Record
 
 #: Allowed CohomologyTable kind tags.
 TABLE_KINDS = ("plain", "compactSupport", "boundary", "absoluteIC", "onePointIC")
 
 
-@dataclass(frozen=True)
-class PureObject:
+class PureObject(Record):
     """A pure weight-w object with an ordered basis labelled by (p, q) slots."""
 
-    weight: int
-    slots: tuple = ()
+    __slots__ = ("weight", "slots", "_positions", "_labels")
+    _fields = ("weight", "slots")
 
-    def __post_init__(self):
-        slots = tuple((int(p), int(q)) for p, q in self.slots)
+    def __init__(self, weight: int, slots: tuple = ()):
+        slots = tuple((int(p), int(q)) for p, q in slots)
         for p, q in slots:
-            if p + q != self.weight:
-                raise WeightMismatch(
-                    f"slot ({p},{q}) does not lie on weight {self.weight}"
-                )
-        _index_slots(self, self.weight, slots)
+            if p + q != weight:
+                raise WeightMismatch(f"slot ({p},{q}) does not lie on weight {weight}")
+        _index_slots(self, weight, slots)
 
     @property
     def dim(self) -> int:
@@ -281,15 +278,14 @@ class PureMorphism:
         return f"PureMorphism({self.source.dim}->{self.target.dim}, w={self.target.weight})"
 
 
-@dataclass(frozen=True)
-class MixedGraded:
+class MixedGraded(Record):
     """Finitely supported family of pure pieces, keyed by weight."""
 
-    pieces: tuple = ()
+    __slots__ = _fields = ("pieces",)
 
-    def __post_init__(self):
+    def __init__(self, pieces: tuple = ()):
         cleaned = []
-        for w, obj in self.pieces:
+        for w, obj in pieces:
             if obj.is_zero:
                 continue
             if obj.weight != w:
@@ -341,30 +337,28 @@ def pure_mixed(obj: PureObject) -> MixedGraded:
     return MixedGraded(((obj.weight, obj),))
 
 
-@dataclass(frozen=True)
-class CohomologyTable:
+class CohomologyTable(Record):
     """Weight-graded cohomology tabulated by degree, with a kind tag."""
 
-    kind: str
-    by_degree: tuple = ()
+    __slots__ = _fields = ("kind", "by_degree")
 
-    def __post_init__(self):
-        if self.kind not in TABLE_KINDS:
-            raise DimensionError(f"unknown table kind {self.kind!r}")
+    def __init__(self, kind: str, by_degree: tuple = ()):
+        if kind not in TABLE_KINDS:
+            raise DimensionError(f"unknown table kind {kind!r}")
         cleaned = []
-        for n, mg in self.by_degree:
+        for n, mg in by_degree:
             if mg.is_zero:
                 continue
             for w in mg.weights():
-                if self.kind == "plain" and not (n <= w <= 2 * n):
+                if kind == "plain" and not (n <= w <= 2 * n):
                     raise WeightMismatch(
                         f"plain table: weight {w} outside [{n}, {2*n}] at degree {n}"
                     )
-                if self.kind == "compactSupport" and w > n:
+                if kind == "compactSupport" and w > n:
                     raise WeightMismatch(
                         f"compact-support table: weight {w} > degree {n}"
                     )
-                if self.kind in ("absoluteIC",) and w != n:
+                if kind == "absoluteIC" and w != n:
                     raise WeightMismatch(
                         f"absolute-IC table must be pure of weight {n} at degree {n}"
                     )
@@ -373,6 +367,7 @@ class CohomologyTable:
         keys = [n for n, _ in cleaned]
         if len(set(keys)) != len(keys):
             raise WeightMismatch("duplicate degree keys in CohomologyTable")
+        object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "by_degree", tuple(cleaned))
 
     def degree(self, n: int) -> MixedGraded:

@@ -21,9 +21,7 @@ computes the rank of the boundary intersection matrix for surfaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .absic import absolute_ic, all_degrees, boundary_at, ch_at, tabulate
 from .atlas import StratumAtlas, per_atlas, require_valid
@@ -36,6 +34,7 @@ from .hodgecore import (
     table,
 )
 from .qmat import Matrix, rank
+from .record import Record
 from .wss import grW, grW_c, gysin_complex, restriction_complex
 
 
@@ -65,8 +64,7 @@ def ih_one_point(a: StratumAtlas) -> CohomologyTable:
     return tabulate(a, "onePointIC", ih_plus_at, all_degrees(a))
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(Record):
     """Boundary-weight conditions and the resulting verdict.
 
     ``cond2``: every boundary degree n <= d-1 carries weights <= n only.
@@ -82,16 +80,9 @@ class CriteriaReport:
     ``verdict``: cond2 (equivalent to cond3 by duality).
     """
 
-    cond2: bool
-    cond3: bool
-    cond6: bool
-    cond7: bool
-    verdict: bool
-    cond2_by_degree: tuple
-    cond3_by_degree: tuple
-    injectivityRange: tuple
-    injectivityRoute: str
-    lefschetz: Optional[tuple]
+    __slots__ = _fields = ("cond2", "cond3", "cond6", "cond7", "verdict",
+                           "cond2_by_degree", "cond3_by_degree", "injectivityRange",
+                           "injectivityRoute", "lefschetz")
 
 
 @per_atlas
@@ -141,8 +132,7 @@ def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     )
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(Record):
     """Which of the two failure modes a verdict-false atlas exhibits.
 
     ``horn`` is "i" (extra dimensions next to the middle degree) or "ii"
@@ -154,11 +144,7 @@ class DichotomyResult:
     exemplar mode (None in general mode).
     """
 
-    mode: str
-    horn: str
-    degrees: tuple
-    boundary_nonzero: Optional[bool]
-    detail: str
+    __slots__ = _fields = ("mode", "horn", "degrees", "boundary_nonzero", "detail")
 
 
 def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
@@ -228,17 +214,11 @@ def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(Record):
     """Absolute table vs the one-point table vs the compactification's table."""
 
-    hStar: CohomologyTable
-    ihPlus: CohomologyTable
-    hY: CohomologyTable
-    matchesPlus: bool
-    matchesY: bool
-    plusMismatchDegrees: tuple
-    yMismatchDegrees: tuple
+    __slots__ = _fields = ("hStar", "ihPlus", "hY", "matchesPlus", "matchesY",
+                           "plusMismatchDegrees", "yMismatchDegrees")
 
 
 def compare_candidates(a: StratumAtlas) -> ComparisonReport:

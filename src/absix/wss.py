@@ -33,7 +33,6 @@ label by label from the signed summand matrices, with no full matrix formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .atlas import StratumAtlas, per_atlas
@@ -50,10 +49,10 @@ from .hodgecore import (
 )
 from .qmat import (Matrix, _wrap, adjoint_pushforward, cokernel_projection, kernel_basis,
                    rank)
+from .record import Record
 
 
-@dataclass(frozen=True)
-class WeightComplex:
+class WeightComplex(Record):
     """A bounded complex of pure objects indexed by stratum codimension.
 
     ``maps[i]`` connects spots i and i+1: for a decreasing complex it is a
@@ -61,19 +60,17 @@ class WeightComplex:
     spots[i] -> spots[i+1] (restriction direction).
     """
 
-    weight: int
-    spots: tuple
-    maps: tuple
-    decreasing: bool
+    __slots__ = _fields = ("weight", "spots", "maps", "decreasing")
 
-    def __post_init__(self):
-        for i in range(len(self.maps) - 1):
-            if self.decreasing:
-                square = self.maps[i].compose(self.maps[i + 1])
+    def __init__(self, weight: int, spots: tuple, maps: tuple, decreasing: bool):
+        for i in range(len(maps) - 1):
+            if decreasing:
+                square = maps[i].compose(maps[i + 1])
             else:
-                square = self.maps[i + 1].compose(self.maps[i])
+                square = maps[i + 1].compose(maps[i])
             if not square.is_zero():
                 raise InternalError(f"differential does not square to zero at {i}")
+        super().__init__(weight, spots, maps, decreasing)
 
     def spot(self, m: int) -> PureObject:
         if 0 <= m < len(self.spots):

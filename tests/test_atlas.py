@@ -281,6 +281,96 @@ def test_bad_slot_rejected():
     assert "weight" in str(_perr(doc)).lower()
 
 
+def _set(container, key, value):
+    container[key] = value
+
+
+# One edit of gm_times_a1's document per place where load_atlas can refuse it
+# (components L0, Linf, Minf; strata[4] is {L0,Minf}; restrictions[1] is
+# Y->{Linf}), with the location and message recorded before the parser
+# formatted its locations lazily.
+PARSE_ERROR_SITES = [
+    (lambda d: _set(d, "dimension", 1001), "dimension", "must be at most 1000"),
+    (lambda d: d["components"].append("L0"), "components", "duplicate component names"),
+    (lambda d: _set(d["strata"], 2, 5), "strata[2]", "stratum must be an object"),
+    (lambda d: d["strata"][2].update(flavour=1, aroma=2), "strata[2]",
+     "unknown fields: ['aroma', 'flavour']"),
+    (lambda d: d["strata"][2].pop("pairings"), "strata[2]", "missing field 'pairings'"),
+    (lambda d: _set(d["strata"][2], "subset", "Z1"), "strata[2].subset",
+     "expected a list of component names"),
+    (lambda d: _set(d["strata"][4]["subset"], 1, 7), "strata[4].subset[1]",
+     "component names are strings"),
+    (lambda d: _set(d["strata"][4]["subset"], 1, "Q"), "strata[4].subset[1]",
+     "unknown component 'Q'"),
+    (lambda d: _set(d["strata"][4], "subset", ["L0", "L0"]), "strata[4].subset",
+     "repeated component in subset"),
+    (lambda d: d["strata"][4]["subset"].reverse(), "strata[4].subset",
+     "subset not sorted in components order"),
+    (lambda d: d["strata"].append(dict(d["strata"][1])), "strata[6].subset",
+     "duplicate stratum"),
+    (lambda d: _set(d["strata"][1], "cohomology", {}), "strata[1].cohomology",
+     "must be a list"),
+    (lambda d: _set(d["strata"][1]["cohomology"], 2, 3), "strata[1].cohomology[2]",
+     "expected a list of [p, q] slots"),
+    (lambda d: d["strata"][0]["cohomology"][2].append([1, True]),
+     "strata[0].cohomology[2][2]", "slot must be a pair of integers"),
+    (lambda d: d["strata"][0]["cohomology"][2].append([2, 1]), "strata[0].cohomology[2]",
+     "slot (2,1) does not lie on weight 2"),
+    (lambda d: _set(d["strata"][1], "pairings", "x"), "strata[1].pairings",
+     "must be a list"),
+    (lambda d: _set(d["strata"][0]["pairings"], 2, "x"), "strata[0].pairings[2]",
+     "expected a list of matrix rows"),
+    (lambda d: _set(d["strata"][0]["pairings"][2], 0, 1), "strata[0].pairings[2][0]",
+     "expected a row list"),
+    (lambda d: d["strata"][0]["pairings"][2].append(["1", "0", "0"]),
+     "strata[0].pairings[2][2]", "ragged matrix rows"),
+    (lambda d: _set(d["strata"][0]["pairings"][2][0], 1, "1/0"),
+     "strata[0].pairings[2][0][1]", "bad rational '1/0': Fraction(1, 0)"),
+    (lambda d: _set(d["restrictions"], 1, []), "restrictions[1]",
+     "restriction must be an object"),
+    (lambda d: d["restrictions"][1].update(z=1), "restrictions[1]", "unknown fields: ['z']"),
+    (lambda d: d["restrictions"][1].pop("to"), "restrictions[1]", "missing field 'to'"),
+    (lambda d: d["restrictions"][1]["from"].append("Q"), "restrictions[1].from[0]",
+     "unknown component 'Q'"),
+    (lambda d: _set(d["restrictions"][1], "to", None), "restrictions[1].to",
+     "expected a list of component names"),
+    (lambda d: d["restrictions"].append(dict(d["restrictions"][1])), "restrictions[7]",
+     "duplicate restriction pair"),
+    (lambda d: _set(d["restrictions"][1], "matrices", 1), "restrictions[1].matrices",
+     "must be a list"),
+    (lambda d: _set(d["restrictions"][1]["matrices"][0][0], 0, 1.5),
+     "restrictions[1].matrices[0][0][0]",
+     "expected rational: an int, a Fraction or a p/q string, got float"),
+    (lambda d: _set(d, "self_intersections", []), "self_intersections", "must be an object"),
+    (lambda d: _set(d, "self_intersections", {"W": "1"}), "self_intersections.W",
+     "unknown component"),
+    (lambda d: _set(d, "self_intersections", {"L0": "x"}), "self_intersections.L0",
+     "bad rational 'x': expected an integer or p/q"),
+]
+
+
+@pytest.mark.parametrize("edit, location, message", PARSE_ERROR_SITES)
+def test_each_parse_error_keeps_its_location_and_message(edit, location, message):
+    doc = _doc("gm_times_a1")
+    edit(doc)
+    err = _perr(doc)
+    assert (err.location, err.message) == (location, message)
+    assert str(err) == f"{location}: {message}"
+
+
+def test_several_missing_fields_report_the_first_in_schema_order():
+    """Not the first in the iteration order of a set of strings, which
+    changes with the interpreter's hash seed."""
+    doc = _doc()
+    for field in ("pairings", "subset", "cohomology"):
+        del doc["strata"][1][field]
+    assert (_perr(doc).location, _perr(doc).message) == ("strata[1]", "missing field 'subset'")
+    doc = _doc()
+    for field in ("matrices", "from"):
+        del doc["restrictions"][0][field]
+    assert _perr(doc).message == "missing field 'from'"
+
+
 # ---------------------------------------------------------------------------
 # Validator findings, one per code
 # ---------------------------------------------------------------------------
