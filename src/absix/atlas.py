@@ -140,10 +140,16 @@ class StratumAtlas:
         self.components = tuple(components)
         self._index = {name: i for i, name in enumerate(self.components)}
         self.strata = MappingProxyType({tuple(k): v for k, v in strata.items()})
-        self.restrictions = MappingProxyType({
-            (tuple(src), tuple(dst)): tuple(mats)
-            for (src, dst), mats in restrictions.items()
-        })
+        padded = {}
+        for (src, dst), mats in restrictions.items():
+            src, dst, mats = tuple(src), tuple(dst), tuple(mats)
+            s, t = self.strata.get(src), self.strata.get(dst)
+            # omitted trailing degrees are zero maps: one atlas, one hash
+            if s is not None and t is not None and len(mats) < len(s.cohomology):
+                mats += tuple(Matrix.zeros(t.dim_at(k), s.dim_at(k))
+                              for k in range(len(mats), len(s.cohomology)))
+            padded[(src, dst)] = mats
+        self.restrictions = MappingProxyType(padded)
         self.self_intersections = (
             MappingProxyType(dict(self_intersections))
             if self_intersections is not None else None

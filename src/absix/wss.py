@@ -27,8 +27,9 @@ cross-check.  ``u_map`` assembles the canonical comparison
 whose kernel/image/cokernel decomposition everything downstream consumes.
 
 All spots, maps and homology objects are bigraded; computations happen one
-(p, q) block at a time over exact rationals.  Each differential is gathered
-label by label from the signed summand matrices, with no full matrix formed.
+(p, q) block at a time over exact rationals.  Each differential is placed
+from the nonzeros of the summand blocks that exist, each straight into its
+label's block; absent summand pairs cost nothing and no full matrix is formed.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ from .hodgecore import (
     MixedGraded,
     PureMorphism,
     PureObject,
-    cross_label_entry,
     direct_sum_all,
     from_hodge_numbers,
     mixed,
     tate_twist,
 )
-from .qmat import (Matrix, _wrap, adjoint_pushforward, cokernel_projection, kernel_basis,
-                   rank)
+from .qmat import (Matrix, _sparse, _wrap, adjoint_pushforward, cokernel_projection,
+                   kernel_basis, rank)
 from .record import Record
 
 
@@ -111,92 +111,89 @@ class WeightComplex(Record):
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _label_first(source: PureObject, target: PureObject,
-                 src_parts, tgt_parts, blocks, where: str) -> PureMorphism:
-    """The morphism with summand blocks ``blocks[(tgt, src)]`` (absent pairs zero).
+def _direct_sum(parts) -> tuple:
+    """The direct sum of the summands ``parts`` (subset -> object) and its
+    place table: each summand's slots as ``(label, index within that label's
+    block)``, counted in summand order, then slot order."""
+    seen, places = {}, {}
+    for subset, obj in parts.items():
+        places[subset] = row = []
+        for lab in obj.slots:
+            k = seen.get(lab, 0)
+            seen[lab] = k + 1
+            row.append((lab, k))
+    return direct_sum_all(list(parts.values())), places
 
-    ``source``/``target`` are the direct sums of the ``subset -> object``
-    summands ``src_parts``/``tgt_parts``.  A label block takes that label's
-    rows and columns in summand order, then slot order: the full matrix's
-    order.  Blocks of validated data link no two different labels.
-    """
-    for (tgt, src), m in blocks.items():
-        hit = cross_label_entry(src_parts[src], tgt_parts[tgt], m)
-        if hit is not None:
-            i, j = hit
-            raise InternalError(f"{where}: block {list(src)}->{list(tgt)} links slot "
-                                f"{src_parts[src].slots[j]} to slot {tgt_parts[tgt].slots[i]}")
-    label_blocks, zeros = {}, (0,) * source.dim
-    for lab in source.labels():
-        if not target.count(lab):
-            continue
-        cols = [(src, obj.positions(lab)) for src, obj in src_parts.items()]
-        rows = []
-        for tgt, obj in tgt_parts.items():
-            pieces = [(blocks.get((tgt, src)), pos) for src, pos in cols]
-            for i in obj.positions(lab):
-                row = []
-                for m, pos in pieces:
-                    entries = zeros if m is None else m.row(i)
-                    row.extend([entries[j] for j in pos])
-                rows.append(tuple(row))
-        label_blocks[lab] = _wrap(len(rows), source.count(lab), tuple(rows))
-    return PureMorphism(source, target, label_blocks)
+
+def _label_first(source, target, blocks, where: str) -> PureMorphism:
+    """The morphism between the direct sums ``source`` and ``target`` (each
+    ``(object, places)`` from ``_direct_sum``) with summand blocks
+    ``blocks[(tgt, src)] = (m, negate)``, absent pairs zero, placed in one
+    pass over their nonzeros.  A nonzero linking two different labels is an
+    InternalError: validated data has none."""
+    (src_obj, src_places), (tgt_obj, tgt_places) = source, target
+    lines = {}  # (label, row in its block) -> that row, once it has a nonzero
+    for (tgt, src), (m, negate) in blocks.items():
+        row_places, col_places = tgt_places[tgt], src_places[src]
+        for i, row in enumerate(_sparse(m)[0]):
+            if row:
+                place = row_places[i]
+                line = lines.get(place)
+                if line is None:
+                    line = lines[place] = [0] * src_obj.count(place[0])
+                for j, x in row.items():
+                    lab, c = col_places[j]
+                    if lab != place[0]:
+                        raise InternalError(f"{where}: block {list(src)}->{list(tgt)} "
+                                            f"links slot {lab} to slot {place[0]}")
+                    line[c] = -x if negate else x
+    label_blocks = {}
+    for lab in src_obj.labels():
+        rows, cols = tgt_obj.count(lab), src_obj.count(lab)
+        if rows:
+            zero = (0,) * cols
+            label_blocks[lab] = _wrap(rows, cols, tuple([
+                tuple(lines[lab, i]) if (lab, i) in lines else zero for i in range(rows)]))
+    return PureMorphism(src_obj, tgt_obj, label_blocks)
 
 
 @per_atlas
 def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     """The weight-w Gysin complex; homology at spot m is Gr^W_w H^(w-m)(X)."""
-    d = a.dimension
-    depth = a.depth()
-    summands = [{s: tate_twist(a.pure_at(s, w - 2 * m), -m) for s in a.subsets_of_size(m)}
-                for m in range(depth + 1)]
-    spots = [direct_sum_all(list(sm.values())) for sm in summands]
+    sums = [_direct_sum({s: tate_twist(a.pure_at(s, w - 2 * m), -m)
+                         for s in a.subsets_of_size(m)}) for m in range(a.depth() + 1)]
     maps = []
-    for m in range(1, depth + 1):
+    for m in range(1, len(sums)):
+        j = w - 2 * m  # degree on the source stratum
         blocks = {}
-        for subset, obj in summands[m].items():
-            if obj.is_zero:
-                continue
-            for pos, dropped in enumerate(subset):
+        for subset, slots in sums[m][1].items():
+            for pos in range(len(subset) if slots else 0):
                 smaller = subset[:pos] + subset[pos + 1:]
-                j = w - 2 * m  # degree on the source stratum
-                if a.pairing_at(smaller, j + 2).rows == 0:
-                    continue
-                r = a.restriction_matrix(smaller, subset, 2 * d - w)
-                g = adjoint_pushforward(r, a.pairing_at(subset, j),
-                                        a.strata[smaller].pairing_inverses[j + 2])
-                if g.is_zero():
-                    continue
-                blocks[(smaller, subset)] = -g if pos % 2 else g
-        maps.append(_label_first(spots[m], spots[m - 1], summands[m], summands[m - 1],
-                                 blocks, f"gysin differential w={w}, spot {m}"))
-    return WeightComplex(w, tuple(spots), tuple(maps), True)
+                if a.pairing_at(smaller, j + 2).rows:
+                    r = a.restriction_matrix(smaller, subset, 2 * a.dimension - w)
+                    g = adjoint_pushforward(r, a.pairing_at(subset, j),
+                                            a.strata[smaller].pairing_inverses[j + 2])
+                    blocks[(smaller, subset)] = (g, pos % 2)
+        maps.append(_label_first(sums[m], sums[m - 1], blocks,
+                                 f"gysin differential w={w}, spot {m}"))
+    return WeightComplex(w, tuple(s for s, _ in sums), tuple(maps), True)
 
 
 @per_atlas
 def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
     """The degree-n restriction complex (weight n at every spot)."""
-    depth = a.depth()
-    summands = [{s: a.pure_at(s, n) for s in a.subsets_of_size(m)} for m in range(depth + 1)]
-    spots = [direct_sum_all(list(sm.values())) for sm in summands]
+    sums = [_direct_sum({s: a.pure_at(s, n) for s in a.subsets_of_size(m)})
+            for m in range(a.depth() + 1)]
     maps = []
-    for m in range(depth):
+    for m in range(len(sums) - 1):
         blocks = {}
-        for subset, obj in summands[m + 1].items():
-            if obj.is_zero:
-                continue
-            for pos, added in enumerate(subset):
+        for subset, slots in sums[m + 1][1].items():
+            for pos in range(len(subset) if slots else 0):
                 smaller = subset[:pos] + subset[pos + 1:]
-                if a.stratum(smaller) is None:
-                    continue
-                r = a.restriction_matrix(smaller, subset, n)
-                if r.is_zero():
-                    continue
-                blocks[(subset, smaller)] = -r if pos % 2 else r
-        maps.append(_label_first(spots[m], spots[m + 1], summands[m], summands[m + 1],
-                                 blocks, f"restriction differential n={n}, spot {m}"))
-    return WeightComplex(n, tuple(spots), tuple(maps), False)
+                blocks[(subset, smaller)] = (a.restriction_matrix(smaller, subset, n), pos % 2)
+        maps.append(_label_first(sums[m], sums[m + 1], blocks,
+                                 f"restriction differential n={n}, spot {m}"))
+    return WeightComplex(n, tuple(s for s, _ in sums), tuple(maps), False)
 
 
 @per_atlas

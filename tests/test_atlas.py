@@ -23,6 +23,7 @@ from absix.atlas import (
     require_valid,
     validate_atlas,
 )
+from absix.cli import atlas_hash, main
 from absix.corpus import ALIASES, builtin, corpus_names
 from absix.errors import DimensionError, InvalidAtlas, ParseError, UnknownCorpusItem
 from absix.hodgecore import ZERO_OBJECT, PureMorphism, PureObject
@@ -147,6 +148,47 @@ def test_restriction_matrix_defaults_to_zero():
     m = a.restriction_matrix((), z, 5)  # degree with no declared matrix
     assert m.is_zero()
     assert m.shape == (a.pure_at(z, 5).dim, a.pure_at((), 5).dim)
+
+
+def test_omitted_trailing_restriction_degrees_give_the_same_atlas(tmp_path, monkeypatch, capsys):
+    full = dump_atlas(builtin("pn_minus_hyperplane", n=2))
+    cut = copy.deepcopy(full)
+    (restriction,) = cut["restrictions"]
+    assert restriction["matrices"] == [[["1"]], [], [["1"]], [], []]
+    restriction["matrices"] = restriction["matrices"][:3]
+    a, b = load_atlas(full), load_atlas(cut)
+    assert a == b
+    assert dumps_atlas(a) == dumps_atlas(b)
+    assert atlas_hash(a) == atlas_hash(b)
+    assert atlas_hash(b).startswith("sha256:864f7e6b")
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for doc in (full, cut):
+        (tmp_path / "x.atlas.json").write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compute", "x.atlas.json", "--what", "all"]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
+
+
+def test_a_short_restriction_list_round_trips():
+    a = builtin("a1")
+    short = StratumAtlas(
+        a.dimension, a.components, a.strata,
+        {pair: mats[:1] for pair, mats in a.restrictions.items()})
+    assert short == a
+    assert loads_atlas(dumps_atlas(short)) == short
+    for (src, dst), mats in short.restrictions.items():
+        assert len(mats) == len(a.strata[src].cohomology)
+        for k, m in enumerate(mats):
+            assert m.shape == (a.pure_at(dst, k).dim, a.pure_at(src, k).dim)
+
+
+def test_an_empty_restriction_degree_keeps_its_finding():
+    doc = dump_atlas(builtin("surface_resolution"))
+    (restriction,) = [r for r in doc["restrictions"] if (r["from"], r["to"]) == ([], ["E1"])]
+    restriction["matrices"][0] = []
+    assert [str(f) for f in validate_atlas(load_atlas(doc)).findings] == [
+        "[RestrictionShape] Y->{E1}.matrices[0]: shape (0, 1), expected (1, 1)"]
 
 
 # ---------------------------------------------------------------------------

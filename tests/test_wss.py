@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from absix import Matrix, qmat
-from absix.atlas import dumps_atlas
+from absix.atlas import StratumAtlas, dumps_atlas, validate_atlas
 from absix.cli import main
 from absix.corpus import builtin
 from absix.errors import InternalError
@@ -262,6 +262,41 @@ def test_off_label_gysin_block_exits_3_without_traceback(monkeypatch, tmp_path, 
     assert out == ""
     assert err.startswith("internal error (a bug in absix): gysin differential w=2")
     assert err.count("\n") == 1
+
+
+def _off_label_restriction(monkeypatch):
+    """Make degree 2 of Y -> Z1 send the (0,2) line onto the (1,1) point class."""
+    real = StratumAtlas.restriction_matrix
+
+    def patched(self, src, dst, k):
+        if (tuple(src), tuple(dst), k) == ((), ("Z1",), 2):
+            return Matrix.from_rows([[1, 0]])
+        return real(self, src, dst, k)
+
+    monkeypatch.setattr(StratumAtlas, "restriction_matrix", patched)
+
+
+def test_off_label_restriction_block_is_an_internal_error(monkeypatch):
+    a = _off_label_atlas()
+    assert validate_atlas(a).ok
+    _off_label_restriction(monkeypatch)
+    with pytest.raises(InternalError) as exc:
+        restriction_complex(a, 2)
+    assert str(exc.value) == ("restriction differential n=2, spot 0: block []->['Z1'] "
+                              "links slot (0, 2) to slot (1, 1)")
+
+
+def test_off_label_restriction_block_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "surface.atlas.json"
+    path.write_text(dumps_atlas(_off_label_atlas()), encoding="utf-8")
+    _off_label_restriction(monkeypatch)
+    # absic builds u_2 from restriction_complex(a, 2) before the Gysin complex
+    # that pushes the same matrix forward.
+    assert main(["compute", str(path), "--what", "absic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error (a bug in absix): restriction differential n=2, spot 0: "
+                   "block []->['Z1'] links slot (0, 2) to slot (1, 1)\n")
 
 
 # ---------------------------------------------------------------------------
