@@ -360,16 +360,12 @@ def _parse_restriction(raw, index: Mapping, rationals: _Rationals, strata: Mappi
     _expect((src, dst) not in restrictions, "", "duplicate restriction pair")
     raw_mats = raw["matrices"]
     _expect(isinstance(raw_mats, list), ".matrices", "must be a list")
-    dst_dims = [o.dim for o in strata[dst].cohomology] if dst in strata else []
     src_dims = [o.dim for o in strata[src].cohomology] if src in strata else []
     mats = []
     try:
         for k, rows in enumerate(raw_mats):
-            cols = src_dims[k] if k < len(src_dims) else 0
-            m = _parse_matrix(rows, rationals, cols)
-            if m.rows == 0 and m.cols == 0 and k < len(dst_dims) and dst_dims[k] == 0:
-                m = Matrix.zeros(0, cols)
-            mats.append(m)
+            mats.append(_parse_matrix(rows, rationals,
+                                      src_dims[k] if k < len(src_dims) else 0))
     except ParseError as exc:
         raise exc.within(f".matrices[{k}]") from None
     return (src, dst), tuple(mats)

@@ -22,8 +22,16 @@ transpose, and repeated runs produce identical matrices.
 CH(v) is versal for such factorizations: whenever v = p . j with j mono and
 p epi through some pure h, there is an embedding iota: CH(v) -> h and a
 retraction q: h -> CH(v) with q . iota = id, both compatible with the two
-factorizations, exhibiting h as CH(v) (+) hPrime.  ``versal_embed`` computes
-that data exactly.
+factorizations, exhibiting h as CH(v) (+) hPrime.  ``versal_embed`` reads
+them off the decomposition, per label: M, the first k + r rows of iCH, is
+invertible, and with p+ = right_inverse(p) and t the cokernel columns of
+piCH,
+
+    iota = [ j M^-1 | p+ t ]       q = the first k + r + c rows of [iota | H1]^-1
+
+where H1 completes j(ker v), the first k columns of iota, to a basis of
+ker(p).  Then iota . iCH = j and p . iota = piCH; [iota | H1] is a basis of
+h, since p maps it onto [0 | B | t | 0] with [B | t] invertible.
 
 ``idempotent_kernel`` handles the block-triangular idempotent case: for
 e = [[A, B], [0, D]] idempotent, a kernel embedding is assembled directly
@@ -46,6 +54,7 @@ from .qmat import (
     inverse,
     kernel_basis,
     pivot_columns,
+    right_inverse,
     rref,
     vstack_all,
 )
@@ -113,73 +122,18 @@ def _extend_to_basis(current: Matrix, candidates: Matrix) -> Matrix:
         [p - n for p in pivot_columns(current.hstack(candidates)) if p >= n])
 
 
-def _versal_block(vb: Matrix, jb: Matrix, pb: Matrix,
-                  i_chb: Matrix, pi_chb: Matrix, k: int, r: int, c: int) -> tuple:
-    """Per-label versal embedding; returns (iota_block, q_block).
-
-    Shapes: vb t x s, jb h x s, pb t x h; i_chb (k+r+c) x s with rows split
-    (s-part k, coords-part r, zeros c); pi_chb t x (k+r+c) with columns split
-    (zeros k, image basis r, right-inverse c).
-    """
-    s_dim, h_dim, t_dim = vb.cols, jb.rows, vb.rows
-    sS = i_chb.take_rows(range(k))                       # k x s
-    B = pi_chb.take_columns(range(k, k + r))             # t x r
-    tT = pi_chb.take_columns(range(k + r, k + r + c))    # t x c
-
-    # Kernel basis of v compatible with the decomposition's left inverse:
-    # sS * K = I.
-    K0 = kernel_basis(vb)                                # s x k
-    if k:
-        M = inverse(sS * K0)
-        if M is None:
-            raise PreconditionViolated(
-                "decomposition's kernel retraction is singular on ker(v)"
-            )
-        K = K0 * M
-    else:
-        K = K0
-
-    jK = jb * K                                          # h x k
-    Kp = kernel_basis(pb)                                # h x (h - t)
-    H1 = _extend_to_basis(jK, Kp)                        # complement of j(ker v) in ker p
-    h1 = H1.cols
-    theta = hstack_all([jb, H1], rows=h_dim)
-    H2 = _extend_to_basis(theta, Matrix.identity(h_dim))
-    h2 = H2.cols
-    theta = theta.hstack(H2)                             # h x h, invertible
-    theta_inv = inverse(theta)
-    if theta_inv is None:
-        raise InternalError("theta = [j | H1 | H2] must be invertible")
-
-    # Retraction of H onto ker(p) = j(ker v) (+) H1 (coordinates in that basis),
-    # written in the decomposition H = im(j) (+) H1 (+) H2.
-    top = hstack_all([sS, Matrix.zeros(k, h1), Matrix.zeros(k, h2)], rows=k)
-    mid = hstack_all(
-        [Matrix.zeros(h1, s_dim), Matrix.identity(h1), Matrix.zeros(h1, h2)], rows=h1
-    )
-    s_H = vstack_all([top, mid], cols=s_dim + h1 + h2) * theta_inv  # (k+h1) x h
-
-    W = kernel_basis(s_H)                                # h x t: lifts T into H
-    if W.cols != t_dim:
-        raise InternalError("complement of ker(p) must have dimension rank(p)")
-    pW_inv = inverse(pb * W)
-    if pW_inv is None:
-        raise InternalError("p must be invertible on the complement of ker(p)")
-    lift = W * pW_inv                                    # h x t with p*lift = I
-
-    iota_b = hstack_all([jK, lift * B, lift * tT], rows=h_dim)
-
-    psi = hstack_all([jK, H1, W], rows=h_dim)            # h x h
-    psi_inv = inverse(psi)
-    if psi_inv is None:
-        raise InternalError("psi = [j(ker v) | H1 | W] must be invertible")
-    ker_coords = psi_inv.take_rows(range(k))             # k x h
-    bt = B.hstack(tT)                                    # t x (r + c)
-    bt_inv = inverse(bt)
-    if bt_inv is None:
-        raise InternalError("image (+) complement must span the target")
-    q_b = vstack_all([ker_coords, bt_inv * pb], cols=h_dim)
-    return iota_b, q_b
+def _versal_block(jb: Matrix, pb: Matrix, i_chb: Matrix, pi_chb: Matrix,
+                  k: int, r: int, c: int) -> tuple:
+    """Per-label versal embedding, as in the module docstring; returns
+    (iota_block, q_block).  Shapes: jb h x s, pb t x h, i_chb (k+r+c) x s,
+    pi_chb t x (k+r+c)."""
+    iota_b = (jb * inverse(i_chb.take_rows(range(k + r)))).hstack(
+        right_inverse(pb) * pi_chb.take_columns(range(k + r, k + r + c)))
+    H1 = _extend_to_basis(iota_b.take_columns(range(k)), kernel_basis(pb))
+    basis_inv = inverse(iota_b.hstack(H1))
+    if basis_inv is None:
+        raise InternalError("[iota | H1] must be invertible")
+    return iota_b, basis_inv.take_rows(range(k + r + c))
 
 
 def versal_embed(v: PureMorphism, h: PureObject, j: PureMorphism,
@@ -189,7 +143,8 @@ def versal_embed(v: PureMorphism, h: PureObject, j: PureMorphism,
     Returns ``(iota, q, h_prime)`` with iota: CH(v) -> h, q: h -> CH(v),
     q . iota = id, iota . i_ch = j, p . iota = pi_ch, q . j = i_ch,
     pi_ch . q = p; h_prime carries the complementary Hodge numbers, so
-    h = CH(v) (+) h_prime.
+    h = CH(v) (+) h_prime.  ``dec`` must be in kernel, image, cokernel form:
+    i_ch mono with zero cokernel rows, pi_ch epi with zero kernel columns.
     """
     if j.source != v.source or p.target != v.target:
         raise PreconditionViolated("factorization endpoints do not match v")
@@ -203,23 +158,25 @@ def versal_embed(v: PureMorphism, h: PureObject, j: PureMorphism,
         raise PreconditionViolated("p . j differs from v")
     if dec.pi_ch.compose(dec.i_ch) != v:
         raise PreconditionViolated("decomposition does not factor v")
+    if not dec.i_ch.is_injective() or not dec.pi_ch.is_surjective():
+        raise PreconditionViolated("decomposition is not mono followed by epi")
 
     iota_blocks, q_blocks, prime_dims = {}, {}, {}
-    labels = sorted(set(v.labels()) | set(h.labels()))
+    # j mono and p epi put every label of v in h.
+    labels = sorted(set(h.labels()) | set(dec.total.labels()))
     for lab in labels:
         k = dec.kernel_part.count(lab)
         r = dec.image_part.count(lab)
         c = dec.cokernel_part.count(lab)
-        h_dim = h.count(lab)
-        iota_b, q_b = _versal_block(
-            v.block(lab), j.block(lab), p.block(lab),
-            dec.i_ch.block(lab), dec.pi_ch.block(lab), k, r, c,
-        )
-        iota_blocks[lab] = iota_b
-        q_blocks[lab] = q_b
-        extra = h_dim - (k + r + c)
-        if extra < 0:
-            raise InternalError(f"CH(v) does not fit in h at label {lab}")
+        i_chb, pi_chb = dec.i_ch.block(lab), dec.pi_ch.block(lab)
+        if (i_chb.shape != (k + r + c, k + r) or pi_chb.shape != (r + c, k + r + c)
+                or not i_chb.take_rows(range(k + r, k + r + c)).is_zero()
+                or not pi_chb.take_columns(range(k)).is_zero()):
+            raise PreconditionViolated(
+                f"decomposition is not in kernel, image, cokernel form at label {lab}")
+        iota_blocks[lab], q_blocks[lab] = _versal_block(
+            j.block(lab), p.block(lab), i_chb, pi_chb, k, r, c)
+        extra = h.count(lab) - (k + r + c)
         if extra:
             prime_dims[lab] = extra
 

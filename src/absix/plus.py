@@ -103,10 +103,8 @@ def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     cond6 = all(set(grW(a, n).weights()) <= {n} for n in range(d))
     cond7 = all(set(grW_c(a, n).weights()) <= {n} for n in range(d + 1, 2 * d + 1))
 
-    injectivity = tuple(
-        (n, all(w <= n - 1 for w in boundary_at(a, n - 1).weights()))
-        for n in range(2, d + 1)
-    )
+    # The injectivity row for degree n is cond2's row for degree n - 1.
+    injectivity = tuple((n + 1, ok) for n, ok in cond2_rows if n >= 1)
 
     lefschetz = None
     if len(a.components) == 1 and a.depth() == 1:

@@ -12,12 +12,19 @@ from absix.factor import (
     idempotent_kernel,
     versal_embed,
 )
-from absix.hodgecore import PureMorphism, PureObject, from_hodge_numbers
-from absix.qmat import cokernel_projection, image_basis, kernel_basis, rank, solve
+from absix.hodgecore import (
+    ZERO_OBJECT,
+    PureMorphism,
+    PureObject,
+    direct_sum_all,
+    from_hodge_numbers,
+)
+from absix.qmat import cokernel_projection, image_basis, inverse, kernel_basis, rank, solve
 from absix.wss import u_map
 
 from synth import (
     rand_block,
+    rand_invertible,
     random_idempotent_blocks,
     random_morphism,
     random_versal_instance,
@@ -151,23 +158,111 @@ def test_extend_to_basis_matches_the_greedy_loop():
 # versal_embed
 # ---------------------------------------------------------------------------
 
+def _assert_versal(v, h, j, p, dec):
+    """Every identity of the splitting, asserted from the outside, and the
+    same splitting on a second call."""
+    iota, q, h_prime = versal_embed(v, h, j, p, dec)
+    assert q.compose(iota) == PureMorphism.identity(dec.total)
+    assert iota.compose(dec.i_ch) == j
+    assert p.compose(iota) == dec.pi_ch
+    assert q.compose(j) == dec.i_ch
+    assert dec.pi_ch.compose(q) == p
+    # h decomposes as CH(v) plus the complement.
+    assert h_prime.dim == h.dim - dec.total.dim
+    combined = dict(dec.total.hodge_numbers())
+    for lab, k in h_prime.hodge_numbers().items():
+        combined[lab] = combined.get(lab, 0) + k
+    assert combined == h.hodge_numbers()
+    again = versal_embed(v, h, j, p, dec)
+    assert again[0] == iota and again[1] == q
+
+
+def _block_diagonal(*blocks: Matrix) -> Matrix:
+    n, rows = sum(b.cols for b in blocks), []
+    for b in blocks:
+        rows += [[0] * len(rows) + list(b.row(i)) + [0] * (n - len(rows) - b.cols)
+                 for i in range(b.rows)]
+    return Matrix(n, n, rows)
+
+
+def _conjugated(dec, rng: Random):
+    """The same decomposition in other bases of its kernel and image parts:
+    i_ch' = T i_ch and pi_ch' = pi_ch T^-1 with T = diag(A, C, I) per label."""
+    i_blocks, pi_blocks = {}, {}
+    for lab in dec.total.labels():
+        k, r, c = (part.count(lab) for part in
+                   (dec.kernel_part, dec.image_part, dec.cokernel_part))
+        t = _block_diagonal(rand_invertible(rng, k), rand_invertible(rng, r),
+                            Matrix.identity(c))
+        i_blocks[lab] = t * dec.i_ch.block(lab)
+        pi_blocks[lab] = dec.pi_ch.block(lab) * inverse(t)
+    return type(dec)(dec.kernel_part, dec.image_part, dec.cokernel_part, dec.total,
+                     PureMorphism(dec.i_ch.source, dec.total, i_blocks),
+                     PureMorphism(dec.total, dec.pi_ch.target, pi_blocks))
+
+
 def test_versal_embed_identities_on_random_instances():
     rng = Random(51)
     for _ in range(40):
-        v, h, j, p, dec = random_versal_instance(rng)
-        iota, q, h_prime = versal_embed(v, h, j, p, dec)
-        # Re-assert every identity from the outside.
-        assert q.compose(iota) == PureMorphism.identity(dec.total)
-        assert iota.compose(dec.i_ch) == j
-        assert p.compose(iota) == dec.pi_ch
-        assert q.compose(j) == dec.i_ch
-        assert dec.pi_ch.compose(q) == p
-        # h decomposes as CH(v) plus the complement.
-        assert h_prime.dim == h.dim - dec.total.dim
-        combined = dict(dec.total.hodge_numbers())
-        for lab, k in h_prime.hodge_numbers().items():
-            combined[lab] = combined.get(lab, 0) + k
-        assert combined == h.hodge_numbers()
+        _assert_versal(*random_versal_instance(rng))
+
+
+def test_versal_embed_at_weights_zero_to_four():
+    rng = Random(52)
+    for weight in range(5):
+        for _ in range(20):
+            _assert_versal(*random_versal_instance(rng, weight))
+
+
+def test_versal_embed_on_non_canonical_decompositions():
+    rng = Random(53)
+    for _ in range(60):
+        v, h, j, p, dec = random_versal_instance(rng, rng.randint(0, 4))
+        _assert_versal(v, h, j, p, _conjugated(dec, rng))
+
+
+def test_versal_embed_on_a_label_only_in_h():
+    h = from_hodge_numbers(2, {(1, 1): 2, (0, 2): 1})
+    v = PureMorphism.zero(ZERO_OBJECT, ZERO_OBJECT)
+    dec = ch_factorization(v)
+    iota, q, h_prime = versal_embed(v, h, PureMorphism.zero(ZERO_OBJECT, h),
+                                    PureMorphism.zero(h, ZERO_OBJECT), dec)
+    assert h_prime == h
+    assert iota == PureMorphism.zero(dec.total, h)
+    assert q == PureMorphism.zero(h, dec.total)
+
+
+def test_versal_embed_rejects_malformed_decompositions():
+    # v = 0 on one (1, 1) slot, through h = two (1, 1) slots.
+    lab = (1, 1)
+    s = from_hodge_numbers(2, {lab: 1})
+    h = from_hodge_numbers(2, {lab: 2})
+    v = PureMorphism.zero(s, s)
+    j = PureMorphism(s, h, {lab: Matrix.from_rows([[1], [0]])})
+    p = PureMorphism(h, s, {lab: Matrix.from_rows([[0, 1]])})
+    dec = ch_factorization(v)
+
+    def replaced(i_ch=None, pi_ch=None):
+        return type(dec)(
+            dec.kernel_part, dec.image_part, dec.cokernel_part, dec.total,
+            PureMorphism(s, dec.total, {lab: Matrix.from_rows(i_ch)}) if i_ch else dec.i_ch,
+            PureMorphism(dec.total, s, {lab: Matrix.from_rows(pi_ch)}) if pi_ch else dec.pi_ch)
+
+    versal_embed(v, h, j, p, dec)
+    for bad in (replaced([[1], [1]], [[1, -1]]),  # mono and epi, not in CH form
+                replaced(pi_ch=[[0, 0]]),         # pi_ch not epi
+                replaced(i_ch=[[0], [0]])):       # i_ch not mono
+        assert bad.pi_ch.compose(bad.i_ch) == v
+        with pytest.raises(PreconditionViolated):
+            versal_embed(v, h, j, p, bad)
+    # Mono with zero cokernel rows, epi with zero kernel columns, but parts
+    # larger than ker, im and coker of v.
+    total = direct_sum_all([s, s, s])
+    oversized = type(dec)(s, s, s, total,
+                          PureMorphism(s, total, {lab: Matrix.from_rows([[1], [0], [0]])}),
+                          PureMorphism(total, s, {lab: Matrix.from_rows([[0, 1, 0]])}))
+    with pytest.raises(PreconditionViolated):
+        versal_embed(v, h, j, p, oversized)
 
 
 def test_versal_embed_preconditions():

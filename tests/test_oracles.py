@@ -8,6 +8,15 @@ mirrors the image part of ``u_(2d-n)``, and the kernel part mirrors the
 cokernel part of ``u_(2d-n)``.  Nothing in the engine computes ``u_(2d-n)``
 from ``u_n``: each degree is eliminated on its own.
 
+Kunneth.  For a product X x X', Gr^W H^n and Gr^W H^n_c are sums of tensor
+products of the factors' pieces, with degrees, weights and (p, q) adding
+(Deligne, Theorie de Hodge II/III).  H^a_c has weights <= a and H^a has
+weights >= a, so ``u_n`` of the product is the sum of ``u_a (x) u'_b`` over
+a + b = n.  Writing K, I, C for the kernel, image and cokernel parts of the
+factors' ``u``, the product's image part is the sum of I (x) I', its kernel
+part the sum of K (x) K' + K (x) I' + I (x) K', and its cokernel part the
+same with C in place of K.  Nothing is claimed here for IH(X+).
+
 Basis-change invariance.  Every answer is a property of the Hodge structures
 and maps, not of the coordinates they are written in.  Changing the basis of
 each ``H^k(D_S)`` by an invertible ``P`` that only mixes slots of one (p, q)
@@ -17,6 +26,8 @@ turns each pairing ``Q_k`` into ``P_kᵀ Q_k P_(2e-k)`` and each restriction
 hash of the atlas it names.
 """
 
+from collections import Counter
+from operator import add
 from random import Random
 
 import pytest
@@ -27,6 +38,7 @@ from absix.atlas import StratumAtlas, StratumData
 from absix.cli import build_report, report_json
 from absix.corpus import builtin
 from absix.qmat import inverse
+from absix.wss import grW, grW_c
 
 from conftest import CORPUS_NAMES
 from synth import kunneth, random_atlas
@@ -76,6 +88,66 @@ def test_the_duality_pairs_kernel_with_cokernel():
     assert ch_at(a, 2).kernel_part.hodge_numbers() == {(1, 1): 1}
     assert ch_at(a, 0).cokernel_part.hodge_numbers() == {(0, 0): 1}
     assert ch_at(a, 0).kernel_part.hodge_numbers() == {}
+
+
+KUNNETH_NAMES = ("gm", "a1", "smooth_divisor_ample", "surface_resolution",
+                 "middle_dim_Z_selfint_zero", "gm_times_a1", "low_dim_Z",
+                 "points_in_proper")
+KUNNETH_PAIRS = ([(name, name) for name in KUNNETH_NAMES]
+                 + list(zip(KUNNETH_NAMES, KUNNETH_NAMES[1:])))
+
+
+def _tensor(x: dict, y: dict) -> Counter:
+    """Tensor product of multiplicity tables keyed by tuples: keys add."""
+    out = Counter()
+    for kx, mx in x.items():
+        for ky, my in y.items():
+            out[tuple(map(add, kx, ky))] += mx * my
+    return out
+
+
+def _graded(a, table) -> dict:
+    """(degree, weight, p, q) -> multiplicity of ``table(a, n)``."""
+    return {(n, obj.weight, p, q): m
+            for n in range(2 * a.dimension + 1)
+            for _, obj in table(a, n).pieces
+            for (p, q), m in obj.hodge_numbers().items()}
+
+
+def _ch_parts(a) -> dict:
+    """degree -> (K, I, C) Hodge numbers of the CH factorization of u_n."""
+    parts = {}
+    for n in range(2 * a.dimension + 1):
+        dec = ch_at(a, n)
+        parts[n] = (dec.kernel_part.hodge_numbers(), dec.image_part.hodge_numbers(),
+                    dec.cokernel_part.hodge_numbers())
+    return parts
+
+
+def _check_kunneth(a, b):
+    ab = kunneth(a, b)
+    for table in (grW, grW_c):
+        assert _graded(ab, table) == _tensor(_graded(a, table), _graded(b, table)), table
+    left, right = _ch_parts(a), _ch_parts(b)
+    for n, (k, i, c) in _ch_parts(ab).items():
+        pairs = [(left[s], right[n - s]) for s in left if n - s in right]
+        assert i == sum((_tensor(i1, i2) for (_, i1, _), (_, i2, _) in pairs),
+                        Counter()), ("im", n)
+        assert k == sum((_tensor(k1, k2) + _tensor(k1, i2) + _tensor(i1, k2)
+                         for (k1, i1, _), (k2, i2, _) in pairs), Counter()), ("ker", n)
+        assert c == sum((_tensor(c1, c2) + _tensor(c1, i2) + _tensor(i1, c2)
+                         for (_, i1, c1), (_, i2, c2) in pairs), Counter()), ("coker", n)
+
+
+@pytest.mark.parametrize("left, right", KUNNETH_PAIRS)
+def test_kunneth_on_corpus_products(left, right):
+    _check_kunneth(builtin(left), builtin(right))
+
+
+def test_kunneth_on_random_products():
+    rng = Random(2024)
+    for _ in range(10):
+        _check_kunneth(random_atlas(rng), random_atlas(rng))
 
 
 def _label_blocks(rng: Random, obj, k: int) -> tuple:
