@@ -34,15 +34,21 @@ rejected)::
 Subsets are listed in the order their elements appear in ``components``;
 the loader rejects unsorted subsets so that serialization is canonical, and
 a ``dimension`` above ``MAX_DIMENSION``.
-``load_atlas`` parses each distinct rational string once per document.
+``load_atlas`` parses each distinct rational string once per document and
+builds only what the document declares: an empty cohomology degree is
+``ZERO_OBJECT``, and an empty or omitted matrix is a shared zero block of
+its shape.
 ``validate_atlas`` audits the semantic invariants (closure, degree ranges,
 Hodge symmetry and duality of slot counts, perfect/block-compatible pairings,
 block-diagonal restriction matrices, commuting restriction squares, degree-0
 unit rows) and returns the complete list of findings; computational modules
-refuse atlases with findings.  Its work follows what the atlas declares: each
-square S < S+i, S+j < S+i+j is found from a declared S+i+j, and compared only
-in degrees where D_S and D_(S+i+j) have cohomology and its four matrices have
-their declared shapes.
+refuse atlases with findings.  Its work follows what the atlas declares: a
+pairing is perfect when it is square of full rank, so nothing is inverted;
+the Hodge, block and unit checks walk each matrix's nonzeros; each square
+S < S+i, S+j < S+i+j is found from a declared S+i+j, and compared only in
+degrees where D_S and D_(S+i+j) have cohomology and its four matrices have
+their declared shapes.  A pairing's inverse is computed on first use
+(``StratumData.pairing_inverse``), by the Gysin complexes that read it.
 An atlas is immutable; ``per_atlas`` computes a layer once per atlas object
 and caches it on the atlas, next to its validation report.
 """
@@ -56,9 +62,9 @@ import sys
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .errors import DimensionError, InvalidAtlas, ParseError, WeightMismatch
-from .hodgecore import PureObject, ZERO_OBJECT, cross_label_entry
-from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse
+from .errors import DimensionError, InvalidAtlas, ParseError
+from .hodgecore import PureObject, ZERO_OBJECT, _pure, cross_label_entry
+from .qmat import Matrix, _frac, _parse_rational, _sparse, _wrap, inverse, rank
 from .record import Record
 
 MAX_DIMENSION = 1000  # each stratum spans 2e+1 degrees, so work grows with d
@@ -72,7 +78,7 @@ class StratumData(Record):
     """Degree-indexed cohomology and pairing matrices of one closed stratum.
 
     ``cohomology[k]`` is the PureObject H^k and ``pairings[k]`` the matrix of
-    H^k x H^(2e-k) -> Q.
+    H^k x H^(2e-k) -> Q.  ``_inverses`` memoizes ``pairing_inverse`` by degree.
     """
 
     __slots__ = ("cohomology", "pairings", "_inverses")
@@ -94,29 +100,46 @@ class StratumData(Record):
     def top_degree(self) -> int:
         return len(self.cohomology) - 1
 
-    @property
-    def pairing_inverses(self) -> tuple:
-        """``inverse`` of each pairing matrix (None where singular), computed once."""
+    def pairing_inverse(self, k: int) -> Optional[Matrix]:
+        """``inverse`` of the degree-k pairing (None where singular), computed
+        on first use and kept."""
         try:
-            return self._inverses
+            memo = self._inverses
         except AttributeError:
-            inverses = tuple(map(inverse, self.pairings))
-            object.__setattr__(self, "_inverses", inverses)
-            return inverses
+            memo = {}
+            object.__setattr__(self, "_inverses", memo)
+        if k not in memo:
+            memo[k] = inverse(self.pairing_at(k))
+        return memo[k]
+
+
+class _ZeroBlocks(dict):
+    """One zero matrix per shape, shared by the blocks of one atlas."""
+
+    def __missing__(self, shape: tuple) -> Matrix:
+        m = self[shape] = Matrix.zeros(*shape)
+        return m
 
 
 def make_stratum(e: int, cohomology: Sequence[PureObject],
-                 pairings: Sequence[Matrix]) -> StratumData:
-    """Normalize the degree arrays of a dimension-e stratum to length 2e+1."""
+                 pairings: Sequence[Matrix],
+                 zeros: Optional[_ZeroBlocks] = None) -> StratumData:
+    """Normalize the degree arrays of a dimension-e stratum to length 2e+1.
+
+    A missing or 0x0 pairing becomes the zero block of the shape its degree
+    implies, taken from ``zeros`` (shape -> zero matrix) when given.
+    """
     n = max(2 * e + 1, len(cohomology), len(pairings))
-    coh = list(cohomology) + [ZERO_OBJECT] * (n - len(cohomology))
-    prs = list(pairings) + [Matrix.zeros(0, 0)] * (n - len(pairings))
-    # Give degenerate zero pairings their context-implied shapes.
-    for k in range(n):
-        want = (coh[k].dim, coh[2 * e - k].dim if 0 <= 2 * e - k < n else 0)
-        if prs[k].shape != want and prs[k].rows == 0 and prs[k].cols == 0:
-            prs[k] = Matrix.zeros(*want)
-    return StratumData(tuple(coh), tuple(prs))
+    coh = tuple(cohomology) + (ZERO_OBJECT,) * (n - len(cohomology))
+    prs = list(pairings) + [None] * (n - len(pairings))
+    if zeros is None:
+        zeros = _ZeroBlocks()
+    for k, m in enumerate(prs):
+        if m is None or not (m.rows or m.cols):
+            want = (coh[k].dim, coh[2 * e - k].dim if 0 <= 2 * e - k < n else 0)
+            if m is None or want != (0, 0):
+                prs[k] = zeros[want]
+    return StratumData(coh, tuple(prs))
 
 
 def _matrix_at(mats: Optional[tuple], source: PureObject, target: PureObject,
@@ -141,13 +164,14 @@ class StratumAtlas:
         self._index = {name: i for i, name in enumerate(self.components)}
         self.strata = MappingProxyType({tuple(k): v for k, v in strata.items()})
         padded = {}
+        zeros = _ZeroBlocks()
         for (src, dst), mats in restrictions.items():
             src, dst, mats = tuple(src), tuple(dst), tuple(mats)
             s, t = self.strata.get(src), self.strata.get(dst)
             # omitted trailing degrees are zero maps: one atlas, one hash
             if s is not None and t is not None and len(mats) < len(s.cohomology):
-                mats += tuple(Matrix.zeros(t.dim_at(k), s.dim_at(k))
-                              for k in range(len(mats), len(s.cohomology)))
+                mats += tuple([zeros[t.dim_at(k), s.dim_at(k)]
+                               for k in range(len(mats), len(s.cohomology))])
             padded[(src, dst)] = mats
         self.restrictions = MappingProxyType(padded)
         self.self_intersections = (
@@ -165,7 +189,7 @@ class StratumAtlas:
     # -- combinatorics -----------------------------------------------------
 
     def subset_key(self, subset: Sequence[str]) -> tuple:
-        return (len(subset), tuple(self._index.get(c, len(self.components)) for c in subset))
+        return (len(subset), tuple([self._index.get(c, len(self.components)) for c in subset]))
 
     def declared_subsets(self) -> tuple:
         """The declared subsets by size, then in components order (sorted once)."""
@@ -259,16 +283,25 @@ def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int):
         raise ParseError(loc + "".join(f"[{i}]" for i in index), str(exc)) from None
 
 
-def _parse_matrix(rows, rationals: _Rationals, expected_cols: int) -> Matrix:
-    _expect(isinstance(rows, list), "", "expected a list of matrix rows")
+def _parse_matrix(rows, rationals: _Rationals, zeros: _ZeroBlocks,
+                  expected_cols: int) -> Matrix:
+    """A nonempty row list as a Matrix; ``[]`` as the shared zero block with
+    no rows and ``expected_cols`` columns."""
+    if not isinstance(rows, list):
+        raise ParseError("", "expected a list of matrix rows")
     if not rows:
-        return Matrix.zeros(0, expected_cols)
+        return zeros[0, expected_cols]
     parsed = []
     width = None
     for i, row in enumerate(rows):
         if not isinstance(row, list):
             raise ParseError(f"[{i}]", "expected a row list")
-        vals = tuple([_parse_fraction(x, rationals, "", i, j) for j, x in enumerate(row)])
+        try:
+            vals = tuple([rationals[x] if type(x) is str else _frac(x) for x in row])
+        except DimensionError:
+            for j, x in enumerate(row):  # locate the first bad entry
+                _parse_fraction(x, rationals, "", i, j)
+            raise
         if width is None:
             width = len(vals)
         elif len(vals) != width:
@@ -291,33 +324,48 @@ def _parse_object(raw, loc: str, what: str, required: tuple, optional: tuple = (
 
 
 def _parse_subset(raw, loc: str, index: Mapping) -> tuple:
-    _expect(isinstance(raw, list), loc, "expected a list of component names")
+    if not isinstance(raw, list):
+        raise ParseError(loc, "expected a list of component names")
     for i, name in enumerate(raw):
         if not isinstance(name, str):
             raise ParseError(f"{loc}[{i}]", "component names are strings")
         if name not in index:
             raise ParseError(f"{loc}[{i}]", f"unknown component {name!r}")
     subset = tuple(raw)
-    _expect(len(set(subset)) == len(subset), loc, "repeated component in subset")
-    _expect(sorted(raw, key=index.__getitem__) == raw, loc,
-            "subset not sorted in components order")
+    if len(subset) > 1:
+        _expect(len(set(subset)) == len(subset), loc, "repeated component in subset")
+        _expect(sorted(raw, key=index.__getitem__) == raw, loc,
+                "subset not sorted in components order")
     return subset
 
 
 def _parse_pure(entries, degree: int) -> PureObject:
-    _expect(isinstance(entries, list), "", "expected a list of [p, q] slots")
+    """The slot list of degree ``degree``.  A slot that is no pair of
+    integers is reported before an earlier slot off the weight."""
+    if not isinstance(entries, list):
+        raise ParseError("", "expected a list of [p, q] slots")
+    if not entries:
+        return ZERO_OBJECT
+    slots = []
+    off = None  # the first slot off the weight
     for i, s in enumerate(entries):
-        if not (isinstance(s, list) and len(s) == 2
-                and all(isinstance(x, int) and not isinstance(x, bool) for x in s)):
+        if not (isinstance(s, list) and len(s) == 2):
             raise ParseError(f"[{i}]", "slot must be a pair of integers")
-    try:
-        return PureObject(degree, entries)
-    except WeightMismatch as exc:
-        raise ParseError("", str(exc)) from None
+        p, q = s
+        if type(p) is not int or type(q) is not int:
+            if not all(isinstance(x, int) and not isinstance(x, bool) for x in s):
+                raise ParseError(f"[{i}]", "slot must be a pair of integers")
+            p, q = int(p), int(q)
+        if p + q != degree and off is None:
+            off = (p, q)
+        slots.append((p, q))
+    if off is not None:
+        raise ParseError("", f"slot ({off[0]},{off[1]}) does not lie on weight {degree}")
+    return _pure(degree, tuple(slots))
 
 
 def _parse_stratum(raw, d: int, index: Mapping, rationals: _Rationals,
-                   strata: Mapping) -> tuple:
+                   zeros: _ZeroBlocks, strata: Mapping) -> tuple:
     """One entry of ``strata`` as ``(subset, StratumData)``, given the strata
     parsed before it; ParseError locations are relative to the entry."""
     _parse_object(raw, "", "stratum", _STRATUM_FIELDS)
@@ -344,14 +392,14 @@ def _parse_stratum(raw, d: int, index: Mapping, rationals: _Rationals,
         for k, rows in enumerate(raw_pairs):
             dual_deg = 2 * e - k
             expected_cols = dims[dual_deg] if 0 <= dual_deg < len(dims) else 0
-            pairings.append(_parse_matrix(rows, rationals, expected_cols))
+            pairings.append(_parse_matrix(rows, rationals, zeros, expected_cols))
     except ParseError as exc:
         raise exc.within(f".pairings[{k}]") from None
-    return subset, make_stratum(e, cohomology, pairings)
+    return subset, make_stratum(e, cohomology, pairings, zeros)
 
 
-def _parse_restriction(raw, index: Mapping, rationals: _Rationals, strata: Mapping,
-                       restrictions: Mapping) -> tuple:
+def _parse_restriction(raw, index: Mapping, rationals: _Rationals, zeros: _ZeroBlocks,
+                       strata: Mapping, restrictions: Mapping) -> tuple:
     """One entry of ``restrictions`` as ``((src, dst), matrices)``, given the
     restrictions parsed before it; ParseError locations are relative to the entry."""
     _parse_object(raw, "", "restriction", _RESTRICTION_FIELDS)
@@ -364,7 +412,7 @@ def _parse_restriction(raw, index: Mapping, rationals: _Rationals, strata: Mappi
     mats = []
     try:
         for k, rows in enumerate(raw_mats):
-            mats.append(_parse_matrix(rows, rationals,
+            mats.append(_parse_matrix(rows, rationals, zeros,
                                       src_dims[k] if k < len(src_dims) else 0))
     except ParseError as exc:
         raise exc.within(f".matrices[{k}]") from None
@@ -387,13 +435,14 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     _expect(len(set(comps)) == len(comps), "components", "duplicate component names")
     index = {c: i for i, c in enumerate(comps)}
     rationals = _Rationals()
+    zeros = _ZeroBlocks()
 
     strata = {}
     raw_strata = document["strata"]
     _expect(isinstance(raw_strata, list), "strata", "must be a list")
     for si, raw in enumerate(raw_strata):
         try:
-            subset, stratum = _parse_stratum(raw, d, index, rationals, strata)
+            subset, stratum = _parse_stratum(raw, d, index, rationals, zeros, strata)
         except ParseError as exc:
             raise exc.within(f"strata[{si}]") from None
         strata[subset] = stratum
@@ -403,7 +452,8 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     _expect(isinstance(raw_restrictions, list), "restrictions", "must be a list")
     for ri, raw in enumerate(raw_restrictions):
         try:
-            pair, mats = _parse_restriction(raw, index, rationals, strata, restrictions)
+            pair, mats = _parse_restriction(raw, index, rationals, zeros, strata,
+                                            restrictions)
         except ParseError as exc:
             raise exc.within(f"restrictions[{ri}]") from None
         restrictions[pair] = mats
@@ -603,8 +653,9 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
             continue
         e = a.e(subset)
         where = _subset_name(subset)
+        pure = st.pure_at
         for k, obj in enumerate(st.cohomology):
-            if obj.is_zero:
+            if not obj.slots:
                 continue
             if k > 2 * e:
                 flag("DegreeRange", f"{where}.H^{k}",
@@ -615,57 +666,59 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                 if hn.get((q, p), 0) != mult:
                     flag("HodgeSymmetry", f"{where}.H^{k}",
                          f"h^({p},{q}) = {mult} but h^({q},{p}) = {hn.get((q, p), 0)}")
-            dualobj = st.pure_at(2 * e - k)
+            dualobj = pure(2 * e - k)
             dn = dualobj.hodge_numbers()
             for (p, q), mult in hn.items():
                 if dn.get((e - p, e - q), 0) != mult:
                     flag("PoincareDuality", f"{where}.H^{k}",
                          f"h^({p},{q}) = {mult} not mirrored by "
                          f"h^({e - p},{e - q}) in H^{2 * e - k}")
-        if not st.pure_at(0).is_zero and set(st.pure_at(0).slots) != {(0, 0)}:
+        h0 = pure(0).slots
+        if h0 and set(h0) != {(0, 0)}:
             flag("UnitCheck", f"{where}.H^0", "degree-0 slots must all be (0,0)")
 
         for k in range(2 * e + 1):
-            obj = st.pure_at(k)
-            dualobj = st.pure_at(2 * e - k)
-            pk = st.pairing_at(k)
-            if obj.is_zero and dualobj.is_zero:
+            slots, dual_slots, pk = pure(k).slots, pure(2 * e - k).slots, st.pairing_at(k)
+            if not (slots or dual_slots):
                 if not pk.is_zero():
                     flag("PairingShape", f"{where}.pairing[{k}]",
                          "nonzero pairing on zero spaces")
                 continue
-            if pk.shape != (obj.dim, dualobj.dim):
+            want = (len(slots), len(dual_slots))
+            if pk.shape != want:
                 flag("PairingShape", f"{where}.pairing[{k}]",
-                     f"shape {pk.shape}, expected {(obj.dim, dualobj.dim)}")
+                     f"shape {pk.shape}, expected {want}")
                 continue
-            if obj.dim != dualobj.dim or st.pairing_inverses[k] is None:
+            if want[0] != want[1] or rank(pk) != want[0]:
                 flag("PairingNotPerfect", f"{where}.pairing[{k}]",
                      "pairing matrix is not square invertible")
-            for i, ((p, q), row) in enumerate(zip(obj.slots, pk.entries())):
-                for j, (x, (pp, qq)) in enumerate(zip(row, dualobj.slots)):
-                    if x and (p + pp != e or q + qq != e):
+            for i, ((p, q), row) in enumerate(zip(slots, _sparse(pk)[0])):
+                for j in row:
+                    pp, qq = dual_slots[j]
+                    if p + pp != e or q + qq != e:
                         flag("PairingHodge", f"{where}.pairing[{k}]",
                              f"entry ({i},{j}) pairs slot ({p},{q}) with ({pp},{qq})")
 
     # restriction checks
     misshaped = set()  # (src, dst, degree) of each RestrictionShape finding
-    for (src, dst) in sorted(
-        a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1]))
+    keys = {s: a.subset_key(s) for pair in a.restrictions for s in pair}
+    for (src, dst), mats in sorted(
+        a.restrictions.items(), key=lambda item: (keys[item[0][0]], keys[item[0][1]])
     ):
         where = f"{_subset_name(src)}->{_subset_name(dst)}"
-        if src not in a.strata or dst not in a.strata:
+        src_st, dst_st = a.strata.get(src), a.strata.get(dst)
+        if src_st is None or dst_st is None:
             flag("BadRestriction", where, "references an undeclared stratum")
             continue
         extra = [c for c in dst if c not in src]
         if len(dst) != len(src) + 1 or len(extra) != 1:
             flag("BadRestriction", where, "'to' must be 'from' plus one component")
             continue
-        mats = a.restrictions[(src, dst)]
-        src_st, dst_st = a.strata[src], a.strata[dst]
+        src_pure, dst_pure = src_st.pure_at, dst_st.pure_at
         for k, m in enumerate(mats):
-            source, target = src_st.pure_at(k), dst_st.pure_at(k)
-            want = (target.dim, source.dim)
-            if m.rows == 0 and m.cols == 0 and want[0] == 0:
+            source, target = src_pure(k), dst_pure(k)
+            want = (len(target.slots), len(source.slots))
+            if not (m.rows or m.cols or want[0]):
                 continue
             if m.shape != want:
                 misshaped.add((src, dst, k))
@@ -679,10 +732,9 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                      f"restriction {list(src)}->{list(dst)} degree {k}: nonzero entry "
                      f"({i},{j}) links slot {source.slots[j]} to slot {target.slots[i]}")
         # degree-0 unit rows: one 1 per connected piece of the target
-        m0 = _matrix_at(mats, src_st.pure_at(0), dst_st.pure_at(0), 0)
-        for i in range(m0.rows):
-            row = m0.row(i)
-            if sorted(row) != sorted([1] + [0] * (len(row) - 1)):
+        m0 = _matrix_at(mats, src_pure(0), dst_pure(0), 0)
+        for i, row in enumerate(_sparse(m0)[0]):
+            if list(row.values()) != [1]:
                 flag("UnitCheck", f"{where}.matrices[0]",
                      f"row {i} must contain a single 1 (fundamental classes)")
 
@@ -721,8 +773,8 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
         for k, obj in enumerate(a.strata[top].cohomology):
             # an empty corner makes both paths the same zero-sized map, and a
             # misshaped matrix has its RestrictionShape finding already
-            if (k > 2 * e or obj.is_zero or base_st.pure_at(k).is_zero
-                    or any((src, dst, k) in misshaped for src, dst in paths)):
+            if (k > 2 * e or not obj.slots or not base_st.pure_at(k).slots
+                    or misshaped and any((src, dst, k) in misshaped for src, dst in paths)):
                 continue
             r = [_matrix_at(mats, s.pure_at(k), t.pure_at(k), k) for mats, s, t in edges]
             if r[0] * r[1] != r[2] * r[3]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, WeightMismatch
-from .qmat import Matrix
+from .qmat import Matrix, _sparse
 from .record import Record
 
 #: Allowed CohomologyTable kind tags.
@@ -136,9 +136,9 @@ def cross_label_entry(source: PureObject, target: PureObject, m: Matrix):
     if len(labels) == 1 and labels == target.labels():
         return None
     sslots = source.slots
-    for i, (t, row) in enumerate(zip(target.slots, m.entries())):
-        for j, x in enumerate(row):
-            if x and sslots[j] != t:
+    for i, (t, row) in enumerate(zip(target.slots, _sparse(m)[0])):
+        for j in row:
+            if sslots[j] != t:
                 return i, j
     return None
 
@@ -272,7 +272,7 @@ class PureMorphism:
 
     def __hash__(self):
         return hash((self.source, self.target,
-                     tuple((lab, m) for lab, m in self._blocks.items() if not m.is_zero())))
+                     tuple([(lab, m) for lab, m in self._blocks.items() if not m.is_zero()])))
 
     def __repr__(self) -> str:
         return f"PureMorphism({self.source.dim}->{self.target.dim}, w={self.target.weight})"
@@ -304,7 +304,7 @@ class MixedGraded(Record):
         return ZERO_OBJECT
 
     def weights(self) -> tuple:
-        return tuple(w for w, _ in self.pieces)
+        return tuple([w for w, _ in self.pieces])
 
     @property
     def dim(self) -> int:
@@ -377,7 +377,7 @@ class CohomologyTable(Record):
         return EMPTY_MIXED
 
     def degrees(self) -> tuple:
-        return tuple(n for n, _ in self.by_degree)
+        return tuple([n for n, _ in self.by_degree])
 
     def dim(self, n: int) -> int:
         return self.degree(n).dim

@@ -45,6 +45,11 @@ matrix this module computes is built from rows that are already tuples of
 canonical entries of the declared shape, so it is wrapped without checking
 them again.
 
+Every tuple here is built from a list, whose length is known, never from a
+generator or ``zip`` directly: CPython builds those by resizing a ten-slot
+tuple, which is slower and, request after request, leaves the freed tuples
+in the interpreter's free lists until a full collection.
+
 No floating point enters anywhere.
 """
 
@@ -138,7 +143,7 @@ class Matrix:
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
         _check_shape(rows, cols)
-        tup = tuple(tuple(map(_frac, row)) for row in data)
+        tup = tuple([tuple([_frac(x) for x in row]) for row in data])
         if len(tup) != rows or any(len(r) != cols for r in tup):
             raise DimensionError(
                 f"expected {rows}x{cols} data, got rows of lengths {[len(r) for r in tup]}"
@@ -168,7 +173,7 @@ class Matrix:
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         _check_shape(n, n)
-        return _wrap(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
+        return _wrap(n, n, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -237,31 +242,31 @@ class Matrix:
         if k == -1:
             return -self
         return _wrap(self.rows, self.cols,
-                     tuple(tuple([_canon(k * x) for x in r]) for r in self._data))
+                     tuple([tuple([_canon(k * x) for x in r]) for r in self._data]))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return _wrap(self.rows, self.cols, tuple(
+        return _wrap(self.rows, self.cols, tuple([
             tuple([_canon(a + b) for a, b in zip(r1, r2)])
             for r1, r2 in zip(self._data, other._data)
-        ))
+        ]))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
 
     def __neg__(self) -> "Matrix":
-        return _wrap(self.rows, self.cols, tuple(tuple([-x for x in r]) for r in self._data))
+        return _wrap(self.rows, self.cols, tuple([tuple([-x for x in r]) for r in self._data]))
 
     def transpose(self) -> "Matrix":
         return _wrap(self.cols, self.rows,
-                     tuple(zip(*self._data)) if self.rows else ((),) * self.cols)
+                     tuple(list(zip(*self._data))) if self.rows else ((),) * self.cols)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionError("hstack row mismatch")
         return _wrap(self.rows, self.cols + other.cols,
-                     tuple(r1 + r2 for r1, r2 in zip(self._data, other._data)))
+                     tuple([r1 + r2 for r1, r2 in zip(self._data, other._data)]))
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -273,7 +278,7 @@ class Matrix:
 
     def take_columns(self, idx: Sequence[int]) -> "Matrix":
         return _wrap(self.rows, len(idx),
-                     tuple(tuple([r[j] for j in idx]) for r in self._data))
+                     tuple([tuple([r[j] for j in idx]) for r in self._data]))
 
     def is_zero(self) -> bool:
         # A zero entry is always the int 0, and a Fraction entry is never zero.
@@ -500,7 +505,7 @@ def kernel_basis(m: Matrix) -> Matrix:
         for i, pc in enumerate(pivots):
             v[pc] = -red[i][f]
         cols.append(v)
-    return _wrap(m.cols, len(cols), tuple(zip(*cols)))
+    return _wrap(m.cols, len(cols), tuple(list(zip(*cols))))
 
 
 def image_basis(m: Matrix) -> Matrix:
@@ -571,7 +576,7 @@ def right_inverse(c: Matrix) -> Matrix:
 
 def _selection(idx: Sequence[int], n: int) -> Matrix:
     """The rows e_i (i in ``idx``, in order) of the n x n identity."""
-    return _wrap(len(idx), n, tuple(tuple(int(j == i) for j in range(n)) for i in idx))
+    return _wrap(len(idx), n, tuple([tuple([int(j == i) for j in range(n)]) for i in idx]))
 
 
 def adjoint_pushforward(r: Matrix, q_source: Matrix,

@@ -172,11 +172,11 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
                 if a.pairing_at(smaller, j + 2).rows:
                     r = a.restriction_matrix(smaller, subset, 2 * a.dimension - w)
                     g = adjoint_pushforward(r, a.pairing_at(subset, j),
-                                            a.strata[smaller].pairing_inverses[j + 2])
+                                            a.strata[smaller].pairing_inverse(j + 2))
                     blocks[(smaller, subset)] = (g, pos % 2)
         maps.append(_label_first(sums[m], sums[m - 1], blocks,
                                  f"gysin differential w={w}, spot {m}"))
-    return WeightComplex(w, tuple(s for s, _ in sums), tuple(maps), True)
+    return WeightComplex(w, tuple([s for s, _ in sums]), tuple(maps), True)
 
 
 @per_atlas
@@ -193,7 +193,7 @@ def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
                 blocks[(subset, smaller)] = (a.restriction_matrix(smaller, subset, n), pos % 2)
         maps.append(_label_first(sums[m], sums[m + 1], blocks,
                                  f"restriction differential n={n}, spot {m}"))
-    return WeightComplex(n, tuple(s for s, _ in sums), tuple(maps), False)
+    return WeightComplex(n, tuple([s for s, _ in sums]), tuple(maps), False)
 
 
 @per_atlas

@@ -3,16 +3,19 @@
 import copy
 import hashlib
 import json
+import sys
 import time
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+import absix.atlas
 from absix import Matrix
 from absix.atlas import (
     Finding,
     StratumAtlas,
+    StratumData,
     _subset_name,
     dump_atlas,
     dumps_atlas,
@@ -323,6 +326,16 @@ def test_bad_slot_rejected():
     assert "weight" in str(_perr(doc)).lower()
 
 
+@pytest.mark.parametrize("bad", ["x", [0], True])
+def test_a_malformed_slot_is_reported_before_an_earlier_off_weight_slot(bad):
+    """Every slot of a degree is type-checked before any is weight-checked."""
+    doc = _doc()
+    doc["strata"][0]["cohomology"][0] = [[1, 0], bad]
+    err = _perr(doc)
+    assert (err.location, err.message) == ("strata[0].cohomology[0][1]",
+                                           "slot must be a pair of integers")
+
+
 def _set(container, key, value):
     container[key] = value
 
@@ -510,6 +523,21 @@ def test_finding_pairing_not_perfect():
     doc = _doc()
     doc["strata"][0]["pairings"][0] = [["0"]]
     assert "PairingNotPerfect" in _codes_of(doc)
+
+
+def test_a_singular_hodge_compatible_square_pairing_is_not_perfect():
+    doc = {
+        "dimension": 2,
+        "components": [],
+        "strata": [{
+            "subset": [],
+            "cohomology": [[[0, 0]], [], [[1, 1], [1, 1]], [], [[2, 2]]],
+            "pairings": [[["1"]], [], [["1", "1"], ["1", "1"]], [], [["1"]]],
+        }],
+        "restrictions": [],
+    }
+    assert str(validate_atlas(load_atlas(doc))) == (
+        "[PairingNotPerfect] Y.pairing[2]: pairing matrix is not square invertible")
 
 
 def test_finding_pairing_hodge():
@@ -755,11 +783,56 @@ def test_squares_match_the_double_loop(corpus):
 
 def test_validation_of_many_components_is_quick():
     a = builtin("points_in_proper", points=300)
-    for st in a.strata.values():
-        st.pairing_inverses  # the dense 301x301 inverse is not what is timed
     start = time.perf_counter()
     assert validate_atlas(a).ok
     assert time.perf_counter() - start < 2.0
+
+
+def _counting_inverses(monkeypatch) -> list:
+    """Record each matrix the atlas layer inverts."""
+    inverted = []
+    real = absix.atlas.inverse
+
+    def counted(m):
+        inverted.append(m)
+        return real(m)
+
+    monkeypatch.setattr(absix.atlas, "inverse", counted)
+    return inverted
+
+
+def test_validation_inverts_no_pairing(monkeypatch):
+    inverted = _counting_inverses(monkeypatch)
+    rng = Random(1100)
+    atlases = [builtin(name) for name in corpus_names()]
+    atlases += [random_atlas(rng) for _ in range(12)]
+    atlases.append(builtin("points_in_proper", points=300))
+    for a in atlases:
+        assert validate_atlas(a).ok
+    assert inverted == []
+
+
+def test_a_full_report_inverts_each_pairing_the_gysin_complexes_read_once(monkeypatch, capsys):
+    inverted = _counting_inverses(monkeypatch)
+    read = []
+    real = StratumData.pairing_inverse
+
+    def recorded(self, k):
+        read.append((id(self), k, sys._getframe(1).f_code.co_name))
+        return real(self, k)
+
+    monkeypatch.setattr(StratumData, "pairing_inverse", recorded)
+    reads = 0
+    for name in corpus_names():
+        inverted.clear()
+        read.clear()
+        assert main(["compute", "@" + name, "--what", "all"]) == 0
+        capsys.readouterr()
+        assert {caller for _, _, caller in read} <= {"gysin_complex"}
+        # one inversion per (stratum, degree) read, however often it is read
+        assert len(inverted) == len({(sid, k) for sid, k, _ in read})
+        reads += len(read)
+    assert reads  # the gysin complexes do read inverses
 
 
 def test_require_valid_raises_with_findings():

@@ -469,3 +469,19 @@ def test_an_inexact_bareiss_rescaling_is_an_internal_error():
     assert _rescale({0: 4, 3: -6}, 3, 2) == {0: 6, 3: -9}
     with pytest.raises(InternalError):
         _rescale({0: 4, 3: -5}, 3, 2)
+
+
+def test_full_rank_is_invertibility_on_square_draws():
+    """Perfection of a pairing is checked by rank alone: on square matrices
+    ``rank(m) == m.rows`` exactly when ``inverse(m)`` exists."""
+    rng = random.Random(4242)
+    singular = invertible = 0
+    for i in range(240):
+        n = i % 6  # 0x0 included
+        family = "sparse" if i % 4 else "large"
+        m = _draw(rng, n, n, family, n if i % 3 == 0 else None)
+        full = rank(m) == n
+        assert full == (inverse(m) is not None), m
+        singular += not full
+        invertible += full
+    assert singular >= 50 and invertible >= 50

@@ -177,6 +177,7 @@ def test_constructor_arguments_are_checked():
 def test_a_memo_is_not_part_of_the_value():
     a, b = builtin("gm"), builtin("gm")
     first, second = a.strata[()], b.strata[()]
-    assert first.pairing_inverses is first.pairing_inverses  # computed once
+    assert first.pairing_inverse(2) is first.pairing_inverse(2)  # computed once
+    assert first._inverses  # the memo is filled
     assert first == second and hash(first) == hash(second)
     assert "_inverses" not in repr(first)
