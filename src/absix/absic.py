@@ -62,7 +62,7 @@ class AbsicResult(Record):
         return dict(self.decompositions)[n]
 
     def degrees(self) -> tuple:
-        return tuple(k for k, _ in self.comparisons)
+        return tuple([k for k, _ in self.comparisons])
 
 
 def all_degrees(a: StratumAtlas) -> tuple:
@@ -125,8 +125,8 @@ def absolute_ic(a: StratumAtlas) -> AbsicResult:
     degrees = all_degrees(a)
     return AbsicResult(
         tabulate(a, "absoluteIC", absic_at, degrees),
-        tuple((n, u_map(a, n)) for n in degrees),
-        tuple((n, ch_at(a, n)) for n in degrees),
+        tuple([(n, u_map(a, n)) for n in degrees]),
+        tuple([(n, ch_at(a, n)) for n in degrees]),
     )
 
 

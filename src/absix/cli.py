@@ -93,7 +93,7 @@ def build_report(a: StratumAtlas, name: str, what: str,
     for kind in _WHAT_TABLES[what]:
         _, piece, span = _TABLES[kind]
         if kind != "onePointIC" or a.connected:
-            degrees = tuple(n for n in span(a) if degree is None or n == degree)
+            degrees = tuple([n for n in span(a) if degree is None or n == degree])
             tables[kind] = tabulate(a, kind, piece, degrees)
     criteria = weight_criteria(a) if what in ("criteria", "all") else None
     comparison = compare_candidates(a) if what == "all" and a.connected else None

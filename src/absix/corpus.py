@@ -4,24 +4,21 @@ Every atlas here encodes an open variety X = Y \\ Z as a smooth proper Y with
 a normal-crossing boundary divisor.  Geometry whose boundary has higher
 codimension (points in a surface, a line in P^3) is encoded through a blow-up
 of Y along the centre, which replaces the centre by a divisor without changing
-the open part X.  All matrices below were computed by hand from standard
-intersection theory on the named varieties and are frozen as data.
+the open part X.  The pairings and restrictions were computed by hand from
+standard intersection theory on the named varieties and are frozen as data.
+The intersection numbers of the surfaces' boundary curves are not: they are
+derived from the restrictions (see ``_surface_minus_curves``).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Mapping
 
 from .atlas import StratumAtlas, StratumData, make_stratum
 from .errors import UnknownCorpusItem
 from .hodgecore import PureObject, ZERO_OBJECT
-from .qmat import Matrix
+from .qmat import Matrix, inverse
 from .record import Record
-
-
-def _m(rows) -> Matrix:
-    return Matrix.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
 def _tate(k: int, mult: int = 1) -> PureObject:
@@ -34,24 +31,11 @@ def _projective_space(n: int) -> StratumData:
     for k in range(2 * n + 1):
         if k % 2 == 0:
             coh.append(_tate(k // 2))
-            pairs.append(_m([[1]]))
+            pairs.append(Matrix.from_rows([[1]]))
         else:
             coh.append(ZERO_OBJECT)
             pairs.append(Matrix.zeros(0, 0))
     return make_stratum(n, coh, pairs)
-
-
-def _point() -> StratumData:
-    return make_stratum(0, [_tate(0)], [_m([[1]])])
-
-
-def _p1xp1() -> StratumData:
-    return make_stratum(
-        2,
-        [_tate(0), ZERO_OBJECT, _tate(1, 2), ZERO_OBJECT, _tate(2)],
-        [_m([[1]]), Matrix.zeros(0, 0), _m([[0, 1], [1, 0]]),
-         Matrix.zeros(0, 0), _m([[1]])],
-    )
 
 
 def _surface(middle_pairing) -> StratumData:
@@ -60,8 +44,8 @@ def _surface(middle_pairing) -> StratumData:
     return make_stratum(
         2,
         [_tate(0), ZERO_OBJECT, _tate(1, r), ZERO_OBJECT, _tate(2)],
-        [_m([[1]]), Matrix.zeros(0, 0), _m(middle_pairing),
-         Matrix.zeros(0, 0), _m([[1]])],
+        [Matrix.from_rows([[1]]), Matrix.zeros(0, 0), Matrix.from_rows(middle_pairing),
+         Matrix.zeros(0, 0), Matrix.from_rows([[1]])],
     )
 
 
@@ -70,10 +54,40 @@ def _restriction(src: StratumData, dst: StratumData, given: Mapping) -> tuple:
     mats = []
     for k in range(len(src.cohomology)):
         if k in given:
-            mats.append(_m(given[k]))
+            mats.append(Matrix.from_rows(given[k]))
         else:
             mats.append(Matrix.zeros(dst.pure_at(k).dim, src.pure_at(k).dim))
     return tuple(mats)
+
+
+def _surface_minus_curves(form, curves: Mapping) -> StratumAtlas:
+    """A surface Y with H^2 form ``form``, minus smooth rational curves.
+
+    ``curves`` maps each component, in components order, to its restriction
+    row H^2(Y) -> H^2(P^1) = Q.  By Poincare duality on Y the intersection
+    numbers are C_i.C_j = row_i F^-1 row_j^T (F the form): the diagonal gives
+    the self-intersections, and two curves with C_i.C_j = 1 cross in one
+    point stratum.  The curves meet at most once.
+    """
+    y = _surface(form)
+    line, point = _projective_space(1), _projective_space(0)
+    names = list(curves)
+    strata = {(): y}
+    restrictions = {}
+    for name, row in curves.items():
+        strata[(name,)] = line
+        restrictions[((), (name,))] = _restriction(y, line, {0: [[1]], 2: [row]})
+    r = Matrix.from_rows(list(curves.values()))
+    meet = r * inverse(y.pairing_at(2)) * r.transpose()
+    for i, ci in enumerate(names):
+        for j in range(i + 1, len(names)):
+            if meet.row(i)[j] == 1:
+                cross = (ci, names[j])
+                strata[cross] = point
+                for c in cross:
+                    restrictions[((c,), cross)] = _restriction(line, point, {0: [[1]]})
+    return StratumAtlas(2, names, strata, restrictions,
+                        {c: meet.row(i)[i] for i, c in enumerate(names)})
 
 
 # ---------------------------------------------------------------------------
@@ -110,24 +124,15 @@ def points_in_proper(points: int = 2) -> StratumAtlas:
         raise ValueError(
             f"points_in_proper requires an integer points with 1 <= points <= {MAX_POINTS}")
     p = points
-    names = [f"E{i + 1}" for i in range(p)]
     form = [[0] * (p + 1) for _ in range(p + 1)]
     form[0][0] = 1
+    curves = {}
     for i in range(p):
         form[i + 1][i + 1] = -1
-    y = _surface(form)
-    strata = {(): y}
-    restrictions = {}
-    for i, name in enumerate(names):
-        curve = _projective_space(1)
-        strata[(name,)] = curve
         row = [0] * (p + 1)
         row[i + 1] = -1
-        restrictions[((), (name,))] = _restriction(y, curve, {0: [[1]], 2: [row]})
-    return StratumAtlas(
-        2, names, strata, restrictions,
-        {name: Fraction(-1) for name in names},
-    )
+        curves[f"E{i + 1}"] = row
+    return _surface_minus_curves(form, curves)
 
 
 def low_dim_Z() -> StratumAtlas:
@@ -141,11 +146,12 @@ def low_dim_Z() -> StratumAtlas:
     """
     coh = [_tate(0), ZERO_OBJECT, _tate(1, 2), ZERO_OBJECT,
            _tate(2, 2), ZERO_OBJECT, _tate(3)]
-    pairs = [_m([[1]]), Matrix.zeros(0, 0), _m([[1, 0], [0, -1]]),
-             Matrix.zeros(0, 0), _m([[1, 0], [0, -1]]),
-             Matrix.zeros(0, 0), _m([[1]])]
+    pairs = [Matrix.from_rows([[1]]), Matrix.zeros(0, 0),
+             Matrix.from_rows([[1, 0], [0, -1]]), Matrix.zeros(0, 0),
+             Matrix.from_rows([[1, 0], [0, -1]]), Matrix.zeros(0, 0),
+             Matrix.from_rows([[1]])]
     y = make_stratum(3, coh, pairs)
-    e = _p1xp1()
+    e = _surface([[0, 1], [1, 0]])
     given = {0: [[1]], 2: [[1, -1], [0, -1]], 4: [[0, -1]]}
     return StratumAtlas(
         3, ["E"], {(): y, ("E",): e},
@@ -155,35 +161,17 @@ def low_dim_Z() -> StratumAtlas:
 
 def smooth_divisor_ample() -> StratumAtlas:
     """P^2 minus a smooth conic (boundary a degree-2 rational curve)."""
-    y = _projective_space(2)
-    z = _projective_space(1)
-    return StratumAtlas(
-        2, ["Z"], {(): y, ("Z",): z},
-        {((), ("Z",)): _restriction(y, z, {0: [[1]], 2: [[2]]})},
-        {"Z": Fraction(4)},
-    )
+    return _surface_minus_curves([[1]], {"Z": [2]})
 
 
 def middle_dim_Z_selfint_zero() -> StratumAtlas:
     """P^1 x P^1 minus one ruling line {0} x P^1 (self-intersection 0)."""
-    y = _p1xp1()
-    z = _projective_space(1)
-    return StratumAtlas(
-        2, ["Z"], {(): y, ("Z",): z},
-        {((), ("Z",)): _restriction(y, z, {0: [[1]], 2: [[0, 1]]})},
-        {"Z": Fraction(0)},
-    )
+    return _surface_minus_curves([[0, 1], [1, 0]], {"Z": [0, 1]})
 
 
 def middle_dim_Z_selfint_nonzero() -> StratumAtlas:
     """P^1 x P^1 minus the diagonal (self-intersection 2)."""
-    y = _p1xp1()
-    z = _projective_space(1)
-    return StratumAtlas(
-        2, ["Z"], {(): y, ("Z",): z},
-        {((), ("Z",)): _restriction(y, z, {0: [[1]], 2: [[1, 1]]})},
-        {"Z": Fraction(2)},
-    )
+    return _surface_minus_curves([[0, 1], [1, 0]], {"Z": [1, 1]})
 
 
 def surface_resolution() -> StratumAtlas:
@@ -195,54 +183,20 @@ def surface_resolution() -> StratumAtlas:
     E2 (class b, self-intersection -1), meeting in a single point -- the
     shape of an exceptional chain contracting to a surface singularity.
     """
-    y = _surface([[1, 0, 0], [0, -1, 0], [0, 0, -1]])
-    e1 = _projective_space(1)
-    e2 = _projective_space(1)
-    pt = _point()
-    strata = {(): y, ("E1",): e1, ("E2",): e2, ("E1", "E2"): pt}
-    restrictions = {
-        ((), ("E1",)): _restriction(y, e1, {0: [[1]], 2: [[0, -1, 1]]}),
-        ((), ("E2",)): _restriction(y, e2, {0: [[1]], 2: [[0, 0, -1]]}),
-        (("E1",), ("E1", "E2")): _restriction(e1, pt, {0: [[1]]}),
-        (("E2",), ("E1", "E2")): _restriction(e2, pt, {0: [[1]]}),
-    }
-    return StratumAtlas(
-        2, ["E1", "E2"], strata, restrictions,
-        {"E1": Fraction(-2), "E2": Fraction(-1)},
-    )
+    return _surface_minus_curves([[1, 0, 0], [0, -1, 0], [0, 0, -1]],
+                                 {"E1": [0, -1, 1], "E2": [0, 0, -1]})
 
 
 def gm_times_a1() -> StratumAtlas:
     """G_m x A^1: P^1 x P^1 minus {0} x P^1, {oo} x P^1 and P^1 x {oo}."""
-    y = _p1xp1()
-    l0 = _projective_space(1)
-    linf = _projective_space(1)
-    minf = _projective_space(1)
-    p0 = _point()
-    pinf = _point()
-    strata = {
-        (): y, ("L0",): l0, ("Linf",): linf, ("Minf",): minf,
-        ("L0", "Minf"): p0, ("Linf", "Minf"): pinf,
-    }
-    restrictions = {
-        ((), ("L0",)): _restriction(y, l0, {0: [[1]], 2: [[0, 1]]}),
-        ((), ("Linf",)): _restriction(y, linf, {0: [[1]], 2: [[0, 1]]}),
-        ((), ("Minf",)): _restriction(y, minf, {0: [[1]], 2: [[1, 0]]}),
-        (("L0",), ("L0", "Minf")): _restriction(l0, p0, {0: [[1]]}),
-        (("Minf",), ("L0", "Minf")): _restriction(minf, p0, {0: [[1]]}),
-        (("Linf",), ("Linf", "Minf")): _restriction(linf, pinf, {0: [[1]]}),
-        (("Minf",), ("Linf", "Minf")): _restriction(minf, pinf, {0: [[1]]}),
-    }
-    return StratumAtlas(
-        2, ["L0", "Linf", "Minf"], strata, restrictions,
-        {"L0": Fraction(0), "Linf": Fraction(0), "Minf": Fraction(0)},
-    )
+    return _surface_minus_curves([[0, 1], [1, 0]],
+                                 {"L0": [0, 1], "Linf": [0, 1], "Minf": [1, 0]})
 
 
 def gm() -> StratumAtlas:
     """The punctured line G_m = P^1 minus {0, oo}."""
     y = _projective_space(1)
-    strata = {(): y, ("p0",): _point(), ("pinf",): _point()}
+    strata = {(): y, ("p0",): _projective_space(0), ("pinf",): _projective_space(0)}
     restrictions = {
         ((), ("p0",)): _restriction(y, strata[("p0",)], {0: [[1]]}),
         ((), ("pinf",)): _restriction(y, strata[("pinf",)], {0: [[1]]}),

@@ -41,7 +41,7 @@ class PureObject(Record):
     _fields = ("weight", "slots")
 
     def __init__(self, weight: int, slots: tuple = ()):
-        slots = tuple((int(p), int(q)) for p, q in slots)
+        slots = tuple([(int(p), int(q)) for p, q in slots])
         for p, q in slots:
             if p + q != weight:
                 raise WeightMismatch(f"slot ({p},{q}) does not lie on weight {weight}")

@@ -104,17 +104,17 @@ def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     cond7 = all(set(grW_c(a, n).weights()) <= {n} for n in range(d + 1, 2 * d + 1))
 
     # The injectivity row for degree n is cond2's row for degree n - 1.
-    injectivity = tuple((n + 1, ok) for n, ok in cond2_rows if n >= 1)
+    injectivity = tuple([(n + 1, ok) for n, ok in cond2_rows if n >= 1])
 
     lefschetz = None
     if len(a.components) == 1 and a.depth() == 1:
         z = (a.components[0],)
         if a.pure_at(z, 0).dim == 1:
-            lefschetz = tuple(
+            lefschetz = tuple([
                 (n, restriction_complex(a, n).map_out_of(0)
                     .compose(gysin_complex(a, n).map_into(0)).is_injective())
                 for n in range(2, d + 1)
-            )
+            ])
 
     return CriteriaReport(
         cond2=cond2,
@@ -191,7 +191,7 @@ def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
 
     one_point = ih_one_point(a)
     absolute = absolute_ic(a).table
-    mismatch = tuple(n for n in all_degrees(a) if one_point.hodge(n) != absolute.hodge(n))
+    mismatch = tuple([n for n in all_degrees(a) if one_point.hodge(n) != absolute.hodge(n)])
     if mismatch:
         return DichotomyResult(
             mode="general",
@@ -227,12 +227,12 @@ def compare_candidates(a: StratumAtlas) -> ComparisonReport:
     h_y = table("plain", {n: pure_mixed(from_hodge_numbers(n, a.pure_at((), n).hodge_numbers()))
                           for n in all_degrees(a)})
 
-    plus_mismatch = tuple(n for n in all_degrees(a) if h_star.hodge(n) != ih_plus.hodge(n))
+    plus_mismatch = tuple([n for n in all_degrees(a) if h_star.hodge(n) != ih_plus.hodge(n)])
     mid = ch_at(a, a.dimension)
     interior_consistent = mid.kernel_part.is_zero and mid.cokernel_part.is_zero
     matches_plus = not plus_mismatch and interior_consistent
 
-    y_mismatch = tuple(n for n in all_degrees(a) if h_star.hodge(n) != h_y.hodge(n))
+    y_mismatch = tuple([n for n in all_degrees(a) if h_star.hodge(n) != h_y.hodge(n)])
     return ComparisonReport(
         hStar=h_star,
         ihPlus=ih_plus,

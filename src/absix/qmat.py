@@ -535,32 +535,22 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
-    """Exact inverse of a square matrix, or None if singular."""
+    """Exact inverse of a square matrix; None if not square, or if singular
+    (then ``m X = I`` has no solution)."""
     if m.rows != m.cols:
         return None
-    if not m.rows:
-        return m
-    R, pivots = rref(m.hstack(Matrix.identity(m.rows)))
-    if len(pivots) != m.rows or any(p >= m.cols for p in pivots):
-        return None
-    return _wrap(m.rows, m.rows, tuple([row[m.cols:] for row in R.entries()]))
+    return solve(m, Matrix.identity(m.rows))
 
 
 def left_inverse(k: Matrix) -> Matrix:
     """Deterministic left inverse of a full-column-rank matrix.
 
-    Uses the pivot rows (first set of rows that is invertible, in row order):
-    the result s satisfies s*k = I and kills the complementary coordinate
-    subspace spanned by the non-pivot rows.
+    Uses the pivot rows (first set of rows that is invertible, in row order),
+    which are the pivot columns of k's transpose: the result s satisfies
+    s*k = I and kills the complementary coordinate subspace spanned by the
+    non-pivot rows.
     """
-    if k.cols == 0:
-        return Matrix.zeros(0, k.rows)
-    pivrows = pivot_columns(k.transpose())
-    sub = k.take_rows(list(pivrows))
-    inv = inverse(sub)
-    if inv is None:
-        raise DimensionError("left_inverse: matrix does not have full column rank")
-    return inv * _selection(pivrows, k.rows)
+    return right_inverse(k.transpose()).transpose()
 
 
 def right_inverse(c: Matrix) -> Matrix:

@@ -7,13 +7,21 @@ capture and hashing) is the benchmark's own ``perfbench/harness.py``.  All
 ``request_mix``'s ``validate`` requests and its selective ``--what``,
 ``--format json`` and ``--degree`` requests on every atlas of its pool.
 Nothing is written under ``perfbench/``.
+
+The corpus atlases among the benchmark's inputs are frozen copies of the
+builders' output; each builder still gives its file's atlas and
+``atlasHash``.
 """
 
 import json
 import pathlib
 import runpy
 
+import pytest
+
 import absix.cli
+from absix.atlas import read_atlas
+from absix.corpus import ALIASES, builtin, corpus_names
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 BENCH = ROOT / "perfbench"
@@ -48,3 +56,19 @@ def test_every_frozen_request_prints_the_frozen_bytes(monkeypatch):
                       "request_mix": 33 + 30 * 33}
     assert served == set(expected) and len(served) == 1072
     assert mismatches == []
+
+
+_FROZEN_CORPUS = (
+    [(name, {}, name) for name in corpus_names() + sorted(ALIASES)]
+    + [("points_in_proper", {"points": k}, f"points_in_proper-p{k}") for k in range(4, 9)]
+    + [("pn_minus_hyperplane", {"n": k}, f"pn_minus_hyperplane-n{k}") for k in range(4, 9)]
+)
+
+
+@pytest.mark.parametrize("name, params, stem", _FROZEN_CORPUS,
+                         ids=[stem for _, _, stem in _FROZEN_CORPUS])
+def test_the_corpus_builds_its_frozen_atlas(name, params, stem):
+    built = builtin(name, **params)
+    frozen = read_atlas(str(BENCH / "inputs" / f"{stem}.atlas.json"))
+    assert built == frozen
+    assert absix.cli.atlas_hash(built) == absix.cli.atlas_hash(frozen)

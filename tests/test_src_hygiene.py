@@ -6,6 +6,11 @@ Two rules keep dead code from piling up:
   uses;
 * every module-level ``_private`` function or class is referenced somewhere
   in the package outside its own definition.
+
+A third keeps tuples cheap: no ``tuple()`` call takes a generator
+expression, ``map``, ``zip`` or ``filter``, whose length CPython does not
+know in advance (the ``absix.qmat`` docstring gives the cost); build the
+tuple from a list instead.
 """
 
 import ast
@@ -70,3 +75,33 @@ def test_private_definitions_are_referenced(name):
                        for tree in MODULES.values()):
                 unreferenced.append(node.name)
     assert not unreferenced, f"{name}: never referenced in the package: {unreferenced}"
+
+
+_LAZY_ITERATORS = ("map", "zip", "filter")
+
+
+def _lazy_tuple_calls(tree: ast.AST) -> list:
+    """Lines of ``tuple(...)`` calls whose one argument is a generator
+    expression or a ``map``, ``zip`` or ``filter`` call."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "tuple" and len(node.args) == 1):
+            arg = node.args[0]
+            if isinstance(arg, ast.GeneratorExp) or (
+                    isinstance(arg, ast.Call) and isinstance(arg.func, ast.Name)
+                    and arg.func.id in _LAZY_ITERATORS):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_tuples_are_built_from_lists(name):
+    lazy = _lazy_tuple_calls(MODULES[name])
+    assert not lazy, f"{name}: tuple() of a generator, map, zip or filter on lines {lazy}"
+
+
+def test_lazy_tuple_rule_sees_every_form():
+    source = "tuple(x for x in y); tuple(map(f, y)); tuple(zip(y, z)); tuple(filter(f, y))"
+    assert len(_lazy_tuple_calls(ast.parse(source))) == 4
+    assert not _lazy_tuple_calls(ast.parse("tuple([x for x in y]); tuple(range(3)); tuple(d)"))
