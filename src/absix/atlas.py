@@ -36,8 +36,10 @@ the loader rejects unsorted subsets so that serialization is canonical, and
 a ``dimension`` above ``MAX_DIMENSION``.
 ``load_atlas`` parses each distinct rational string once per document and
 builds only what the document declares: an empty cohomology degree is
-``ZERO_OBJECT``, and an empty or omitted matrix is a shared zero block of
-its shape.
+``ZERO_OBJECT`` and an empty matrix ``[]`` is the 0x0 block.  Left-out
+blocks are completed where they are built, ``make_stratum`` for pairings and
+``StratumAtlas`` for restrictions, so a builder's ``Matrix.zeros(0, 0)``
+means what a document's ``[]`` does, and every reader just indexes.
 ``validate_atlas`` audits the semantic invariants (closure, degree ranges,
 Hodge symmetry and duality of slot counts, perfect/block-compatible pairings,
 block-diagonal restriction matrices, commuting restriction squares, degree-0
@@ -126,31 +128,22 @@ def make_stratum(e: int, cohomology: Sequence[PureObject],
                  zeros: Optional[_ZeroBlocks] = None) -> StratumData:
     """Normalize the degree arrays of a dimension-e stratum to length 2e+1.
 
-    A missing or 0x0 pairing becomes the zero block of the shape its degree
-    implies, taken from ``zeros`` (shape -> zero matrix) when given.
+    Each pairing H^k x H^(2e-k) is completed here: an omitted one is the zero
+    block (dim H^k, dim H^(2e-k)); an empty (0x0) one has no rows and
+    dim H^(2e-k) columns, or is the zero block (dim H^k, 0) when H^(2e-k) is
+    zero.  Zero blocks come from ``zeros`` (shape -> zero matrix) when given.
     """
     n = max(2 * e + 1, len(cohomology), len(pairings))
     coh = tuple(cohomology) + (ZERO_OBJECT,) * (n - len(cohomology))
     prs = list(pairings) + [None] * (n - len(pairings))
-    if zeros is None:
-        zeros = _ZeroBlocks()
+    zeros = _ZeroBlocks() if zeros is None else zeros
     for k, m in enumerate(prs):
-        if m is None or not (m.rows or m.cols):
-            want = (coh[k].dim, coh[2 * e - k].dim if 0 <= 2 * e - k < n else 0)
-            if m is None or want != (0, 0):
-                prs[k] = zeros[want]
+        dual = coh[2 * e - k].dim if k <= 2 * e else 0
+        if m is None:
+            prs[k] = zeros[coh[k].dim, dual]
+        elif not (m.rows or m.cols):
+            prs[k] = zeros[0, dual] if dual else zeros[coh[k].dim, 0]
     return StratumData(coh, tuple(prs))
-
-
-def _matrix_at(mats: Optional[tuple], source: PureObject, target: PureObject,
-               k: int) -> Matrix:
-    """Degree k of a restriction's matrices ``mats`` (None when undeclared)
-    from ``source`` to ``target``: zeros of their shape when absent."""
-    want = (target.dim, source.dim)
-    m = mats[k] if mats is not None and 0 <= k < len(mats) else None
-    if m is None or (m.shape != want and m.rows == 0 and m.cols == 0):
-        return Matrix.zeros(*want)
-    return m
 
 
 class StratumAtlas:
@@ -166,13 +159,17 @@ class StratumAtlas:
         padded = {}
         zeros = _ZeroBlocks()
         for (src, dst), mats in restrictions.items():
-            src, dst, mats = tuple(src), tuple(dst), tuple(mats)
+            src, dst, mats = tuple(src), tuple(dst), list(mats)
             s, t = self.strata.get(src), self.strata.get(dst)
+            # an empty (0x0) degree has no rows and dim H^k(D_src) columns;
             # omitted trailing degrees are zero maps: one atlas, one hash
-            if s is not None and t is not None and len(mats) < len(s.cohomology):
-                mats += tuple([zeros[t.dim_at(k), s.dim_at(k)]
-                               for k in range(len(mats), len(s.cohomology))])
-            padded[(src, dst)] = mats
+            if s is not None:
+                mats = [m if m.rows or m.cols else zeros[0, s.dim_at(k)]
+                        for k, m in enumerate(mats)]
+                if t is not None:
+                    mats += [zeros[t.dim_at(k), s.dim_at(k)]
+                             for k in range(len(mats), len(s.cohomology))]
+            padded[(src, dst)] = tuple(mats)
         self.restrictions = MappingProxyType(padded)
         self.self_intersections = (
             MappingProxyType(dict(self_intersections))
@@ -218,9 +215,12 @@ class StratumAtlas:
         return st.pairing_at(k) if st is not None else Matrix.zeros(0, 0)
 
     def restriction_matrix(self, src, dst, k: int) -> Matrix:
-        """Pullback matrix H^k(D_src) -> H^k(D_dst) (dst = src + one element)."""
-        return _matrix_at(self.restrictions.get((tuple(src), tuple(dst))),
-                          self.pure_at(src, k), self.pure_at(dst, k), k)
+        """Pullback matrix H^k(D_src) -> H^k(D_dst) (dst = src + one element):
+        zeros of its shape for a pair or degree the atlas does not declare."""
+        mats = self.restrictions.get((tuple(src), tuple(dst)), ())
+        if 0 <= k < len(mats):
+            return mats[k]
+        return Matrix.zeros(self.pure_at(dst, k).dim, self.pure_at(src, k).dim)
 
     @property
     def connected(self) -> bool:
@@ -283,14 +283,13 @@ def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int):
         raise ParseError(loc + "".join(f"[{i}]" for i in index), str(exc)) from None
 
 
-def _parse_matrix(rows, rationals: _Rationals, zeros: _ZeroBlocks,
-                  expected_cols: int) -> Matrix:
-    """A nonempty row list as a Matrix; ``[]`` as the shared zero block with
-    no rows and ``expected_cols`` columns."""
+def _parse_matrix(rows, rationals: _Rationals, zeros: _ZeroBlocks) -> Matrix:
+    """A nonempty row list as a Matrix; ``[]`` as the shared 0x0 block, which
+    ``make_stratum`` and ``StratumAtlas`` complete to its shape."""
     if not isinstance(rows, list):
         raise ParseError("", "expected a list of matrix rows")
     if not rows:
-        return zeros[0, expected_cols]
+        return zeros[0, 0]
     parsed = []
     width = None
     for i, row in enumerate(rows):
@@ -386,20 +385,17 @@ def _parse_stratum(raw, d: int, index: Mapping, rationals: _Rationals,
 
     raw_pairs = raw["pairings"]
     _expect(isinstance(raw_pairs, list), ".pairings", "must be a list")
-    dims = [obj.dim for obj in cohomology]
     pairings = []
     try:
         for k, rows in enumerate(raw_pairs):
-            dual_deg = 2 * e - k
-            expected_cols = dims[dual_deg] if 0 <= dual_deg < len(dims) else 0
-            pairings.append(_parse_matrix(rows, rationals, zeros, expected_cols))
+            pairings.append(_parse_matrix(rows, rationals, zeros))
     except ParseError as exc:
         raise exc.within(f".pairings[{k}]") from None
     return subset, make_stratum(e, cohomology, pairings, zeros)
 
 
 def _parse_restriction(raw, index: Mapping, rationals: _Rationals, zeros: _ZeroBlocks,
-                       strata: Mapping, restrictions: Mapping) -> tuple:
+                       restrictions: Mapping) -> tuple:
     """One entry of ``restrictions`` as ``((src, dst), matrices)``, given the
     restrictions parsed before it; ParseError locations are relative to the entry."""
     _parse_object(raw, "", "restriction", _RESTRICTION_FIELDS)
@@ -408,12 +404,10 @@ def _parse_restriction(raw, index: Mapping, rationals: _Rationals, zeros: _ZeroB
     _expect((src, dst) not in restrictions, "", "duplicate restriction pair")
     raw_mats = raw["matrices"]
     _expect(isinstance(raw_mats, list), ".matrices", "must be a list")
-    src_dims = [o.dim for o in strata[src].cohomology] if src in strata else []
     mats = []
     try:
         for k, rows in enumerate(raw_mats):
-            mats.append(_parse_matrix(rows, rationals, zeros,
-                                      src_dims[k] if k < len(src_dims) else 0))
+            mats.append(_parse_matrix(rows, rationals, zeros))
     except ParseError as exc:
         raise exc.within(f".matrices[{k}]") from None
     return (src, dst), tuple(mats)
@@ -452,8 +446,7 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     _expect(isinstance(raw_restrictions, list), "restrictions", "must be a list")
     for ri, raw in enumerate(raw_restrictions):
         try:
-            pair, mats = _parse_restriction(raw, index, rationals, zeros, strata,
-                                            restrictions)
+            pair, mats = _parse_restriction(raw, index, rationals, zeros, restrictions)
         except ParseError as exc:
             raise exc.within(f"restrictions[{ri}]") from None
         restrictions[pair] = mats
@@ -714,12 +707,9 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
         if len(dst) != len(src) + 1 or len(extra) != 1:
             flag("BadRestriction", where, "'to' must be 'from' plus one component")
             continue
-        src_pure, dst_pure = src_st.pure_at, dst_st.pure_at
         for k, m in enumerate(mats):
-            source, target = src_pure(k), dst_pure(k)
+            source, target = src_st.pure_at(k), dst_st.pure_at(k)
             want = (len(target.slots), len(source.slots))
-            if not (m.rows or m.cols or want[0]):
-                continue
             if m.shape != want:
                 misshaped.add((src, dst, k))
                 flag("RestrictionShape", f"{where}.matrices[{k}]",
@@ -732,8 +722,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                      f"restriction {list(src)}->{list(dst)} degree {k}: nonzero entry "
                      f"({i},{j}) links slot {source.slots[j]} to slot {target.slots[i]}")
         # degree-0 unit rows: one 1 per connected piece of the target
-        m0 = _matrix_at(mats, src_pure(0), dst_pure(0), 0)
-        for i, row in enumerate(_sparse(m0)[0]):
+        for i, row in enumerate(_sparse(a.restriction_matrix(src, dst, 0))[0]):
             if list(row.values()) != [1]:
                 flag("UnitCheck", f"{where}.matrices[0]",
                      f"row {i} must contain a single 1 (fundamental classes)")
@@ -766,17 +755,14 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                         and all(pair in a.restrictions for pair in paths)):
                     squares.append((order[base], pos[x], pos[y], base, top, paths))
     for _, _, _, base, top, paths in sorted(squares):
-        e = a.e(base)
-        base_st = a.strata[base]
-        edges = [(a.restrictions[pair], a.strata[pair[0]], a.strata[pair[1]])
-                 for pair in paths]
+        e, base_st = a.e(base), a.strata[base]
         for k, obj in enumerate(a.strata[top].cohomology):
             # an empty corner makes both paths the same zero-sized map, and a
             # misshaped matrix has its RestrictionShape finding already
             if (k > 2 * e or not obj.slots or not base_st.pure_at(k).slots
                     or misshaped and any((src, dst, k) in misshaped for src, dst in paths)):
                 continue
-            r = [_matrix_at(mats, s.pure_at(k), t.pure_at(k), k) for mats, s, t in edges]
+            r = [a.restriction_matrix(src, dst, k) for src, dst in paths]
             if r[0] * r[1] != r[2] * r[3]:
                 flag("SquareIncompatible",
                      f"{_subset_name(base)}->{_subset_name(top)}.degree[{k}]",

@@ -49,15 +49,10 @@ def _surface(middle_pairing) -> StratumData:
     )
 
 
-def _restriction(src: StratumData, dst: StratumData, given: Mapping) -> tuple:
-    """Full degreewise restriction tuple; degrees not given are zero."""
-    mats = []
-    for k in range(len(src.cohomology)):
-        if k in given:
-            mats.append(Matrix.from_rows(given[k]))
-        else:
-            mats.append(Matrix.zeros(dst.pure_at(k).dim, src.pure_at(k).dim))
-    return tuple(mats)
+def _restriction(*degrees) -> tuple:
+    """Degreewise restriction matrices, listed as a document lists them:
+    ``[]`` for an empty degree, trailing zero degrees left out."""
+    return tuple([Matrix.from_rows(rows) for rows in degrees])
 
 
 def _surface_minus_curves(form, curves: Mapping) -> StratumAtlas:
@@ -76,7 +71,7 @@ def _surface_minus_curves(form, curves: Mapping) -> StratumAtlas:
     restrictions = {}
     for name, row in curves.items():
         strata[(name,)] = line
-        restrictions[((), (name,))] = _restriction(y, line, {0: [[1]], 2: [row]})
+        restrictions[((), (name,))] = _restriction([[1]], [], [row])
     r = Matrix.from_rows(list(curves.values()))
     meet = r * inverse(y.pairing_at(2)) * r.transpose()
     for i, ci in enumerate(names):
@@ -85,7 +80,7 @@ def _surface_minus_curves(form, curves: Mapping) -> StratumAtlas:
                 cross = (ci, names[j])
                 strata[cross] = point
                 for c in cross:
-                    restrictions[((c,), cross)] = _restriction(line, point, {0: [[1]]})
+                    restrictions[((c,), cross)] = _restriction([[1]])
     return StratumAtlas(2, names, strata, restrictions,
                         {c: meet.row(i)[i] for i, c in enumerate(names)})
 
@@ -105,10 +100,10 @@ def pn_minus_hyperplane(n: int = 2) -> StratumAtlas:
         raise ValueError(f"pn_minus_hyperplane requires an integer n with 1 <= n <= {MAX_N}")
     y = _projective_space(n)
     z = _projective_space(n - 1)
-    given = {2 * k: [[1]] for k in range(n)}
+    degrees = [[] if k % 2 else [[1]] for k in range(2 * n - 1)]
     return StratumAtlas(
         n, ["Z"], {(): y, ("Z",): z},
-        {((), ("Z",)): _restriction(y, z, given)},
+        {((), ("Z",)): _restriction(*degrees)},
     )
 
 
@@ -152,10 +147,9 @@ def low_dim_Z() -> StratumAtlas:
              Matrix.from_rows([[1]])]
     y = make_stratum(3, coh, pairs)
     e = _surface([[0, 1], [1, 0]])
-    given = {0: [[1]], 2: [[1, -1], [0, -1]], 4: [[0, -1]]}
     return StratumAtlas(
         3, ["E"], {(): y, ("E",): e},
-        {((), ("E",)): _restriction(y, e, given)},
+        {((), ("E",)): _restriction([[1]], [], [[1, -1], [0, -1]], [], [[0, -1]])},
     )
 
 
@@ -198,8 +192,8 @@ def gm() -> StratumAtlas:
     y = _projective_space(1)
     strata = {(): y, ("p0",): _projective_space(0), ("pinf",): _projective_space(0)}
     restrictions = {
-        ((), ("p0",)): _restriction(y, strata[("p0",)], {0: [[1]]}),
-        ((), ("pinf",)): _restriction(y, strata[("pinf",)], {0: [[1]]}),
+        ((), ("p0",)): _restriction([[1]]),
+        ((), ("pinf",)): _restriction([[1]]),
     }
     return StratumAtlas(1, ["p0", "pinf"], strata, restrictions)
 

@@ -21,8 +21,6 @@ computes the rank of the boundary intersection matrix for surfaces.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .absic import absolute_ic, all_degrees, boundary_at, ch_at, tabulate
 from .atlas import StratumAtlas, per_atlas, require_valid
 from .errors import MissingSelfIntersections, PreconditionViolated
@@ -266,13 +264,12 @@ def intersection_matrix(a: StratumAtlas) -> Matrix:
             f"no self-intersection declared for component(s) {missing}"
         )
     comps = a.components
-    rows = [
-        [Fraction(a.self_intersections[ci]) if i == j
-         else Fraction(a.pure_at((ci, cj) if i < j else (cj, ci), 0).dim)
+    return Matrix.from_rows([
+        [a.self_intersections[ci] if i == j
+         else a.pure_at((ci, cj) if i < j else (cj, ci), 0).dim
          for j, cj in enumerate(comps)]
         for i, ci in enumerate(comps)
-    ]
-    return Matrix(len(comps), len(comps), rows)
+    ])
 
 
 def intersection_matrix_rank(a: StratumAtlas) -> int:

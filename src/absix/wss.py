@@ -34,11 +34,10 @@ label's block; absent summand pairs cost nothing and no full matrix is formed.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .atlas import StratumAtlas, per_atlas
 from .errors import InternalError
 from .hodgecore import (
+    ZERO_OBJECT,
     MixedGraded,
     PureMorphism,
     PureObject,
@@ -47,8 +46,8 @@ from .hodgecore import (
     mixed,
     tate_twist,
 )
-from .qmat import (Matrix, _sparse, _wrap, adjoint_pushforward, cokernel_projection,
-                   kernel_basis, rank)
+from .qmat import (_sparse, _wrap, adjoint_pushforward, cokernel_projection, kernel_basis,
+                   rank)
 from .record import Record
 
 
@@ -73,23 +72,24 @@ class WeightComplex(Record):
         super().__init__(weight, spots, maps, decreasing)
 
     def spot(self, m: int) -> PureObject:
-        if 0 <= m < len(self.spots):
-            return self.spots[m]
-        return PureObject(self.weight, ())
+        """The object at spot m: ``ZERO_OBJECT`` past either end."""
+        return self.spots[m] if 0 <= m < len(self.spots) else ZERO_OBJECT
 
-    def map_out_of(self, m: int) -> Optional[PureMorphism]:
-        """The differential leaving spot m, or None at the end."""
+    def map_out_of(self, m: int) -> PureMorphism:
+        """The differential leaving spot m: past either end, the zero map to
+        the next spot."""
         i = m - 1 if self.decreasing else m
         if 0 <= i < len(self.maps):
             return self.maps[i]
-        return None
+        return PureMorphism.zero(self.spot(m), self.spot(m - 1 if self.decreasing else m + 1))
 
-    def map_into(self, m: int) -> Optional[PureMorphism]:
-        """The differential arriving at spot m, or None at the end."""
+    def map_into(self, m: int) -> PureMorphism:
+        """The differential arriving at spot m: past either end, the zero map
+        from the previous spot."""
         i = m if self.decreasing else m - 1
         if 0 <= i < len(self.maps):
             return self.maps[i]
-        return None
+        return PureMorphism.zero(self.spot(m + 1 if self.decreasing else m - 1), self.spot(m))
 
     def homology_hodge(self, m: int) -> dict:
         """Hodge numbers of ker(out) / im(in) at spot m, one label at a time."""
@@ -97,10 +97,7 @@ class WeightComplex(Record):
         out_map, in_map = self.map_out_of(m), self.map_into(m)
         counts = {}
         for lab in spot.labels():
-            total = spot.count(lab)
-            r_out = rank(out_map.block(lab)) if out_map is not None else 0
-            r_in = rank(in_map.block(lab)) if in_map is not None else 0
-            h = total - r_out - r_in
+            h = spot.count(lab) - rank(out_map.block(lab)) - rank(in_map.block(lab))
             if h < 0:
                 raise InternalError(f"homology count negative at spot {m}, label {lab}")
             if h:
@@ -254,10 +251,8 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     g1 = gc.map_into(0)
     src_counts, tgt_counts, kernels, projections = {}, {}, {}, {}
     for lab in ambient.labels():
-        restr = d0.block(lab) if d0 is not None else Matrix.zeros(0, ambient.count(lab))
-        gys = g1.block(lab) if g1 is not None else Matrix.zeros(ambient.count(lab), 0)
-        k = kernel_basis(restr)
-        c = cokernel_projection(gys)
+        k = kernel_basis(d0.block(lab))
+        c = cokernel_projection(g1.block(lab))
         kernels[lab], projections[lab] = k, c
         if k.cols:
             src_counts[lab] = k.cols

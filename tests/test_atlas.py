@@ -194,6 +194,86 @@ def test_an_empty_restriction_degree_keeps_its_finding():
         "[RestrictionShape] Y->{E1}.matrices[0]: shape (0, 1), expected (1, 1)"]
 
 
+def _built(doc) -> StratumAtlas:
+    """The atlas of ``doc`` built with ``make_stratum`` and ``StratumAtlas``,
+    passing ``Matrix.zeros(0, 0)`` wherever the document writes ``[]``."""
+    def block(rows):
+        return Matrix.from_rows(rows) if rows else Matrix.zeros(0, 0)
+
+    d = doc["dimension"]
+    strata = {
+        tuple(st["subset"]): make_stratum(
+            d - len(st["subset"]),
+            [PureObject(k, [tuple(s) for s in slots]) if slots else ZERO_OBJECT
+             for k, slots in enumerate(st["cohomology"])],
+            [block(rows) for rows in st["pairings"]])
+        for st in doc["strata"]
+    }
+    restrictions = {(tuple(r["from"]), tuple(r["to"])): [block(rows) for rows in r["matrices"]]
+                    for r in doc["restrictions"]}
+    return StratumAtlas(d, doc["components"], strata, restrictions)
+
+
+def _a1_with(edit):
+    doc = _doc()
+    edit(doc["strata"][0], doc["restrictions"][0])
+    return doc
+
+
+# Each document leaves a block out; its builder twin passes Matrix.zeros(0, 0)
+# for each [] and leaves out the same trailing degrees.
+LEFT_OUT_BLOCKS = {
+    # H^0 and H^2 of Y both nonzero: an empty pairing has no rows
+    "pairing_with_both_sides": (
+        lambda st, r: st["pairings"].__setitem__(0, []),
+        ["[PairingShape] Y.pairing[0]: shape (0, 1), expected (1, 1)"]),
+    # H^(2e-k) zero: an empty pairing is the zero block (dim H^k, 0)
+    "pairing_without_a_dual": (
+        lambda st, r: (st["cohomology"].__setitem__(2, []),
+                       st["pairings"].__setitem__(0, []), st["pairings"].__setitem__(2, [])),
+        ["[PoincareDuality] Y.H^0: h^(0,0) = 1 not mirrored by h^(1,1) in H^2",
+         "[PairingNotPerfect] Y.pairing[0]: pairing matrix is not square invertible",
+         "[PairingNotPerfect] Y.pairing[2]: pairing matrix is not square invertible"]),
+    # degree 2 (already [] in the dump): H^2(Y) nonzero, H^2 of the point zero
+    "restriction_degree_into_zero": (
+        lambda st, r: r["matrices"].__setitem__(2, []), []),
+    # degree 0 from a zero H^0(Y): the empty block stays 0x0, is misshaped
+    # against the point's H^0 and, having no rows, has no unit rows to check
+    "restriction_degree_from_zero": (
+        lambda st, r: (st["cohomology"].__setitem__(0, []), r["matrices"].__setitem__(0, [])),
+        ["[PoincareDuality] Y.H^2: h^(1,1) = 1 not mirrored by h^(0,0) in H^0",
+         "[PairingShape] Y.pairing[0]: shape (1, 1), expected (0, 1)",
+         "[PairingShape] Y.pairing[2]: shape (1, 1), expected (1, 0)",
+         "[RestrictionShape] Y->{Z}.matrices[0]: shape (0, 0), expected (1, 0)"]),
+    "trailing_degrees": (
+        lambda st, r: (r["matrices"].__delitem__(slice(1, None)),
+                       st["pairings"].__delitem__(slice(2, None))),
+        ["[PairingNotPerfect] Y.pairing[2]: pairing matrix is not square invertible"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEFT_OUT_BLOCKS))
+def test_a_builder_and_a_document_leaving_out_a_block_agree(case):
+    edit, findings = LEFT_OUT_BLOCKS[case]
+    doc = _a1_with(edit)
+    loaded, built = load_atlas(doc), _built(doc)
+    assert built == loaded
+    assert atlas_hash(built) == atlas_hash(loaded)
+    assert [str(f) for f in validate_atlas(built).findings] == findings
+    assert [str(f) for f in validate_atlas(loaded).findings] == findings
+
+
+def test_left_out_blocks_are_completed_to_their_shapes():
+    a = load_atlas(_a1_with(LEFT_OUT_BLOCKS["pairing_with_both_sides"][0]))
+    assert [m.shape for m in a.stratum(()).pairings] == [(0, 1), (0, 0), (1, 1)]
+    b = load_atlas(_a1_with(LEFT_OUT_BLOCKS["pairing_without_a_dual"][0]))
+    assert [m.shape for m in b.stratum(()).pairings] == [(1, 0), (0, 0), (0, 1)]
+    for edit in (LEFT_OUT_BLOCKS["restriction_degree_into_zero"][0],
+                 LEFT_OUT_BLOCKS["trailing_degrees"][0]):
+        (mats,) = _built(_a1_with(edit)).restrictions.values()
+        assert [m.shape for m in mats] == [(1, 1), (0, 0), (0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # Parse errors
 # ---------------------------------------------------------------------------

@@ -24,9 +24,20 @@ label (and is the identity on ``H^0``, so the fundamental classes stay put)
 turns each pairing ``Q_k`` into ``P_kᵀ Q_k P_(2e-k)`` and each restriction
 ``R`` into ``P_dst⁻¹ R P_src``.  The report must not change, except for the
 hash of the atlas it names.
+
+Closed forms for the scaling families.  These are classical.  ``G_m^k`` is a
+torus: H^n is ``binom(k, n)`` copies of Q(-n), so (n, n) at weight 2n, and
+by duality H^n_c is ``binom(k, 2k - n)`` copies of (n - k, n - k) at weight
+2(n - k) for k <= n <= 2k.  P^2 minus p points has H^0 = (0, 0), H^2 = (1, 1)
+and, from the punctures, p - 1 copies of (2, 2) at weight 4 in H^3; dually
+H^1_c is p - 1 copies of (0, 0), H^2_c = (1, 1) and H^4_c = (2, 2).  Affine
+n-space has H^0 = (0, 0) and H^2n_c = (n, n), nothing else.  The ``plain``
+(``grW``) and ``compactSupport`` (``grW_c``) tables must match these; no
+closed form is claimed for the other tables.
 """
 
 from collections import Counter
+from math import comb
 from operator import add
 from random import Random
 
@@ -212,3 +223,39 @@ def test_reports_do_not_depend_on_the_basis(seed, make):
     b = _change_basis(a, seed)
     assert b != a
     assert _report_without_hash(b) == _report_without_hash(a)
+
+
+def _gm_power(k: int) -> StratumAtlas:
+    gm = builtin("gm")
+    a = gm
+    for _ in range(k - 1):
+        a = kunneth(a, gm)
+    return a
+
+
+def _positive(table: dict) -> dict:
+    return {key: m for key, m in table.items() if m}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_torus_tables_have_their_closed_form(k):
+    a = _gm_power(k)
+    assert _graded(a, grW) == {(n, 2 * n, n, n): comb(k, n) for n in range(k + 1)}
+    assert _graded(a, grW_c) == {(n, 2 * (n - k), n - k, n - k): comb(k, 2 * k - n)
+                                 for n in range(k, 2 * k + 1)}
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 8, 30, 100, 300])
+def test_plane_minus_points_tables_have_their_closed_form(p):
+    a = builtin("points_in_proper", points=p)
+    assert _graded(a, grW) == _positive({(0, 0, 0, 0): 1, (2, 2, 1, 1): 1,
+                                         (3, 4, 2, 2): p - 1})
+    assert _graded(a, grW_c) == _positive({(1, 0, 0, 0): p - 1, (2, 2, 1, 1): 1,
+                                           (4, 4, 2, 2): 1})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 30, 100])
+def test_affine_space_tables_have_their_closed_form(n):
+    a = builtin("pn_minus_hyperplane", n=n)
+    assert _graded(a, grW) == {(0, 0, 0, 0): 1}
+    assert _graded(a, grW_c) == {(2 * n, 2 * n, n, n): 1}

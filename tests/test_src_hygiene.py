@@ -11,6 +11,11 @@ A third keeps tuples cheap: no ``tuple()`` call takes a generator
 expression, ``map``, ``zip`` or ``filter``, whose length CPython does not
 know in advance (the ``absix.qmat`` docstring gives the cost); build the
 tuple from a list instead.
+
+A fourth keeps what a left-out block means in one module: outside
+``atlas.py``, no module reads the stored ``restrictions``, ``pairings`` or
+``cohomology`` of an atlas or stratum; they call ``restriction_matrix``,
+``pairing_at`` or ``pure_at``.
 """
 
 import ast
@@ -105,3 +110,25 @@ def test_lazy_tuple_rule_sees_every_form():
     source = "tuple(x for x in y); tuple(map(f, y)); tuple(zip(y, z)); tuple(filter(f, y))"
     assert len(_lazy_tuple_calls(ast.parse(source))) == 4
     assert not _lazy_tuple_calls(ast.parse("tuple([x for x in y]); tuple(range(3)); tuple(d)"))
+
+
+_ATLAS_STORAGE = ("restrictions", "pairings", "cohomology")
+
+
+def _storage_reads(tree: ast.AST) -> list:
+    """Lines that read an attribute named like the atlas's stored blocks."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                   and node.attr in _ATLAS_STORAGE})
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "atlas.py"])
+def test_only_the_atlas_module_reads_its_stored_blocks(name):
+    reads = _storage_reads(MODULES[name])
+    assert not reads, (f"{name}: reads atlas storage on lines {reads}; "
+                       "call restriction_matrix, pairing_at or pure_at")
+
+
+def test_storage_rule_sees_reads_but_not_accessors():
+    source = "a.restrictions[p]\nst.pairings[0]\nlen(s.cohomology)\na.pairing_at(s, 0)"
+    assert _storage_reads(ast.parse(source)) == [1, 2, 3]

@@ -10,7 +10,7 @@ from absix.atlas import StratumAtlas, dumps_atlas, validate_atlas
 from absix.cli import main
 from absix.corpus import builtin
 from absix.errors import InternalError
-from absix.hodgecore import tate_twist
+from absix.hodgecore import ZERO_OBJECT, PureMorphism, tate_twist
 from absix.qmat import adjoint_pushforward, inverse
 from absix.wss import (
     grW,
@@ -115,6 +115,21 @@ def test_differentials_and_euler_on_synthetic_atlases():
         for w in range(2 * a.dimension + 1):
             _check_complex(gysin_complex(a, w))
             _check_complex(restriction_complex(a, w))
+
+
+@pytest.mark.parametrize("name", ["a1", "gm_times_a1"])
+def test_the_differentials_past_either_end_are_zero_maps(name):
+    a = builtin(name)
+    for c in (gysin_complex(a, 2), restriction_complex(a, 0), restriction_complex(a, 2)):
+        last = len(c.spots) - 1
+        assert c.spot(-1) == c.spot(last + 1) == ZERO_OBJECT
+        # the end the differentials lead to, and the end they start from
+        head, tail = (0, last) if c.decreasing else (last, 0)
+        assert c.map_out_of(head) == PureMorphism.zero(c.spot(head), ZERO_OBJECT)
+        assert c.map_into(tail) == PureMorphism.zero(ZERO_OBJECT, c.spot(tail))
+        assert c.map_out_of(head).is_zero() and c.map_into(tail).is_zero()
+        assert c.map_into(head) is c.maps[0 if c.decreasing else -1]
+        assert c.map_out_of(tail) is c.maps[-1 if c.decreasing else 0]
 
 
 def test_homology_eliminates_each_differential_block_once(monkeypatch):
