@@ -49,14 +49,13 @@ from .hodgecore import (
 )
 from .qmat import (
     Matrix,
-    _selection,
+    _wrap,
     hstack_all,
     inverse,
     kernel_basis,
     pivot_columns,
     right_inverse,
     rref,
-    vstack_all,
 )
 from .record import Record
 
@@ -76,7 +75,9 @@ class ChDecomposition(Record):
 
 def ch_factorization(v: PureMorphism) -> ChDecomposition:
     """The canonical factorization of v through CH(v), blockwise pivot-order
-    (see the module docstring for the choice of each block)."""
+    (see the module docstring for the choice of each block).  Each block of
+    i_ch and pi_ch is built in one pass from the rref rows, the pivot
+    columns and the cofree rows."""
     kerd, imd, cokd = {}, {}, {}
     i_blocks, pi_blocks = {}, {}
     for lab in v.labels():
@@ -87,15 +88,13 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
         free = [j for j in range(s_dim) if j not in pivcols]
         cofree = [i for i in range(t_dim) if i not in pivrows]
         k, r, c = len(free), len(pivots), len(cofree)
-        B = m.take_columns(pivots)                          # t x r
-        coords = R.take_rows(range(r))                      # r x s
         kerd[lab], imd[lab], cokd[lab] = k, r, c
-        i_blocks[lab] = vstack_all(
-            [_selection(free, s_dim), coords, Matrix.zeros(c, s_dim)], cols=s_dim
-        )
-        pi_blocks[lab] = hstack_all(
-            [Matrix.zeros(t_dim, k), B, _selection(cofree, t_dim).transpose()], rows=t_dim
-        )
+        i_blocks[lab] = _wrap(k + r + c, s_dim, tuple(
+            [tuple([int(j == f) for j in range(s_dim)]) for f in free]
+            + list(R.entries()[:r]) + [(0,) * s_dim] * c))
+        pi_blocks[lab] = _wrap(t_dim, k + r + c, tuple([
+            (0,) * k + tuple([row[p] for p in pivots]) + tuple([int(i == g) for g in cofree])
+            for i, row in enumerate(m.entries())]))
 
     w = (v.target if v.source.is_zero else v.source).weight
     kernel_part, image_part, cokernel_part = (
@@ -103,7 +102,7 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
     total = direct_sum_all([kernel_part, image_part, cokernel_part])
     i_ch = PureMorphism(v.source, total, i_blocks)
     pi_ch = PureMorphism(total, v.target, pi_blocks)
-    # per label pi_ch . i_ch = B . coords, so this also checks m = B . coords
+    # per label pi_ch . i_ch = i . q, so this also checks m = i . q
     if pi_ch.compose(i_ch) != v:
         raise InternalError("canonical factorization must recover v")
     if i_ch.rank() != v.source.dim:

@@ -220,6 +220,10 @@ class PureMorphism:
             return got
         return Matrix.zeros(self.target.count(label), self.source.count(label))
 
+    def stored_block(self, label):
+        """The block kept for ``label``, or None where it is zero-sized."""
+        return self._blocks.get(label)
+
     def labels(self) -> tuple:
         return self._labels
 

@@ -314,6 +314,26 @@ def _sparse(m: Matrix) -> tuple:
     return m._nz
 
 
+def _from_sparse(cols: int, lines: Sequence[dict]) -> Matrix:
+    """A Matrix with ``cols`` columns on ``lines``, its rows as ``{column:
+    entry}`` dicts of nonzero canonical entries in column order.  The dicts
+    become its sparse view, so they must not be modified afterwards."""
+    zero = (0,) * cols
+    data = []
+    for line in lines:
+        if line:
+            row = [0] * cols
+            for j, x in line.items():
+                row[j] = x
+            data.append(tuple(row))
+        else:
+            data.append(zero)
+    m = _wrap(len(data), cols, tuple(data))
+    m._nz = (tuple(lines),
+             _INT.issuperset(map(type, chain.from_iterable([line.values() for line in lines]))))
+    return m
+
+
 def hstack_all(mats: Sequence[Matrix], rows: int = 0) -> Matrix:
     """Horizontal concatenation; `rows` disambiguates the empty list."""
     if not mats:
@@ -577,6 +597,11 @@ def adjoint_pushforward(r: Matrix, q_source: Matrix,
     <g a, b>_target = <a, r b>_source for all coordinate vectors a, b.
     Raises PairingNotPerfect if the inverse is None (singular target) or the
     source pairing is not square, DimensionError on shape mismatch.
+
+    The engine no longer calls it: ``wss.gysin_complex`` applies the pairings
+    one label at a time.  It is kept as the independent per-edge reference
+    the tests compare the Gysin complexes against, and because the benchmark
+    tracer (``perfbench/tracing.py``) patches it by name and counts its calls.
     """
     if q_target_inverse is None:
         raise PairingNotPerfect("target pairing is singular")

@@ -1,12 +1,14 @@
 """Weight complexes: differentials, duality, and graded cohomology."""
 
+import functools
+import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 from absix import Matrix, qmat
-from absix.atlas import StratumAtlas, dumps_atlas, validate_atlas
+from absix.atlas import StratumAtlas, StratumData, dumps_atlas, validate_atlas
 from absix.cli import main
 from absix.corpus import builtin
 from absix.errors import InternalError
@@ -21,7 +23,8 @@ from absix.wss import (
     u_map,
 )
 
-from synth import random_atlas, random_boundary_atlas, random_proper_atlas
+from synth import kunneth, random_atlas, random_boundary_atlas, random_proper_atlas
+from test_oracles import _change_basis
 
 
 def _tables(a, fn):
@@ -247,36 +250,91 @@ def _off_label_atlas():
     return a
 
 
-def _off_label_pushforward(monkeypatch):
-    """Make every Gysin block send its first column onto its first row."""
-    real = adjoint_pushforward
+def _off_label_inverse(monkeypatch):
+    """Make the inverse of Y's degree-3 pairing also link the H^1 row that pairs
+    with the (2, 1) class to the (1, 2) class."""
+    real = StratumData.pairing_inverse
 
-    def patched(r, q_source, q_target_inverse):
-        g = real(r, q_source, q_target_inverse)
-        rows = g.to_lists()
+    def patched(self, k):
+        inv = real(self, k)
+        if k != 3:  # only Y has H^3
+            return inv
+        rows = inv.to_lists()
         rows[0][0] += 1
         return Matrix.from_rows(rows)
 
-    monkeypatch.setattr("absix.wss.adjoint_pushforward", patched)
+    monkeypatch.setattr(StratumData, "pairing_inverse", patched)
 
 
 def test_off_label_gysin_block_is_an_internal_error(monkeypatch):
     a = _off_label_atlas()
-    _off_label_pushforward(monkeypatch)
-    # Weight 2: the (1,1) point class would land on the (0,2) line of H^2(Y).
-    with pytest.raises(InternalError, match=r"gysin differential w=2, spot 1: .*\(1, 1\) to slot \(0, 2\)"):
-        gysin_complex(a, 2)
+    _off_label_inverse(monkeypatch)
+    # Weight 3: the (1,2) and (2,1) blocks out of H^1(Z1)(-1) read that inverse.
+    with pytest.raises(InternalError, match=r"gysin differential w=3, spot 1: .*\(2, 1\) to slot \(1, 2\)"):
+        gysin_complex(a, 3)
 
 
 def test_off_label_gysin_block_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
     path = tmp_path / "surface.atlas.json"
     path.write_text(dumps_atlas(_off_label_atlas()), encoding="utf-8")
-    _off_label_pushforward(monkeypatch)
+    _off_label_inverse(monkeypatch)
     assert main(["compute", str(path), "--what", "cohomology"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("internal error (a bug in absix): gysin differential w=2")
+    assert err.startswith("internal error (a bug in absix): gysin differential w=3")
     assert err.count("\n") == 1
+
+
+def _wrong_component_inverse(monkeypatch):
+    """Double the degree-2 pairing inverse of the first component of gm x gm
+    whose inverse is read; the other components keep theirs."""
+    real = StratumData.pairing_inverse
+    first = []
+
+    def patched(self, k):
+        inv = real(self, k)
+        if k == 2 and inv.rows == 1 and (not first or first[0] is self):  # Y's is 2x2
+            first[:] = [self]
+            return inv.scale(2)
+        return inv
+
+    monkeypatch.setattr(StratumData, "pairing_inverse", patched)
+
+
+def test_a_wrong_pairing_inverse_breaks_d_squared(monkeypatch):
+    a = kunneth(builtin("gm"), builtin("gm"))
+    _wrong_component_inverse(monkeypatch)
+    with pytest.raises(InternalError, match="differential does not square to zero"):
+        gysin_complex(a, 4)
+
+
+def test_a_wrong_pairing_inverse_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "gm2.atlas.json"
+    path.write_text(dumps_atlas(kunneth(builtin("gm"), builtin("gm"))), encoding="utf-8")
+    _wrong_component_inverse(monkeypatch)
+    assert main(["compute", str(path), "--what", "cohomology"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error (a bug in absix): differential does not square to zero at 0\n"
+
+
+def test_a_full_report_calls_no_adjoint_pushforward(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = qmat.adjoint_pushforward
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("absix") and getattr(module, "adjoint_pushforward", None) is real:
+            monkeypatch.setattr(module, "adjoint_pushforward", counted)
+    path = tmp_path / "product.atlas.json"
+    path.write_text(dumps_atlas(kunneth(builtin("gm"), builtin("gm_times_a1"))),
+                    encoding="utf-8")
+    assert main(["compute", str(path), "--what", "all"]) == 0
+    capsys.readouterr()
+    assert calls == []
 
 
 def _off_label_restriction(monkeypatch):
@@ -362,6 +420,43 @@ def test_duality_on_synthetic_atlases():
     rng = Random(1717)
     for _ in range(10):
         _check_duality(random_atlas(rng))
+
+
+# ---------------------------------------------------------------------------
+# Both references on the products the benchmark's deep workload runs
+# ---------------------------------------------------------------------------
+
+PRODUCTS = [("gm", "gm"), ("a1", "gm_times_a1"), ("gm", "gm_times_a1"),
+            ("surface_resolution", "gm")]
+
+
+@functools.lru_cache(maxsize=None)
+def _random_products() -> tuple:
+    """Six products of two random boundary curves, drawn as the benchmark
+    draws its deep inputs (its filter aside)."""
+    rng = Random(2600)
+    return tuple([kunneth(random_boundary_atlas(rng, 1, rng.randint(1, 2)),
+                          random_boundary_atlas(rng, 1, rng.randint(1, 2)))
+                  for _ in range(6)])
+
+
+PRODUCT_CASES = (
+    [(f"{x} x {y}", lambda x=x, y=y: kunneth(builtin(x), builtin(y))) for x, y in PRODUCTS]
+    + [(f"random-2600-{i}", lambda i=i: _random_products()[i]) for i in range(6)]
+)
+
+
+@pytest.mark.parametrize("changed", [False, True], ids=["as built", "basis changed"])
+@pytest.mark.parametrize("make", [make for _, make in PRODUCT_CASES],
+                         ids=[name for name, _ in PRODUCT_CASES])
+def test_products_match_the_per_edge_reference_and_duality(make, changed):
+    a = make()
+    if changed:
+        a = _change_basis(a, 2600)
+        assert a != make()
+    assert validate_atlas(a).ok
+    _check_against_dense(a)
+    _check_duality(a)
 
 
 # ---------------------------------------------------------------------------
