@@ -61,12 +61,13 @@ import functools
 import json
 import re
 import sys
+from itertools import compress
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, InvalidAtlas, ParseError
 from .hodgecore import PureObject, ZERO_OBJECT, _pure, cross_label_entry
-from .qmat import Matrix, _frac, _parse_rational, _sparse, _wrap, inverse, rank
+from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse, rank
 from .record import Record
 
 MAX_DIMENSION = 1000  # each stratum spans 2e+1 degrees, so work grows with d
@@ -176,6 +177,10 @@ class StratumAtlas:
             if self_intersections is not None else None
         )
         self._subsets = tuple(sorted(self.strata, key=self.subset_key))
+        by_size = {}
+        for s in self._subsets:
+            by_size.setdefault(len(s), []).append(s)
+        self._by_size = {m: tuple(group) for m, group in by_size.items()}
         self._cache = {}  # validation report and per_atlas results; set last
 
     def __setattr__(self, name, value):
@@ -192,11 +197,12 @@ class StratumAtlas:
         """The declared subsets by size, then in components order (sorted once)."""
         return self._subsets
 
-    def subsets_of_size(self, m: int) -> list:
-        return [s for s in self.declared_subsets() if len(s) == m]
+    def subsets_of_size(self, m: int) -> tuple:
+        """The declared subsets of size m, in ``declared_subsets`` order."""
+        return self._by_size.get(m, ())
 
     def depth(self) -> int:
-        return max((len(s) for s in self.strata), default=0)
+        return max(self._by_size, default=0)
 
     def e(self, subset: Sequence[str]) -> int:
         return self.dimension - len(subset)
@@ -296,7 +302,7 @@ def _parse_matrix(rows, rationals: _Rationals, zeros: _ZeroBlocks) -> Matrix:
         if not isinstance(row, list):
             raise ParseError(f"[{i}]", "expected a row list")
         try:
-            vals = tuple([rationals[x] if type(x) is str else _frac(x) for x in row])
+            vals = [rationals[x] if type(x) is str else _frac(x) for x in row]
         except DimensionError:
             for j, x in enumerate(row):  # locate the first bad entry
                 _parse_fraction(x, rationals, "", i, j)
@@ -305,8 +311,8 @@ def _parse_matrix(rows, rationals: _Rationals, zeros: _ZeroBlocks) -> Matrix:
             width = len(vals)
         elif len(vals) != width:
             raise ParseError(f"[{i}]", "ragged matrix rows")
-        parsed.append(vals)
-    return _wrap(len(parsed), width, tuple(parsed))
+        parsed.append(dict(compress(enumerate(vals), vals)))
+    return _wrap(width, parsed)
 
 
 def _parse_object(raw, loc: str, what: str, required: tuple, optional: tuple = ()):
@@ -685,8 +691,8 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
             if want[0] != want[1] or rank(pk) != want[0]:
                 flag("PairingNotPerfect", f"{where}.pairing[{k}]",
                      "pairing matrix is not square invertible")
-            for i, ((p, q), row) in enumerate(zip(slots, _sparse(pk)[0])):
-                for j in row:
+            for i, ((p, q), row) in enumerate(zip(slots, pk.sparse_rows())):
+                for j in sorted(row):
                     pp, qq = dual_slots[j]
                     if p + pp != e or q + qq != e:
                         flag("PairingHodge", f"{where}.pairing[{k}]",
@@ -722,7 +728,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                      f"restriction {list(src)}->{list(dst)} degree {k}: nonzero entry "
                      f"({i},{j}) links slot {source.slots[j]} to slot {target.slots[i]}")
         # degree-0 unit rows: one 1 per connected piece of the target
-        for i, row in enumerate(_sparse(a.restriction_matrix(src, dst, 0))[0]):
+        for i, row in enumerate(a.restriction_matrix(src, dst, 0).sparse_rows()):
             if list(row.values()) != [1]:
                 flag("UnitCheck", f"{where}.matrices[0]",
                      f"row {i} must contain a single 1 (fundamental classes)")

@@ -89,12 +89,15 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
         cofree = [i for i in range(t_dim) if i not in pivrows]
         k, r, c = len(free), len(pivots), len(cofree)
         kerd[lab], imd[lab], cokd[lab] = k, r, c
-        i_blocks[lab] = _wrap(k + r + c, s_dim, tuple(
-            [tuple([int(j == f) for j in range(s_dim)]) for f in free]
-            + list(R.entries()[:r]) + [(0,) * s_dim] * c))
-        pi_blocks[lab] = _wrap(t_dim, k + r + c, tuple([
-            (0,) * k + tuple([row[p] for p in pivots]) + tuple([int(i == g) for g in cofree])
-            for i, row in enumerate(m.entries())]))
+        i_blocks[lab] = _wrap(s_dim, [{f: 1} for f in free]
+                              + list(R.sparse_rows()[:r]) + [{}] * c)
+        place = {p: k + n for n, p in enumerate(pivots)}
+        unit = {g: k + r + n for n, g in enumerate(cofree)}
+        pi_lines = [{place[j]: x for j, x in row.items() if j in place}
+                    for row in m.sparse_rows()]
+        for g, n in unit.items():
+            pi_lines[g][n] = 1
+        pi_blocks[lab] = _wrap(k + r + c, pi_lines)
 
     w = (v.target if v.source.is_zero else v.source).weight
     kernel_part, image_part, cokernel_part = (

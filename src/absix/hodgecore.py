@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, WeightMismatch
-from .qmat import Matrix, _sparse
+from .qmat import Matrix, _wrap, rank
 from .record import Record
 
 #: Allowed CohomologyTable kind tags.
@@ -136,10 +136,10 @@ def cross_label_entry(source: PureObject, target: PureObject, m: Matrix):
     if len(labels) == 1 and labels == target.labels():
         return None
     sslots = source.slots
-    for i, (t, row) in enumerate(zip(target.slots, _sparse(m)[0])):
+    for i, (t, row) in enumerate(zip(target.slots, m.sparse_rows())):
         for j in row:
             if sslots[j] != t:
-                return i, j
+                return i, min([j for j in row if sslots[j] != t])
     return None
 
 
@@ -229,16 +229,14 @@ class PureMorphism:
 
     def full_matrix(self) -> Matrix:
         """Reassemble the single matrix in the slot order of source/target."""
-        out = [[0] * self.source.dim for _ in range(self.target.dim)]
+        lines = [{} for _ in range(self.target.dim)]
         for lab, m in self._blocks.items():
-            rows = self.target.positions(lab)
             cols = self.source.positions(lab)
-            for bi, i in enumerate(rows):
-                for bj, j in enumerate(cols):
-                    out[i][j] = m[bi, bj]
-        return Matrix.from_rows(out) if self.target.dim and self.source.dim else Matrix.zeros(
-            self.target.dim, self.source.dim
-        )
+            for i, row in zip(self.target.positions(lab), m.sparse_rows()):
+                line = lines[i]
+                for j, x in row.items():
+                    line[cols[j]] = x
+        return _wrap(self.source.dim, lines)
 
     # -- algebra -----------------------------------------------------------
 
@@ -252,8 +250,7 @@ class PureMorphism:
         return PureMorphism(other.source, self.target, blocks)
 
     def rank(self) -> int:
-        from .qmat import rank as _rank
-        return sum(_rank(m) for m in self._blocks.values())
+        return sum(rank(m) for m in self._blocks.values())
 
     def is_injective(self) -> bool:
         return self.rank() == self.source.dim

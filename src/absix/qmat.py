@@ -8,16 +8,19 @@ are those of the rationals; the form only makes the common case fast, as
 almost every engine entry is a small integer and ``int`` arithmetic runs in
 C.  Every constructor and every kernel returns canonical entries.  Nothing
 here divides two entries (``int / int`` would be a float): division is exact
-integer division or the building of a ``Fraction``.  The public views
-``m[i, j]`` and ``to_lists()`` give ``Fraction`` values; ``row()`` and
-``entries()`` give the stored canonical tuples.
+integer division or the building of a ``Fraction``.
 
-Each matrix has a sparse view, built on first use and kept: its rows as
-``{column: entry}`` dicts of their nonzeros.  Products and elimination read
-it, so a zero entry costs nothing and a factor reused many times (a
-pairing inverse, a restriction) is scanned once.  Sums of integers stay
-integers; when a ``Fraction`` takes part, the sums run on ``Fraction``
-accumulators and integral results go back to ``int``.
+A matrix is stored once, as its rows of nonzeros: one ``{column: entry}``
+dict per row (compressed-row storage), with a flag, set when the rows are
+built, that says whether every entry is an ``int``.  Every kernel reads and
+writes these rows, so a zero entry costs nothing; ``sparse_rows()`` hands
+them to the rest of the package, shared and read-only.  Dense tuples are
+built only on demand, for dumping and printing: ``row()`` and ``entries()``
+give canonical scalars, ``m[i, j]`` and ``to_lists()`` give ``Fraction``
+values.  Equality and hashing depend on the entries alone, not on the
+column order inside a row.  Sums of integers stay integers; when a
+``Fraction`` takes part, the sums run on ``Fraction`` accumulators and
+integral results go back to ``int``.
 
 Rank-revealing computations run fraction-free on sparse integer rows: each
 row is cleared to integers by the lcm of its denominators and kept as
@@ -41,9 +44,9 @@ Trust boundary: the public constructors (``Matrix(rows, cols, data)``,
 check the shape and every entry.  An entry is a ``Fraction``, an ``int``
 (not ``bool``) or a string in the strict grammar ``-?[0-9]+(/[0-9]+)?`` that
 the atlas format also uses; anything else is a ``DimensionError``.  Every
-matrix this module computes is built from rows that are already tuples of
-canonical entries of the declared shape, so it is wrapped without checking
-them again.
+matrix this module computes is built from rows that already hold nonzero
+canonical entries inside the declared shape, so the one unchecked
+constructor, ``_wrap``, takes them without checking them again.
 
 Every tuple here is built from a list, whose length is known, never from a
 generator or ``zip`` directly: CPython builds those by resizing a ten-slot
@@ -121,37 +124,57 @@ def _check_shape(rows: int, cols: int):
         raise DimensionError("negative matrix dimensions")
 
 
-def _wrap(rows: int, cols: int, data: tuple) -> "Matrix":
-    """A Matrix on ``data``, which must already be a ``rows``-tuple of
-    ``cols``-tuples of canonical scalars: nothing is checked or copied."""
+def _all_int(lines: Sequence[dict]) -> bool:
+    """Whether every entry of the rows ``lines`` is an int."""
+    return _INT.issuperset(map(type, chain.from_iterable([line.values() for line in lines])))
+
+
+def _wrap(cols: int, lines: Sequence[dict], integral: Optional[bool] = None) -> "Matrix":
+    """The Matrix with ``cols`` columns whose rows are ``lines``: ``{column:
+    entry}`` dicts of nonzero canonical entries, in any column order.
+    Nothing is checked or copied, so the dicts must not be modified
+    afterwards.  ``integral`` says whether every entry is an int; when it is
+    not given, the entries are scanned."""
     m = object.__new__(Matrix)
-    m.rows = rows
+    m.rows = len(lines)
     m.cols = cols
-    m._data = data
-    m._nz = m._pivots = None
+    m._lines = lines = tuple(lines)
+    m._integral = _all_int(lines) if integral is None else integral
+    m._pivots = None
     return m
+
+
+def _dense(cols: int, line: dict) -> tuple:
+    """The row ``line`` as a ``cols``-tuple, zeros included."""
+    row = [0] * cols
+    for j, x in line.items():
+        row[j] = x
+    return tuple(row)
 
 
 class Matrix:
     """Immutable matrix of exact rationals; supports zero-sized shapes.
 
-    ``_nz`` (the sparse view) and ``_pivots`` are memos filled on first use;
-    they never change what the matrix is.
+    ``_lines`` holds the rows as ``{column: entry}`` dicts of their nonzeros
+    and ``_integral`` whether every entry is an int; both are set when the
+    rows are built.  ``_pivots`` is a memo filled on first use; it never
+    changes what the matrix is.
     """
 
-    __slots__ = ("rows", "cols", "_data", "_nz", "_pivots")
+    __slots__ = ("rows", "cols", "_lines", "_integral", "_pivots")
 
     def __init__(self, rows: int, cols: int, data: Iterable[Iterable]):
         _check_shape(rows, cols)
-        tup = tuple([tuple([_frac(x) for x in row]) for row in data])
-        if len(tup) != rows or any(len(r) != cols for r in tup):
+        dense = [[_frac(x) for x in row] for row in data]
+        if len(dense) != rows or any(len(r) != cols for r in dense):
             raise DimensionError(
-                f"expected {rows}x{cols} data, got rows of lengths {[len(r) for r in tup]}"
+                f"expected {rows}x{cols} data, got rows of lengths {[len(r) for r in dense]}"
             )
         self.rows = rows
         self.cols = cols
-        self._data = tup
-        self._nz = self._pivots = None
+        self._lines = lines = tuple([dict(compress(enumerate(r), r)) for r in dense])
+        self._integral = _all_int(lines)
+        self._pivots = None
 
     # -- constructors ------------------------------------------------------
 
@@ -166,14 +189,14 @@ class Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         _check_shape(rows, cols)
-        m = _wrap(rows, cols, ((0,) * cols,) * rows)
+        m = _wrap(cols, ({},) * rows, True)
         m._pivots = ()
         return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
         _check_shape(n, n)
-        return _wrap(n, n, tuple([tuple([int(i == j) for j in range(n)]) for i in range(n)]))
+        return _wrap(n, [{i: 1} for i in range(n)], True)
 
     @classmethod
     def column(cls, entries: Sequence) -> "Matrix":
@@ -183,23 +206,29 @@ class Matrix:
 
     def __getitem__(self, key) -> Fraction:
         i, j = key
-        return Fraction(self._data[i][j])
+        return Fraction(self.row(i)[j])
 
     def row(self, i: int) -> tuple:
-        """Row i as stored: a tuple of canonical scalars."""
-        return self._data[i]
+        """Row i as a tuple of canonical scalars, zeros included."""
+        return _dense(self.cols, self._lines[i])
+
+    def sparse_rows(self) -> tuple:
+        """The stored rows: one ``{column: entry}`` dict of nonzero canonical
+        entries per row, in no fixed column order.  They are shared, so they
+        must not be modified."""
+        return self._lines
 
     @property
     def shape(self) -> tuple:
         return (self.rows, self.cols)
 
     def entries(self) -> tuple:
-        """All rows as stored: tuples of canonical scalars."""
-        return self._data
+        """All rows as tuples of canonical scalars, zeros included."""
+        return tuple([_dense(self.cols, line) for line in self._lines])
 
     def to_lists(self) -> list:
         """The entries as lists of Fractions."""
-        return [list(map(Fraction, r)) for r in self._data]
+        return [list(map(Fraction, r)) for r in self.entries()]
 
     # -- algebra -----------------------------------------------------------
 
@@ -208,32 +237,31 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        n = other.cols
-        left, left_integral = _sparse(self)
-        right, right_integral = _sparse(other)
+        right = other._lines
         out = []
-        if left_integral and right_integral:
-            for row in left:
-                acc = [0] * n
+        if self._integral and other._integral:
+            for row in self._lines:
+                acc = {}
                 for k, a in row.items():
                     for j, b in right[k].items():
-                        acc[j] += a * b
-                out.append(tuple(acc))
-        else:
-            # Fraction accumulators, and a Fraction (when there is one) on the
-            # left of each product, so no term goes through Fraction's slower
-            # reflected operators.
-            for row in left:
-                acc = [_ZERO] * n
-                for k, a in row.items():
-                    if type(a) is int:
-                        for j, b in right[k].items():
-                            acc[j] += b * a
-                    else:
-                        for j, b in right[k].items():
-                            acc[j] += a * b
-                out.append(tuple([x.numerator if x.denominator == 1 else x for x in acc]))
-        return _wrap(self.rows, n, tuple(out))
+                        acc[j] = acc.get(j, 0) + a * b
+                out.append({j: x for j, x in acc.items() if x} if 0 in acc.values() else acc)
+            return _wrap(other.cols, out, True)
+        # Fraction accumulators, and a Fraction (when there is one) on the
+        # left of each product, so no term goes through Fraction's slower
+        # reflected operators.
+        for row in self._lines:
+            acc = {}
+            for k, a in row.items():
+                if type(a) is int:
+                    for j, b in right[k].items():
+                        acc[j] = acc.get(j, _ZERO) + b * a
+                else:
+                    for j, b in right[k].items():
+                        acc[j] = acc.get(j, _ZERO) + a * b
+            out.append({j: x.numerator if x.denominator == 1 else x
+                        for j, x in acc.items() if x})
+        return _wrap(other.cols, out)
 
     def scale(self, k) -> "Matrix":
         k = _frac(k)
@@ -241,48 +269,68 @@ class Matrix:
             return self
         if k == -1:
             return -self
-        return _wrap(self.rows, self.cols,
-                     tuple([tuple([_canon(k * x) for x in r]) for r in self._data]))
+        if not k:
+            return Matrix.zeros(self.rows, self.cols)
+        lines = [{j: _canon(k * x) for j, x in line.items()} for line in self._lines]
+        return _wrap(self.cols, lines, (type(k) is int and self._integral) or None)
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise DimensionError(f"cannot add {self.shape} and {other.shape}")
-        return _wrap(self.rows, self.cols, tuple([
-            tuple([_canon(a + b) for a, b in zip(r1, r2)])
-            for r1, r2 in zip(self._data, other._data)
-        ]))
+        out = []
+        for line, more in zip(self._lines, other._lines):
+            if more:
+                line = dict(line)
+                for j, y in more.items():
+                    v = _canon(line.get(j, 0) + y)
+                    if v:
+                        line[j] = v
+                    else:
+                        del line[j]
+            out.append(line)
+        return _wrap(self.cols, out, (self._integral and other._integral) or None)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         return self + -other
 
     def __neg__(self) -> "Matrix":
-        return _wrap(self.rows, self.cols, tuple([tuple([-x for x in r]) for r in self._data]))
+        return _wrap(self.cols, [{j: -x for j, x in line.items()} for line in self._lines],
+                     self._integral)
 
     def transpose(self) -> "Matrix":
-        return _wrap(self.cols, self.rows,
-                     tuple(list(zip(*self._data))) if self.rows else ((),) * self.cols)
+        out = [{} for _ in range(self.cols)]
+        for i, line in enumerate(self._lines):
+            for j, x in line.items():
+                out[j][i] = x
+        return _wrap(self.rows, out, self._integral)
 
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionError("hstack row mismatch")
-        return _wrap(self.rows, self.cols + other.cols,
-                     tuple([r1 + r2 for r1, r2 in zip(self._data, other._data)]))
+        shift, out = self.cols, []
+        for line, more in zip(self._lines, other._lines):
+            if more:
+                line = dict(line)
+                for j, x in more.items():
+                    line[shift + j] = x
+            out.append(line)
+        return _wrap(shift + other.cols, out, self._integral and other._integral)
 
     def vstack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise DimensionError("vstack column mismatch")
-        return _wrap(self.rows + other.rows, self.cols, self._data + other._data)
+        return _wrap(self.cols, self._lines + other._lines, self._integral and other._integral)
 
     def take_rows(self, idx: Sequence[int]) -> "Matrix":
-        return _wrap(len(idx), self.cols, tuple([self._data[i] for i in idx]))
+        lines = self._lines
+        return _wrap(self.cols, [lines[i] for i in idx], self._integral or None)
 
     def take_columns(self, idx: Sequence[int]) -> "Matrix":
-        return _wrap(self.rows, len(idx),
-                     tuple([tuple([r[j] for j in idx]) for r in self._data]))
+        return _wrap(len(idx), [{k: line[j] for k, j in enumerate(idx) if j in line}
+                                for line in self._lines], self._integral or None)
 
     def is_zero(self) -> bool:
-        # A zero entry is always the int 0, and a Fraction entry is never zero.
-        return not any(map(any, self._data))
+        return not any(self._lines)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -290,48 +338,18 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self._data == other._data
+            and self._lines == other._lines
         )
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.rows, self.cols,
+                     tuple([frozenset(line.items()) for line in self._lines])))
 
     def __repr__(self) -> str:
         if self.rows == 0 or self.cols == 0:
             return f"Matrix({self.rows}x{self.cols})"
-        body = "; ".join(" ".join(str(x) for x in r) for r in self._data)
+        body = "; ".join(" ".join(str(x) for x in r) for r in self.entries())
         return f"Matrix[{body}]"
-
-
-def _sparse(m: Matrix) -> tuple:
-    """The sparse view of ``m``, built once and kept on ``m``: ``(rows,
-    integral)`` with each row a ``{column: entry}`` dict of its nonzeros, and
-    ``integral`` true when every entry is an int.  The dicts are shared and
-    must not be modified."""
-    if m._nz is None:
-        m._nz = (tuple([dict(compress(enumerate(row), row)) for row in m._data]),
-                 _INT.issuperset(map(type, chain.from_iterable(m._data))))
-    return m._nz
-
-
-def _from_sparse(cols: int, lines: Sequence[dict]) -> Matrix:
-    """A Matrix with ``cols`` columns on ``lines``, its rows as ``{column:
-    entry}`` dicts of nonzero canonical entries in column order.  The dicts
-    become its sparse view, so they must not be modified afterwards."""
-    zero = (0,) * cols
-    data = []
-    for line in lines:
-        if line:
-            row = [0] * cols
-            for j, x in line.items():
-                row[j] = x
-            data.append(tuple(row))
-        else:
-            data.append(zero)
-    m = _wrap(len(data), cols, tuple(data))
-    m._nz = (tuple(lines),
-             _INT.issuperset(map(type, chain.from_iterable([line.values() for line in lines]))))
-    return m
 
 
 def hstack_all(mats: Sequence[Matrix], rows: int = 0) -> Matrix:
@@ -360,12 +378,11 @@ def vstack_all(mats: Sequence[Matrix], cols: int = 0) -> Matrix:
 def _integer_rows(m: Matrix) -> Sequence[dict]:
     """m's rows as ``{column: int}`` dicts of their nonzeros, each scaled by
     the lcm of its denominators (which preserves the row space).  Integral
-    rows are the sparse view's own dicts."""
-    rows, integral = _sparse(m)
-    if integral:
-        return rows
+    rows are m's own dicts."""
+    if m._integral:
+        return m._lines
     out = []
-    for row in rows:
+    for row in m._lines:
         dens = [x.denominator for x in row.values() if type(x) is not int]
         if dens:
             mult = lcm(*dens)
@@ -478,19 +495,17 @@ def rref(m: Matrix) -> tuple:
                 _subtract(acc, f, reduced[r])
         _divide_exactly(acc, e[pivots[i]], "back-substitution left a remainder")
         reduced[i] = acc
-    rows = []
-    for f in reduced:
-        row = [0] * m.cols
-        if D == 1:
-            for j, x in f.items():
-                row[j] = x
-        else:
+    rows = reduced
+    if D != 1:
+        rows = []
+        for f in reduced:
+            line = {}
             for j, x in f.items():
                 q, rem = divmod(x, D)
-                row[j] = Fraction(x, D) if rem else q
-        rows.append(tuple(row))
-    rows += [(0,) * m.cols] * (m.rows - rank)
-    return _wrap(m.rows, m.cols, tuple(rows)), pivots
+                line[j] = Fraction(x, D) if rem else q
+            rows.append(line)
+    rows += [{}] * (m.rows - rank)
+    return _wrap(m.cols, rows, D == 1 or None), pivots
 
 
 def pivot_columns(m: Matrix) -> tuple:
@@ -514,18 +529,13 @@ def kernel_basis(m: Matrix) -> Matrix:
     """
     R, pivots = rref(m)
     pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
+    free = {j: k for k, j in enumerate([j for j in range(m.cols) if j not in pivset])}
     if not free:
         return Matrix.zeros(m.cols, 0)
-    red = R.entries()
-    cols = []
-    for f in free:
-        v = [0] * m.cols
-        v[f] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][f]
-        cols.append(v)
-    return _wrap(m.cols, len(cols), tuple(list(zip(*cols))))
+    out = [{free[j]: 1} if j in free else None for j in range(m.cols)]
+    for line, pc in zip(R._lines, pivots):
+        out[pc] = {free[j]: -x for j, x in line.items() if j in free}
+    return _wrap(len(free), out, R._integral)
 
 
 def image_basis(m: Matrix) -> Matrix:
@@ -548,10 +558,11 @@ def solve(m: Matrix, b: Matrix) -> Optional[Matrix]:
     R, pivots = rref(m.hstack(b))
     if any(p >= m.cols for p in pivots):
         return None
-    out = [(0,) * b.cols] * m.cols
-    for i, pc in enumerate(pivots):
-        out[pc] = R.row(i)[m.cols:]
-    return _wrap(m.cols, b.cols, tuple(out))
+    n = m.cols
+    out = [{}] * n
+    for line, pc in zip(R._lines, pivots):
+        out[pc] = {j - n: x for j, x in line.items() if j >= n}
+    return _wrap(b.cols, out, R._integral or None)
 
 
 def inverse(m: Matrix) -> Optional[Matrix]:
@@ -586,7 +597,7 @@ def right_inverse(c: Matrix) -> Matrix:
 
 def _selection(idx: Sequence[int], n: int) -> Matrix:
     """The rows e_i (i in ``idx``, in order) of the n x n identity."""
-    return _wrap(len(idx), n, tuple([tuple([int(j == i) for j in range(n)]) for i in idx]))
+    return _wrap(n, [{i: 1} for i in idx], True)
 
 
 def adjoint_pushforward(r: Matrix, q_source: Matrix,

@@ -6,20 +6,21 @@ H^*(X) is the cohomology of a small complex built out of the closed strata:
 * ``restriction_complex(a, n)``: spot m carries (+)_{|S| = m} H^n(D_S) with
   signed restriction differentials (spot m -> spot m+1); its spot-0 kernel is
   the lowest-weight piece Gr^W_n of H^n_c(X).  Each differential is placed
-  from the nonzeros of the summand blocks that exist, straight into its
-  label blocks, whose sparse views are the placed rows.
+  from the nonzeros of the summand blocks that exist, straight into the
+  rows of its label blocks.
 
 * ``gysin_complex(a, w)``: spot m carries (+)_{|S| = m} H^(w - 2m)(D_S)(-m),
   the differential (spot m -> spot m-1) sums signed Gysin pushforwards along
   D_S -> D_(S \\ {i}), and Gr^W_w H^n(X) is its homology at spot w - n.  A
   pushforward is the Poincare adjoint of a restriction, so the differential
   is read off the placed degree-(2d - w) restriction differential one (p, q)
-  label L at a time: its block is (P_m R P_(m-1)^-1)^T, with R the label-L*
-  block, L* = (d - p, d - q), and P_m pairing spot m's label-L slots with
-  their duals, applied stratum by stratum on sparse rows.  A pairing entry
-  linking two labels is an InternalError.
+  label L at a time: its block is the product (P_m R P_(m-1)^-1)^T, with R
+  the label-L* block, L* = (d - p, d - q), and P_m pairing spot m's label-L
+  slots with their duals, its rows gathered stratum by stratum.  A pairing
+  entry linking two labels is an InternalError.
 
-Each complex checks d . d = 0 on the sparse rows of its blocks.  ``grW_c``
+Each complex checks d . d = 0 per label, as the product of its stored
+blocks.  ``grW_c``
 is ``grW`` under Poincare duality of X; ``lowest_weight_compact`` reads the
 weight-n piece off the restriction complex instead.  Both routes now share
 the placed restriction blocks; the independent reference, one
@@ -43,7 +44,7 @@ from .hodgecore import (
     mixed,
     tate_twist,
 )
-from .qmat import _from_sparse, _sparse, cokernel_projection, kernel_basis, rank
+from .qmat import _wrap, cokernel_projection, kernel_basis, rank
 from .record import Record
 
 
@@ -62,8 +63,10 @@ class WeightComplex(Record):
     def __init__(self, weight: int, spots: tuple, maps: tuple, decreasing: bool):
         for i in range(len(maps) - 1):
             first, then = (maps[i + 1], maps[i]) if decreasing else (maps[i], maps[i + 1])
-            if not _composes_to_zero(first, then):
-                raise InternalError(f"differential does not square to zero at {i}")
+            for lab in then.labels():
+                outer, inner = then.stored_block(lab), first.stored_block(lab)
+                if outer is not None and inner is not None and not (outer * inner).is_zero():
+                    raise InternalError(f"differential does not square to zero at {i}")
         super().__init__(weight, spots, maps, decreasing)
         object.__setattr__(self, "_ends", {})
 
@@ -117,24 +120,6 @@ class WeightComplex(Record):
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _composes_to_zero(first: PureMorphism, then: PureMorphism) -> bool:
-    """Whether ``then`` after ``first`` is zero, read off the sparse rows of
-    their stored blocks; no product is formed."""
-    for lab in then.labels():
-        outer, inner = then.stored_block(lab), first.stored_block(lab)
-        if outer is None or inner is None:
-            continue
-        rows = _sparse(inner)[0]
-        for line in _sparse(outer)[0]:
-            acc = {}
-            for k, x in line.items():
-                for j, y in rows[k].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            if any(acc.values()):
-                return False
-    return True
-
-
 def _direct_sum(parts) -> tuple:
     """The direct sum of the summands ``parts`` (subset -> object) and its
     place table: each summand's slots as ``(label, index within that label's
@@ -153,33 +138,24 @@ def _label_first(source, target, blocks, where: str) -> PureMorphism:
     """The morphism between the direct sums ``source`` and ``target`` (each
     ``(object, places)`` from ``_direct_sum``) with summand blocks
     ``blocks[(tgt, src)] = (m, negate)``, absent pairs zero, placed in one
-    pass over their nonzeros; the placed rows become each label block's
-    sparse view.  A nonzero linking two different labels is an
-    InternalError: validated data has none."""
+    pass over their nonzeros; the placed rows become the label blocks' rows.
+    A nonzero linking two different labels is an InternalError: validated
+    data has none."""
     (src_obj, src_places), (tgt_obj, tgt_places) = source, target
-    lines = {}  # (label, row in its block) -> {column: entry}, once it has a nonzero
+    lines = {lab: [{} for _ in range(tgt_obj.count(lab))] for lab in src_obj.labels()}
     for (tgt, src), (m, negate) in blocks.items():
         row_places, col_places = tgt_places[tgt], src_places[src]
-        for i, row in enumerate(_sparse(m)[0]):
+        for i, row in enumerate(m.sparse_rows()):
             if row:
-                place = row_places[i]
-                line = lines.get(place)
-                if line is None:
-                    line = lines[place] = {}
+                lab, r = row_places[i]
                 for j, x in row.items():
-                    lab, c = col_places[j]
-                    if lab != place[0]:
+                    col_lab, c = col_places[j]
+                    if col_lab != lab:
                         raise InternalError(f"{where}: block {list(src)}->{list(tgt)} "
-                                            f"links slot {lab} to slot {place[0]}")
-                    line[c] = -x if negate else x
-    label_blocks = {}
-    for lab in src_obj.labels():
-        rows = tgt_obj.count(lab)
-        if rows:
-            label_blocks[lab] = _from_sparse(src_obj.count(lab), [
-                dict(sorted(lines[lab, i].items())) if (lab, i) in lines else {}
-                for i in range(rows)])
-    return PureMorphism(src_obj, tgt_obj, label_blocks)
+                                            f"links slot {col_lab} to slot {lab}")
+                    lines[lab][r][c] = -x if negate else x
+    return PureMorphism(src_obj, tgt_obj, {lab: _wrap(src_obj.count(lab), rows)
+                                           for lab, rows in lines.items() if rows})
 
 
 @per_atlas
@@ -208,7 +184,7 @@ def _label_rows(mat, rows_obj, row_map: tuple, cols_obj, col_map: tuple,
     label (p, q) of its side to the Gysin label (s p + t, s q + t).  An entry
     linking two Gysin labels raises InternalError, prefixed by ``fault()``."""
     (rs, rt), (cs, ct) = row_map, col_map
-    sparse = _sparse(mat)[0]
+    sparse = mat.sparse_rows()
     for p, q in rows_obj.labels():
         lab = (rs * p + rt, rs * q + rt)
         if lab not in wanted:
@@ -229,28 +205,6 @@ def _label_rows(mat, rows_obj, row_map: tuple, cols_obj, col_map: tuple,
             dest.append(line)
 
 
-def _adjoint_block(left: list, r, right: list):
-    """One label's Gysin block (P R P'^-1)^T from the sparse rows of P
-    (``left``) and of P'^-1 (``right``) and the restriction block ``r``; the
-    transpose is placed as it is formed, so it gets its sparse view."""
-    middle = _sparse(r)[0]
-    lines = [{} for _ in range(r.cols)]
-    for i, prow in enumerate(left):
-        acc = {}
-        for k, x in prow.items():
-            for c, y in middle[k].items():
-                acc[c] = acc.get(c, 0) + x * y
-        out = {}
-        for c, y in acc.items():
-            if y:
-                for t, z in right[c].items():
-                    out[t] = out.get(t, 0) + y * z
-        for t, v in out.items():
-            if v:
-                lines[t][i] = v if type(v) is int or v.denominator != 1 else v.numerator
-    return _from_sparse(len(left), lines)
-
-
 @per_atlas
 def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     """The weight-w Gysin complex; homology at spot m is Gr^W_w H^(w-m)(X).
@@ -266,9 +220,10 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     dual = restriction_complex(a, 2 * d - w) if any(shared) else None
     maps, right = [], {}
     for m, row in enumerate(strata):
-        # label -> sparse rows of P_m (the map out of m) and of P_m^-1 (the
-        # map into m).  Duality of the slot counts makes a stratum's label-L
-        # and dual label-L* slots start at the same offset in their spots.
+        # label -> rows of P_m (the map out of m) and of P_m^-1 (the map
+        # into m), each a {column: entry} dict of nonzeros.  Duality of the
+        # slot counts makes a stratum's label-L and dual label-L* slots start
+        # at the same offset in their spots.
         j, out_of, into = w - 2 * m, shared[m - 1] if m else (), shared[m]
         left, below, right, offsets = {}, right, {}, {}
         for (s, st), gysin in zip(row, objs[m]):
@@ -286,10 +241,12 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
             for p, q in gysin.labels():
                 offsets[p + m, q + m] = offsets.get((p + m, q + m), 0) + gysin.count((p, q))
         if m:
-            maps.append(PureMorphism(spots[m], spots[m - 1], {
-                lab: _adjoint_block(left[lab], dual.maps[m - 1].block((d - lab[0], d - lab[1])),
-                                    below[lab])
-                for lab in out_of}))
+            blocks = {}
+            for lab in out_of:
+                r = dual.maps[m - 1].block((d - lab[0], d - lab[1]))
+                product = _wrap(r.rows, left[lab]) * r * _wrap(r.cols, below[lab])
+                blocks[lab] = product.transpose()
+            maps.append(PureMorphism(spots[m], spots[m - 1], blocks))
     return WeightComplex(w, spots, tuple(maps), True)
 
 

@@ -425,6 +425,11 @@ def _assert_checked(m: Matrix):
     assert type(data) is tuple and len(data) == m.rows
     for row in data:
         assert type(row) is tuple and len(row) == m.cols
+    lines = m.sparse_rows()
+    assert type(lines) is tuple and len(lines) == m.rows
+    for line in lines:
+        assert all(0 <= j < m.cols and x for j, x in line.items()), line
+    assert m._integral == all(type(x) is int for line in lines for x in line.values())
     _assert_canonical(m)
     assert m == Matrix(m.rows, m.cols, m.to_lists())
     if m.rows:
@@ -485,3 +490,45 @@ def test_full_rank_is_invertibility_on_square_draws():
         singular += not full
         invertible += full
     assert singular >= 50 and invertible >= 50
+
+
+def _same_matrix(a: Matrix, b: Matrix):
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_one_matrix_built_by_several_routes_is_equal_and_hashes_alike():
+    target = Matrix.from_rows([[1, 0, Fraction(1, 2)], [0, 0, 0], [3, -1, 0]])
+    perm = Matrix.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    routes = [
+        Matrix(3, 3, [["1", 0, "2/4"], [0, "-0", 0], [Fraction(3), "-1", 0]]),
+        target * perm * perm.transpose(),
+        Matrix.from_rows([[1, 1, 0], [0, 0, 0], [0, 0, 1]])
+        * Matrix.from_rows([[0, 0, Fraction(1, 2)], [1, 0, 0], [3, -1, 0]]),
+        target.transpose().transpose(),
+        target.hstack(Matrix.identity(3)).take_columns([0, 1, 2]),
+        perm.hstack(target).take_columns([3, 4, 5]),
+        target + Matrix.zeros(3, 3),
+    ]
+    for m in routes:
+        _same_matrix(m, target)
+    # the routes store the nonzeros of a row in different orders
+    assert len({tuple([tuple(line) for line in m.sparse_rows()]) for m in routes}) > 1
+    reduced, _ = rref(target)
+    expected = Matrix.from_rows(oracle_rref(target.to_lists())[0])
+    _same_matrix(reduced, expected)
+    assert Matrix.from_rows([[Fraction(4, 2)]]) == Matrix.from_rows([[2]])
+    assert Matrix.zeros(2, 3) != Matrix.zeros(3, 2) and Matrix.zeros(0, 2) != Matrix.zeros(0, 3)
+
+
+def test_kernels_leave_shared_zero_and_identity_rows_unchanged():
+    zeros, ident = Matrix.zeros(3, 3), Matrix.identity(3)
+    assert zeros.sparse_rows()[0] is zeros.sparse_rows()[2]  # one shared empty row
+    before = [[dict(line) for line in m.sparse_rows()] for m in (zeros, ident)]
+    m = Matrix.from_rows([[1, 2, 0], [0, 1, 3], [4, 0, Fraction(1, 2)]])
+    for a in (zeros, ident):
+        for result in (a * m, m * a, a * a, rref(a)[0], inverse(a), kernel_basis(a),
+                       a.transpose(), solve(ident, a), a.hstack(m), a.vstack(m)):
+            assert result is None or result.transpose().transpose() == result
+    after = [[dict(line) for line in m.sparse_rows()] for m in (zeros, ident)]
+    assert after == before == [[{}, {}, {}], [{0: 1}, {1: 1}, {2: 1}]]
+    assert Matrix.zeros(3, 3).is_zero() and Matrix.identity(3) == ident

@@ -16,6 +16,12 @@ A fourth keeps what a left-out block means in one module: outside
 ``atlas.py``, no module reads the stored ``restrictions``, ``pairings`` or
 ``cohomology`` of an atlas or stratum; they call ``restriction_matrix``,
 ``pairing_at`` or ``pure_at``.
+
+A fifth keeps the matrix storage format a ``qmat`` decision: outside
+``qmat.py``, no module imports a ``qmat`` name that starts with ``_`` other
+than the unchecked constructor ``_wrap`` and the scalar parsers ``_frac``
+and ``_parse_rational``; the stored rows are read through
+``Matrix.sparse_rows``.
 """
 
 import ast
@@ -132,3 +138,29 @@ def test_only_the_atlas_module_reads_its_stored_blocks(name):
 def test_storage_rule_sees_reads_but_not_accessors():
     source = "a.restrictions[p]\nst.pairings[0]\nlen(s.cohomology)\na.pairing_at(s, 0)"
     assert _storage_reads(ast.parse(source)) == [1, 2, 3]
+
+
+_QMAT_PRIVATE_ALLOWED = ("_wrap", "_frac", "_parse_rational")
+
+
+def _private_qmat_imports(tree: ast.AST) -> list:
+    """(name, line) of each ``_`` name imported from ``qmat`` beyond the
+    allowed ones."""
+    return [(alias.name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module
+            and node.module.split(".")[-1] == "qmat"
+            for alias in node.names
+            if alias.name.startswith("_") and alias.name not in _QMAT_PRIVATE_ALLOWED]
+
+
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "qmat.py"])
+def test_only_qmat_knows_the_matrix_storage(name):
+    found = _private_qmat_imports(MODULES[name])
+    assert not found, f"{name}: imports qmat internals {found}; use Matrix.sparse_rows or _wrap"
+
+
+def test_qmat_import_rule_sees_private_names_but_not_the_allowed_ones():
+    source = ("from .qmat import Matrix, _sparse, _wrap\n"
+              "from absix.qmat import _frac, _from_sparse, _parse_rational\n"
+              "from .hodgecore import _pure\n")
+    assert _private_qmat_imports(ast.parse(source)) == [("_sparse", 1), ("_from_sparse", 2)]
