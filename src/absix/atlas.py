@@ -536,7 +536,13 @@ def read_atlas(path) -> StratumAtlas:
 # ---------------------------------------------------------------------------
 
 def _dump_matrix(m: Matrix) -> list:
-    return [[str(x) for x in row] for row in m.entries()]
+    out = []
+    for line in m.sparse_rows():
+        row = ["0"] * m.cols
+        for j, x in line.items():
+            row[j] = str(x)
+        out.append(row)
+    return out
 
 
 def dump_atlas(a: StratumAtlas) -> dict:

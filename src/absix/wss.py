@@ -5,29 +5,35 @@ H^*(X) is the cohomology of a small complex built out of the closed strata:
 
 * ``restriction_complex(a, n)``: spot m carries (+)_{|S| = m} H^n(D_S) with
   signed restriction differentials (spot m -> spot m+1); its spot-0 kernel is
-  the lowest-weight piece Gr^W_n of H^n_c(X).  Each differential is placed
-  from the nonzeros of the summand blocks that exist, straight into the
-  rows of its label blocks.
+  the lowest-weight piece Gr^W_n of H^n_c(X).
 
 * ``gysin_complex(a, w)``: spot m carries (+)_{|S| = m} H^(w - 2m)(D_S)(-m),
   the differential (spot m -> spot m-1) sums signed Gysin pushforwards along
   D_S -> D_(S \\ {i}), and Gr^W_w H^n(X) is its homology at spot w - n.  A
   pushforward is the Poincare adjoint of a restriction, so the differential
   is read off the placed degree-(2d - w) restriction differential one (p, q)
-  label L at a time: its block is the product (P_m R P_(m-1)^-1)^T, with R
-  the label-L* block, L* = (d - p, d - q), and P_m pairing spot m's label-L
-  slots with their duals, its rows gathered stratum by stratum.  A pairing
-  entry linking two labels is an InternalError.
+  label L at a time: its block is (P_m R P_(m-1)^-1)^T, with R the label-L*
+  block, L* = (d - p, d - q), and P_m pairing spot m's label-L slots with
+  their duals.  The block is computed as Q_(m-1) (P_m R)^T, where Q is the
+  transpose of P^-1.
+
+Every block is placed the same way: ``_direct_sum`` lays a spot out and
+numbers each slot within its label's block, relabelling as it counts (the
+Tate shift (p, q) -> (p + m, q + m) on Gysin spot m, the mirror
+(p, q) -> (d - p, d - q) on the H^(2d - w)(D_S) that spot m's pairings pair
+with), and ``_label_first`` writes the nonzeros of the stratum blocks
+(restrictions, pairings P_S, transposed inverse pairings) straight into the
+rows of the label blocks.  An entry linking two labels is an InternalError.
 
 Each complex checks d . d = 0 per label, as the product of its stored
-blocks.  ``grW_c``
-is ``grW`` under Poincare duality of X; ``lowest_weight_compact`` reads the
-weight-n piece off the restriction complex instead.  Both routes now share
-the placed restriction blocks; the independent reference, one
-``qmat.adjoint_pushforward`` per boundary edge, lives in the tests.
-``u_map`` assembles the comparison u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X),
-whose kernel/image/cokernel decomposition everything downstream consumes.
-All of it runs one (p, q) block at a time over exact rationals.
+blocks.  ``grW_c`` is ``grW`` under Poincare duality of X;
+``lowest_weight_compact`` reads the weight-n piece off the restriction
+complex instead.  Both routes now share the placed restriction blocks; the
+independent reference, one ``qmat.adjoint_pushforward`` per boundary edge,
+lives in the tests.  ``u_map`` assembles the comparison
+u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), whose kernel/image/cokernel
+decomposition everything downstream consumes.  All of it runs one (p, q)
+block at a time over exact rationals.
 """
 
 from __future__ import annotations
@@ -39,10 +45,9 @@ from .hodgecore import (
     MixedGraded,
     PureMorphism,
     PureObject,
-    direct_sum_all,
+    _pure,
     from_hodge_numbers,
     mixed,
-    tate_twist,
 )
 from .qmat import _wrap, cokernel_projection, kernel_basis, rank
 from .record import Record
@@ -53,12 +58,10 @@ class WeightComplex(Record):
 
     ``maps[i]`` connects spots i and i+1: for a decreasing complex it is a
     morphism spots[i+1] -> spots[i] (Gysin direction), for an increasing one
-    spots[i] -> spots[i+1] (restriction direction).  ``_ends`` keeps the zero
-    maps past either end once they are asked for.
+    spots[i] -> spots[i+1] (restriction direction).
     """
 
-    __slots__ = ("weight", "spots", "maps", "decreasing", "_ends")
-    _fields = ("weight", "spots", "maps", "decreasing")
+    __slots__ = _fields = ("weight", "spots", "maps", "decreasing")
 
     def __init__(self, weight: int, spots: tuple, maps: tuple, decreasing: bool):
         for i in range(len(maps) - 1):
@@ -68,7 +71,6 @@ class WeightComplex(Record):
                 if outer is not None and inner is not None and not (outer * inner).is_zero():
                     raise InternalError(f"differential does not square to zero at {i}")
         super().__init__(weight, spots, maps, decreasing)
-        object.__setattr__(self, "_ends", {})
 
     def spot(self, m: int) -> PureObject:
         """The object at spot m: ``ZERO_OBJECT`` past either end."""
@@ -80,7 +82,7 @@ class WeightComplex(Record):
         i = m - 1 if self.decreasing else m
         if 0 <= i < len(self.maps):
             return self.maps[i]
-        return self._zero_map(m, m - 1 if self.decreasing else m + 1)
+        return PureMorphism.zero(self.spot(m), self.spot(m - 1 if self.decreasing else m + 1))
 
     def map_into(self, m: int) -> PureMorphism:
         """The differential arriving at spot m: past either end, the zero map
@@ -88,14 +90,7 @@ class WeightComplex(Record):
         i = m if self.decreasing else m - 1
         if 0 <= i < len(self.maps):
             return self.maps[i]
-        return self._zero_map(m + 1 if self.decreasing else m - 1, m)
-
-    def _zero_map(self, source: int, target: int) -> PureMorphism:
-        key = (source, target)
-        got = self._ends.get(key)
-        if got is None:
-            got = self._ends[key] = PureMorphism.zero(self.spot(source), self.spot(target))
-        return got
+        return PureMorphism.zero(self.spot(m + 1 if self.decreasing else m - 1), self.spot(m))
 
     def homology_hodge(self, m: int) -> dict:
         """Hodge numbers of ker(out) / im(in) at spot m, one label at a time;
@@ -120,27 +115,30 @@ class WeightComplex(Record):
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _direct_sum(parts) -> tuple:
-    """The direct sum of the summands ``parts`` (subset -> object) and its
-    place table: each summand's slots as ``(label, index within that label's
-    block)``, counted in summand order, then slot order."""
-    seen, places = {}, {}
+def _direct_sum(parts, sign: int = 1, shift: int = 0) -> tuple:
+    """The direct sum of the summands ``parts`` (subset -> object), each slot
+    (p, q) relabelled (sign p + shift, sign q + shift), and its place table:
+    each summand's slots as ``(label, index within that label's block)``,
+    counted in summand order, then slot order."""
+    slots, seen, places = [], {}, {}
     for subset, obj in parts.items():
         places[subset] = row = []
-        for lab in obj.slots:
+        for p, q in obj.slots:
+            lab = (sign * p + shift, sign * q + shift)
             k = seen.get(lab, 0)
             seen[lab] = k + 1
             row.append((lab, k))
-    return direct_sum_all(list(parts.values())), places
+            slots.append(lab)
+    return (_pure(sum(slots[0]), tuple(slots)) if slots else ZERO_OBJECT), places
 
 
-def _label_first(source, target, blocks, where: str) -> PureMorphism:
-    """The morphism between the direct sums ``source`` and ``target`` (each
-    ``(object, places)`` from ``_direct_sum``) with summand blocks
-    ``blocks[(tgt, src)] = (m, negate)``, absent pairs zero, placed in one
-    pass over their nonzeros; the placed rows become the label blocks' rows.
-    A nonzero linking two different labels is an InternalError: validated
-    data has none."""
+def _label_first(source, target, blocks, where: str) -> dict:
+    """The label blocks of the morphism between the direct sums ``source``
+    and ``target`` (each ``(object, places)`` from ``_direct_sum``) with
+    summand blocks ``blocks[(tgt, src)] = (m, negate)``, absent pairs zero,
+    placed in one pass over their nonzeros; the placed rows become the label
+    blocks' rows.  A nonzero linking two different labels is an
+    InternalError: validated data has none."""
     (src_obj, src_places), (tgt_obj, tgt_places) = source, target
     lines = {lab: [{} for _ in range(tgt_obj.count(lab))] for lab in src_obj.labels()}
     for (tgt, src), (m, negate) in blocks.items():
@@ -154,8 +152,7 @@ def _label_first(source, target, blocks, where: str) -> PureMorphism:
                         raise InternalError(f"{where}: block {list(src)}->{list(tgt)} "
                                             f"links slot {col_lab} to slot {lab}")
                     lines[lab][r][c] = -x if negate else x
-    return PureMorphism(src_obj, tgt_obj, {lab: _wrap(src_obj.count(lab), rows)
-                                           for lab, rows in lines.items() if rows})
+    return {lab: _wrap(src_obj.count(lab), rows) for lab, rows in lines.items() if rows}
 
 
 @per_atlas
@@ -170,39 +167,9 @@ def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
             for pos in range(len(subset) if slots else 0):
                 smaller = subset[:pos] + subset[pos + 1:]
                 blocks[(subset, smaller)] = (a.restriction_matrix(smaller, subset, n), pos % 2)
-        maps.append(_label_first(sums[m], sums[m + 1], blocks,
-                                 f"restriction differential n={n}, spot {m}"))
-    return WeightComplex(n, tuple([s for s, _ in sums]), tuple(maps), False)
-
-
-def _label_rows(mat, rows_obj, row_map: tuple, cols_obj, col_map: tuple,
-                offsets: dict, wanted, out: dict, fault):
-    """Append to ``out[L]``, for each Gysin label L in ``wanted``, the sparse
-    rows of ``mat`` (a stratum's pairing or its inverse, ``rows_obj`` x
-    ``cols_obj``) on the slots that carry L, each column numbered within L's
-    block of the spot from ``offsets[L]`` on.  A map ``(s, t)`` sends a slot
-    label (p, q) of its side to the Gysin label (s p + t, s q + t).  An entry
-    linking two Gysin labels raises InternalError, prefixed by ``fault()``."""
-    (rs, rt), (cs, ct) = row_map, col_map
-    sparse = mat.sparse_rows()
-    for p, q in rows_obj.labels():
-        lab = (rs * p + rt, rs * q + rt)
-        if lab not in wanted:
-            continue
-        base = offsets.get(lab, 0)
-        partner = (cs * (lab[0] - ct), cs * (lab[1] - ct))
-        column = {j: base + k for k, j in enumerate(cols_obj.positions(partner))}
-        dest = out.setdefault(lab, [])
-        for i in rows_obj.positions((p, q)):
-            line = {}
-            for j, x in sparse[i].items():
-                c = column.get(j)
-                if c is None:
-                    pp, qq = cols_obj.slots[j]
-                    raise InternalError(f"{fault()} links slot {lab} to slot "
-                                        f"{(cs * pp + ct, cs * qq + ct)}")
-                line[c] = x
-            dest.append(line)
+        maps.append(PureMorphism(sums[m][0], sums[m + 1][0], _label_first(
+            sums[m], sums[m + 1], blocks, f"restriction differential n={n}, spot {m}")))
+    return WeightComplex(n, tuple([obj for obj, _ in sums]), tuple(maps), False)
 
 
 @per_atlas
@@ -213,40 +180,34 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     restriction differentials, one label at a time (module docstring)."""
     d = a.dimension
     strata = [[(s, a.stratum(s)) for s in a.subsets_of_size(m)] for m in range(a.depth() + 1)]
-    objs = [[st.pure_at(w - 2 * m) for _, st in row] for m, row in enumerate(strata)]
-    spots = tuple([tate_twist(direct_sum_all(row), -m) for m, row in enumerate(objs)])
+    sums = [_direct_sum({s: st.pure_at(w - 2 * m) for s, st in row}, 1, m)
+            for m, row in enumerate(strata)]
+    spots = tuple([obj for obj, _ in sums])
     shared = [set(spots[m - 1].labels()).intersection(spots[m].labels())
               for m in range(1, len(spots))] + [()]
     dual = restriction_complex(a, 2 * d - w) if any(shared) else None
-    maps, right = [], {}
+    maps, below = [], None
     for m, row in enumerate(strata):
-        # label -> rows of P_m (the map out of m) and of P_m^-1 (the map
-        # into m), each a {column: entry} dict of nonzeros.  Duality of the
-        # slot counts makes a stratum's label-L and dual label-L* slots start
-        # at the same offset in their spots.
         j, out_of, into = w - 2 * m, shared[m - 1] if m else (), shared[m]
-        left, below, right, offsets = {}, right, {}, {}
-        for (s, st), gysin in zip(row, objs[m]):
-            if not (gysin.dim and (out_of or into)):
-                continue
-            restricted = st.pure_at(2 * d - w)
-            if out_of:
-                _label_rows(st.pairing_at(j), gysin, (1, m), restricted, (-1, d), offsets,
-                            out_of, left, lambda: f"gysin differential w={w}, spot {m}: "
-                                              f"pairing of {list(s)} in degree {j}")
-            if into:
-                _label_rows(st.pairing_inverse(j), restricted, (-1, d), gysin, (1, m), offsets,
-                            into, right, lambda: f"gysin differential w={w}, spot {m + 1}: "
-                                               f"inverse pairing of {list(s)} in degree {j}")
-            for p, q in gysin.labels():
-                offsets[p + m, q + m] = offsets.get((p + m, q + m), 0) + gysin.count((p, q))
-        if m:
-            blocks = {}
+        if out_of or into:
+            live = [(s, st) for s, st in row if sums[m][1][s]]
+            mirror = _direct_sum({s: st.pure_at(2 * d - w) for s, st in live}, -1, d)
+        blocks = {}
+        if out_of:
+            pairing = _label_first(mirror, sums[m],
+                                   {(s, s): (st.pairing_at(j), False) for s, st in live},
+                                   f"gysin differential w={w}, spot {m}: pairing in degree {j}")
             for lab in out_of:
                 r = dual.maps[m - 1].block((d - lab[0], d - lab[1]))
-                product = _wrap(r.rows, left[lab]) * r * _wrap(r.cols, below[lab])
-                blocks[lab] = product.transpose()
+                blocks[lab] = below[lab] * (pairing[lab] * r).transpose()
+        if m:
             maps.append(PureMorphism(spots[m], spots[m - 1], blocks))
+        if into:
+            inverses = {}
+            for s, st in live:  # a loop, so the inverse is read in this frame
+                inverses[s, s] = (st.pairing_inverse(j).transpose(), False)
+            below = _label_first(mirror, sums[m], inverses, f"gysin differential w={w}, "
+                                 f"spot {m + 1}: inverse pairing in degree {j}")
     return WeightComplex(w, spots, tuple(maps), True)
 
 

@@ -8,6 +8,7 @@ from random import Random
 import pytest
 
 from absix import Matrix, qmat
+from absix import atlas as atlas_module
 from absix.atlas import StratumAtlas, StratumData, dumps_atlas, validate_atlas
 from absix.cli import main
 from absix.corpus import builtin
@@ -283,6 +284,52 @@ def test_off_label_gysin_block_exits_3_without_traceback(monkeypatch, tmp_path, 
     assert out == ""
     assert err.startswith("internal error (a bug in absix): gysin differential w=3")
     assert err.count("\n") == 1
+
+
+def _off_label_pairing(monkeypatch):
+    """Once the atlas has validated, make the degree-1 pairing of the curve Z1
+    also pair its (0, 1) class with itself."""
+    real_validate, real_pairing = atlas_module.validate_atlas, StratumData.pairing_at
+    validated = []
+
+    def validate(a):
+        report = real_validate(a)
+        if report.ok:
+            validated.append(a)
+        return report
+
+    def patched(self, k):
+        pairing = real_pairing(self, k)
+        if not (validated and k == 1 and self.top_degree() == 2):  # Z1 is the one curve
+            return pairing
+        rows = pairing.to_lists()
+        rows[0][0] += 1
+        return Matrix.from_rows(rows)
+
+    monkeypatch.setattr(atlas_module, "validate_atlas", validate)
+    monkeypatch.setattr(StratumData, "pairing_at", patched)
+
+
+def test_off_label_gysin_pairing_is_an_internal_error(monkeypatch):
+    a = _off_label_atlas()
+    _off_label_pairing(monkeypatch)
+    # Weight 3: the map out of H^1(Z1)(-1) reads Z1's degree-1 pairing, whose
+    # (0, 1) row now also meets the (0, 1) class, mirrored to (2, 1).
+    with pytest.raises(InternalError) as exc:
+        gysin_complex(a, 3)
+    assert str(exc.value) == ("gysin differential w=3, spot 1: pairing in degree 1: "
+                              "block ['Z1']->['Z1'] links slot (2, 1) to slot (1, 2)")
+
+
+def test_off_label_gysin_pairing_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "surface.atlas.json"
+    path.write_text(dumps_atlas(_off_label_atlas()), encoding="utf-8")
+    _off_label_pairing(monkeypatch)
+    assert main(["compute", str(path), "--what", "cohomology"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("internal error (a bug in absix): gysin differential w=3, spot 1: "
+                   "pairing in degree 1: block ['Z1']->['Z1'] links slot (2, 1) to slot (1, 2)\n")
 
 
 def _wrong_component_inverse(monkeypatch):
