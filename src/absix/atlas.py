@@ -49,8 +49,9 @@ pairing is perfect when it is square of full rank, so nothing is inverted;
 the Hodge, block and unit checks walk each matrix's nonzeros; each square
 S < S+i, S+j < S+i+j is found from a declared S+i+j, and compared only in
 degrees where D_S and D_(S+i+j) have cohomology and its four matrices have
-their declared shapes.  A pairing's inverse is computed on first use
-(``StratumData.pairing_inverse``), by the Gysin complexes that read it.
+their declared shapes.  The engine inverts only Y's pairings: the Gysin
+complexes are written in the basis dual to the restriction complexes, and
+read Y's inverse pairing (``StratumData.pairing_inverse``) on first use.
 An atlas is immutable; ``per_atlas`` computes a layer once per atlas object
 and caches it on the atlas, next to its validation report.
 """
@@ -105,7 +106,8 @@ class StratumData(Record):
 
     def pairing_inverse(self, k: int) -> Optional[Matrix]:
         """``inverse`` of the degree-k pairing (None where singular), computed
-        on first use and kept."""
+        on first use and kept.  The engine reads it only on Y, for the Gysin
+        differential out of spot 1."""
         try:
             memo = self._inverses
         except AttributeError:

@@ -104,18 +104,6 @@ def from_hodge_numbers(weight: int, numbers: Mapping) -> PureObject:
     return _pure(weight, tuple(slots))
 
 
-def tate_twist(v: PureObject, m: int) -> PureObject:
-    """Twist by Q(m): weight - 2m, slots (p - m, q - m)."""
-    if v.is_zero:
-        return ZERO_OBJECT
-    return _pure(v.weight - 2 * m, tuple([(p - m, q - m) for (p, q) in v.slots]))
-
-
-def direct_sum(a: PureObject, b: PureObject) -> PureObject:
-    """Concatenate slot lists; weights must agree unless one side is zero."""
-    return direct_sum_all((a, b))
-
-
 def direct_sum_all(parts: Sequence[PureObject]) -> PureObject:
     """One object on the concatenated slots of the nonzero parts, in order."""
     nonzero = [p for p in parts if not p.is_zero]

@@ -362,15 +362,6 @@ def hstack_all(mats: Sequence[Matrix], rows: int = 0) -> Matrix:
     return out
 
 
-def vstack_all(mats: Sequence[Matrix], cols: int = 0) -> Matrix:
-    if not mats:
-        return Matrix.zeros(0, cols)
-    out = mats[0]
-    for m in mats[1:]:
-        out = out.vstack(m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Elimination core
 # ---------------------------------------------------------------------------
@@ -609,10 +600,12 @@ def adjoint_pushforward(r: Matrix, q_source: Matrix,
     Raises PairingNotPerfect if the inverse is None (singular target) or the
     source pairing is not square, DimensionError on shape mismatch.
 
-    The engine no longer calls it: ``wss.gysin_complex`` applies the pairings
-    one label at a time.  It is kept as the independent per-edge reference
-    the tests compare the Gysin complexes against, and because the benchmark
-    tracer (``perfbench/tracing.py``) patches it by name and counts its calls.
+    The engine does not call it: ``wss.gysin_complex`` writes its spots in
+    the basis dual to the restriction spots, where the pushforward is the
+    transposed restriction and only Y's pairing is inverted.  It is kept as
+    the independent slot-basis reference, one call per edge, that the tests
+    compare the Gysin complexes against, and because the benchmark tracer
+    (``perfbench/tracing.py``) patches it by name and counts its calls.
     """
     if q_target_inverse is None:
         raise PairingNotPerfect("target pairing is singular")

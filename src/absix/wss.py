@@ -10,27 +10,30 @@ H^*(X) is the cohomology of a small complex built out of the closed strata:
 * ``gysin_complex(a, w)``: spot m carries (+)_{|S| = m} H^(w - 2m)(D_S)(-m),
   the differential (spot m -> spot m-1) sums signed Gysin pushforwards along
   D_S -> D_(S \\ {i}), and Gr^W_w H^n(X) is its homology at spot w - n.  A
-  pushforward is the Poincare adjoint of a restriction, so the differential
-  is read off the placed degree-(2d - w) restriction differential one (p, q)
-  label L at a time: its block is (P_m R P_(m-1)^-1)^T, with R the label-L*
-  block, L* = (d - p, d - q), and P_m pairing spot m's label-L slots with
-  their duals.  The block is computed as Q_(m-1) (P_m R)^T, where Q is the
-  transpose of P^-1.
+  pushforward is the Poincare adjoint of a restriction, so the complex is
+  written in the basis Poincare-dual to the degree-(2d - w) restriction
+  complex: spot m >= 1 is restriction spot m with each slot (p, q)
+  relabelled (d - p, d - q), and the label-L block of the differential out
+  of it is R^T, with R the label-(d - p, d - q) block of restriction
+  differential m - 1.  Spot 0 stays H^w(Y) in its own basis, so the block
+  out of spot 1 is Q R^T, with Q the transpose of the inverse of Y's
+  degree-w pairing; no other pairing is read.  In the slot basis the block
+  out of spot m is (P_m R P_(m-1)^-1)^T, P_m pairing spot m with its dual,
+  so the change of basis is P_m on spot m >= 1: ranks, and the image of the
+  map into spot 0 that ``u_map`` reads, are those of the slot basis.
 
 Every block is placed the same way: ``_direct_sum`` lays a spot out and
-numbers each slot within its label's block, relabelling as it counts (the
-Tate shift (p, q) -> (p + m, q + m) on Gysin spot m, the mirror
-(p, q) -> (d - p, d - q) on the H^(2d - w)(D_S) that spot m's pairings pair
-with), and ``_label_first`` writes the nonzeros of the stratum blocks
-(restrictions, pairings P_S, transposed inverse pairings) straight into the
-rows of the label blocks.  An entry linking two labels is an InternalError.
+numbers each slot within its label's block, and ``_label_first`` writes the
+nonzeros of the stratum blocks (restrictions, and Y's transposed inverse
+pairing against the mirrored H^(2d - w)(Y)) straight into the rows of the
+label blocks.  An entry linking two labels is an InternalError.
 
 Each complex checks d . d = 0 per label, as the product of its stored
 blocks.  ``grW_c`` is ``grW`` under Poincare duality of X;
 ``lowest_weight_compact`` reads the weight-n piece off the restriction
-complex instead.  Both routes now share the placed restriction blocks; the
-independent reference, one ``qmat.adjoint_pushforward`` per boundary edge,
-lives in the tests.  ``u_map`` assembles the comparison
+complex instead.  Both routes share the placed restriction blocks; the
+independent reference, one ``qmat.adjoint_pushforward`` per boundary edge
+in the slot basis, lives in the tests.  ``u_map`` assembles the comparison
 u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), whose kernel/image/cokernel
 decomposition everything downstream consumes.  All of it runs one (p, q)
 block at a time over exact rationals.
@@ -115,21 +118,24 @@ class WeightComplex(Record):
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _direct_sum(parts, sign: int = 1, shift: int = 0) -> tuple:
-    """The direct sum of the summands ``parts`` (subset -> object), each slot
-    (p, q) relabelled (sign p + shift, sign q + shift), and its place table:
-    each summand's slots as ``(label, index within that label's block)``,
-    counted in summand order, then slot order."""
+def _direct_sum(parts) -> tuple:
+    """The direct sum of the summands ``parts`` (subset -> object) and its
+    place table: each summand's slots as ``(label, index within that label's
+    block)``, counted in summand order, then slot order."""
     slots, seen, places = [], {}, {}
     for subset, obj in parts.items():
         places[subset] = row = []
-        for p, q in obj.slots:
-            lab = (sign * p + shift, sign * q + shift)
+        for lab in obj.slots:
             k = seen.get(lab, 0)
             seen[lab] = k + 1
             row.append((lab, k))
             slots.append(lab)
     return (_pure(sum(slots[0]), tuple(slots)) if slots else ZERO_OBJECT), places
+
+
+def _mirror(obj: PureObject, d: int) -> PureObject:
+    """``obj`` with each slot (p, q) relabelled (d - p, d - q), in order."""
+    return _pure(2 * d - obj.weight, tuple([(d - p, d - q) for p, q in obj.slots]))
 
 
 def _label_first(source, target, blocks, where: str) -> dict:
@@ -176,38 +182,27 @@ def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
 def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
     """The weight-w Gysin complex; homology at spot m is Gr^W_w H^(w-m)(X).
 
-    Its differentials are the Poincare adjoints of the degree-(2d - w)
-    restriction differentials, one label at a time (module docstring)."""
+    Spot 0 is H^w(Y); the other spots and every differential are read off
+    the degree-(2d - w) restriction complex in the Poincare-dual basis
+    (module docstring)."""
     d = a.dimension
-    strata = [[(s, a.stratum(s)) for s in a.subsets_of_size(m)] for m in range(a.depth() + 1)]
-    sums = [_direct_sum({s: st.pure_at(w - 2 * m) for s, st in row}, 1, m)
-            for m, row in enumerate(strata)]
-    spots = tuple([obj for obj, _ in sums])
-    shared = [set(spots[m - 1].labels()).intersection(spots[m].labels())
-              for m in range(1, len(spots))] + [()]
-    dual = restriction_complex(a, 2 * d - w) if any(shared) else None
-    maps, below = [], None
-    for m, row in enumerate(strata):
-        j, out_of, into = w - 2 * m, shared[m - 1] if m else (), shared[m]
-        if out_of or into:
-            live = [(s, st) for s, st in row if sums[m][1][s]]
-            mirror = _direct_sum({s: st.pure_at(2 * d - w) for s, st in live}, -1, d)
+    dual = restriction_complex(a, 2 * d - w)
+    mirrored = [_mirror(obj, d) for obj in dual.spots]
+    spots = tuple([a.pure_at((), w)] + mirrored[1:])
+    maps = []
+    for m, r in enumerate(dual.maps, 1):
         blocks = {}
-        if out_of:
-            pairing = _label_first(mirror, sums[m],
-                                   {(s, s): (st.pairing_at(j), False) for s, st in live},
-                                   f"gysin differential w={w}, spot {m}: pairing in degree {j}")
-            for lab in out_of:
-                r = dual.maps[m - 1].block((d - lab[0], d - lab[1]))
-                blocks[lab] = below[lab] * (pairing[lab] * r).transpose()
-        if m:
-            maps.append(PureMorphism(spots[m], spots[m - 1], blocks))
-        if into:
-            inverses = {}
-            for s, st in live:  # a loop, so the inverse is read in this frame
-                inverses[s, s] = (st.pairing_inverse(j).transpose(), False)
-            below = _label_first(mirror, sums[m], inverses, f"gysin differential w={w}, "
-                                 f"spot {m + 1}: inverse pairing in degree {j}")
+        for p, q in r.labels():
+            block = r.stored_block((p, q))
+            if block is not None:
+                blocks[d - p, d - q] = block.transpose()
+        if m == 1 and blocks:
+            inverse = a.stratum(()).pairing_inverse(w).transpose()
+            placed = _label_first(_direct_sum({(): mirrored[0]}), _direct_sum({(): spots[0]}),
+                                  {((), ()): (inverse, False)},
+                                  f"gysin differential w={w}, spot 1: inverse pairing in degree {w}")
+            blocks = {lab: placed[lab] * block for lab, block in blocks.items()}
+        maps.append(PureMorphism(spots[m], spots[m - 1], blocks))
     return WeightComplex(w, spots, tuple(maps), True)
 
 
@@ -218,7 +213,8 @@ def grW(a: StratumAtlas, n: int) -> MixedGraded:
     if n < 0 or n > 2 * d:
         return MixedGraded(())
     pieces = {}
-    for w in range(n, min(2 * n, n + a.depth()) + 1):  # spot w - n <= depth
+    # spot w - n <= depth; past weight 2d every spot of the complex is zero
+    for w in range(n, min(2 * n, n + a.depth(), 2 * d) + 1):
         obj = gysin_complex(a, w).homology_object(w - n)
         if not obj.is_zero:
             pieces[w] = obj

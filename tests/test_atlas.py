@@ -893,24 +893,34 @@ def test_validation_inverts_no_pairing(monkeypatch):
 
 
 def test_a_full_report_inverts_each_pairing_the_gysin_complexes_read_once(monkeypatch, capsys):
+    """The Gysin complexes are written in the basis dual to the restriction
+    spots, so the only inverses read are Y's, each degree at most once."""
     inverted = _counting_inverses(monkeypatch)
-    read = []
-    real = StratumData.pairing_inverse
+    validated, read = [], []
+    real_validate, real = absix.atlas.validate_atlas, StratumData.pairing_inverse
+
+    def validate(a):
+        validated.append(a)
+        return real_validate(a)
 
     def recorded(self, k):
-        read.append((id(self), k, sys._getframe(1).f_code.co_name))
+        read.append((self, k, sys._getframe(1).f_code.co_name))
         return real(self, k)
 
+    monkeypatch.setattr(absix.atlas, "validate_atlas", validate)
     monkeypatch.setattr(StratumData, "pairing_inverse", recorded)
     reads = 0
     for name in corpus_names():
+        validated.clear()
         inverted.clear()
         read.clear()
         assert main(["compute", "@" + name, "--what", "all"]) == 0
         capsys.readouterr()
         assert {caller for _, _, caller in read} <= {"gysin_complex"}
-        # one inversion per (stratum, degree) read, however often it is read
-        assert len(inverted) == len({(sid, k) for sid, k, _ in read})
+        y = validated[0].stratum(())
+        assert all(st is y for st, _, _ in read), name
+        degrees = [k for _, k, _ in read]
+        assert len(degrees) == len(set(degrees)) == len(inverted), name
         reads += len(read)
     assert reads  # the gysin complexes do read inverses
 

@@ -15,13 +15,11 @@ from absix.hodgecore import (
     PureMorphism,
     PureObject,
     ZERO_OBJECT,
-    direct_sum,
     direct_sum_all,
     from_hodge_numbers,
     mixed,
     pure_mixed,
     table,
-    tate_twist,
     weight_support,
 )
 
@@ -45,24 +43,6 @@ def test_slots_must_lie_on_the_weight():
     with pytest.raises(WeightMismatch):
         PureObject(2, ((1, 0),))
     assert PureObject(7, ()).weight == 0  # zero object normalizes its weight
-
-
-def test_tate_objects_and_twists():
-    v = PureObject(2, ((0, 2), (1, 1)))
-    tw = tate_twist(v, -1)
-    assert (tw.weight, tw.slots) == (4, ((1, 3), (2, 2)))
-    assert tate_twist(tw, 1) == v
-    assert tate_twist(ZERO_OBJECT, 5) == ZERO_OBJECT
-
-
-def test_direct_sum_concatenates_and_checks_weights():
-    a = PureObject(2, ((1, 1),))
-    b = PureObject(2, ((0, 2), (2, 0)))
-    assert direct_sum(a, b).slots == ((1, 1), (0, 2), (2, 0))
-    assert direct_sum(ZERO_OBJECT, b) == b
-    assert direct_sum_all([a, ZERO_OBJECT, b]).dim == 3
-    with pytest.raises(WeightMismatch):
-        direct_sum(a, PureObject(4, ((2, 2),)))
 
 
 def test_direct_sum_all_builds_one_object_and_checks_each_weight():
