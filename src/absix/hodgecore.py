@@ -17,6 +17,8 @@ Grading conventions:
 * The zero object is stored with weight 0 and no slots, and is
   weight-compatible with everything.
 
+There is one :class:`PureObject` per slot tuple, kept in a weak-valued table.
+
 :class:`MixedGraded` collects pure pieces by weight; :class:`CohomologyTable`
 collects mixed graded pieces by cohomological degree, tagged with the kind of
 cohomology it tabulates.
@@ -24,6 +26,7 @@ cohomology it tabulates.
 
 from __future__ import annotations
 
+import weakref
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, WeightMismatch
@@ -40,12 +43,22 @@ class PureObject(Record):
     __slots__ = ("weight", "slots", "_positions", "_labels")
     _fields = ("weight", "slots")
 
-    def __init__(self, weight: int, slots: tuple = ()):
-        slots = tuple([(int(p), int(q)) for p, q in slots])
-        for p, q in slots:
+    def __new__(cls, weight: int, slots: tuple = ()):
+        _require_int(weight, "weight")
+        checked = []
+        for slot in slots:
+            if not isinstance(slot, (tuple, list)) or len(slot) != 2:
+                raise WeightMismatch(f"slot {slot!r} is not a pair")
+            p, q = slot
+            _require_int(p, "slot entry")
+            _require_int(q, "slot entry")
             if p + q != weight:
                 raise WeightMismatch(f"slot ({p},{q}) does not lie on weight {weight}")
-        _index_slots(self, weight, slots)
+            checked.append((int(p), int(q)))
+        return _pure(int(weight), tuple(checked))
+
+    def __init__(self, weight: int, slots: tuple = ()):
+        pass  # __new__ returned the shared object: Record.__init__ would reset it
 
     @property
     def dim(self) -> int:
@@ -81,11 +94,23 @@ def _index_slots(obj: PureObject, weight: int, slots: tuple):
     object.__setattr__(obj, "_labels", tuple(obj._positions))
 
 
+def _require_int(x, what: str):
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise WeightMismatch(f"{what} {x!r} is not an integer")
+
+
+#: slots -> the one live PureObject on them.
+_INTERNED = weakref.WeakValueDictionary()
+
+
 def _pure(weight: int, slots: tuple) -> PureObject:
-    """A PureObject on ``slots``, which must already be a tuple of int pairs
+    """The PureObject on ``slots``, which must already be a tuple of int pairs
     on ``weight``: nothing is converted or checked."""
-    obj = object.__new__(PureObject)
-    _index_slots(obj, weight, slots)
+    obj = _INTERNED.get(slots)
+    if obj is None:
+        obj = object.__new__(PureObject)
+        _index_slots(obj, weight, slots)
+        _INTERNED[slots] = obj
     return obj
 
 

@@ -52,6 +52,8 @@ class Record:
         return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

@@ -1,12 +1,16 @@
 """Pure objects, bigraded morphisms, mixed families, and tables."""
 
+import copy
+import gc
+import pickle
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from absix import Matrix, hodgecore
-from absix.cli import build_report
+from absix import Matrix, atlas, hodgecore, wss
+from absix.atlas import dumps_atlas, loads_atlas
+from absix.cli import build_report, report_json, report_text
 from absix.corpus import builtin, corpus_names
 from absix.errors import DimensionError, WeightMismatch
 from absix.hodgecore import (
@@ -72,18 +76,107 @@ def test_engine_built_objects_equal_their_checked_construction(monkeypatch):
         built.append(trusted(weight, slots))
         return built[-1]
 
-    monkeypatch.setattr(hodgecore, "_pure", recording)
+    for module in (hodgecore, atlas, wss):  # the reader and wss import _pure by name
+        monkeypatch.setattr(module, "_pure", recording)
     rng = Random(2468)
     for a in [builtin(name) for name in corpus_names()] + [random_atlas(rng) for _ in range(8)]:
-        build_report(a, "atlas", "all")
+        build_report(loads_atlas(dumps_atlas(a)), "atlas", "all")
+    monkeypatch.undo()  # the checked constructor below goes through _pure too
     assert len(built) > 500
     for obj in built:
         assert type(obj.slots) is tuple
         assert all(type(s) is tuple and len(s) == 2 and type(s[0]) is type(s[1]) is int
                    for s in obj.slots)
-        checked = PureObject(obj.weight, obj.slots)
-        assert obj == checked and obj.labels() == checked.labels()
-        assert all(obj.positions(lab) == checked.positions(lab) for lab in checked.labels())
+        assert PureObject(obj.weight, obj.slots) is obj  # checks the weight, finds obj
+
+
+@pytest.mark.parametrize("weight, slots", [
+    (1, [(1.9, 0.1)]),
+    (1, [(True, False)]),
+    (0, [("1", "-1")]),
+    (1, [(Fraction(1), 0)]),
+    (2.0, ((1, 1),)),
+    (True, ((1, 0),)),
+    (0.0, ()),
+    ("0", ()),
+])
+def test_the_constructor_refuses_entries_that_are_not_integers(weight, slots):
+    with pytest.raises(WeightMismatch, match="is not an integer"):
+        PureObject(weight, slots)
+
+
+@pytest.mark.parametrize("slot", [(1, 1, 0), (2,), 2, "11", {1: 1}])
+def test_the_constructor_refuses_slots_that_are_not_pairs(slot):
+    with pytest.raises(WeightMismatch, match="is not a pair"):
+        PureObject(2, [slot])
+
+
+def test_the_constructor_normalizes_lists_and_int_subclasses():
+    class Level(int):
+        pass
+
+    v = PureObject(Level(2), [[Level(1), 1]])
+    assert v is PureObject(2, ((1, 1),))
+    assert type(v.weight) is int and all(type(x) is int for s in v.slots for x in s)
+
+
+# ---------------------------------------------------------------------------
+# One PureObject per slot tuple
+# ---------------------------------------------------------------------------
+
+def test_zero_object_is_the_entry_for_no_slots():
+    assert PureObject(7, ()) is ZERO_OBJECT
+    assert PureObject(0, []) is ZERO_OBJECT
+    assert ZERO_OBJECT.weight == 0 and ZERO_OBJECT.slots == ()
+    assert from_hodge_numbers(4, {}) is ZERO_OBJECT
+    assert direct_sum_all([ZERO_OBJECT, ZERO_OBJECT]) is ZERO_OBJECT
+
+
+def test_every_route_returns_the_one_object_on_its_slots():
+    a = PureObject(2, ((0, 2), (1, 1), (1, 1), (2, 0)))
+    assert PureObject(2, [[0, 2], [1, 1], [1, 1], [2, 0]]) is a
+    assert from_hodge_numbers(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}) is a
+    left, right = PureObject(2, ((0, 2), (1, 1))), PureObject(2, ((1, 1), (2, 0)))
+    assert direct_sum_all([left, ZERO_OBJECT, right]) is a
+    assert wss._direct_sum({(0,): left, (1,): right})[0] is a
+    mirrored = wss._mirror(a, 2)  # (p, q) -> (2 - p, 2 - q)
+    assert mirrored is PureObject(2, ((2, 0), (1, 1), (1, 1), (0, 2)))
+    assert wss._mirror(mirrored, 2) is a
+    assert builtin("gm").pure_at((), 0) is builtin("pn_minus_hyperplane", n=1).pure_at((), 0)
+
+
+def test_two_reads_of_one_document_share_their_cohomology_objects():
+    text = dumps_atlas(builtin("surface_resolution"))
+    first, second = loads_atlas(text), loads_atlas(text)
+    assert first is not second
+    shared = 0
+    for subset in first.declared_subsets():
+        for k in range(2 * first.e(subset) + 1):
+            assert first.pure_at(subset, k) is second.pure_at(subset, k)
+            shared += not first.pure_at(subset, k).is_zero
+    assert shared > 5
+
+
+def test_the_table_forgets_a_dropped_report():
+    gc.collect()
+    before = len(hodgecore._INTERNED)
+    a = builtin("points_in_proper", points=137)
+    report = build_report(a, "atlas", "all")
+    text, document = report_text(report), report_json(report)
+    assert len(hodgecore._INTERNED) > before
+    del a, report
+    gc.collect()
+    assert len(hodgecore._INTERNED) == before
+    assert text and document
+
+
+def test_pickled_and_copied_objects_stay_equal_and_hash_equal():
+    v = from_hodge_numbers(3, {(2, 1): 2, (1, 2): 1})
+    for again in (pickle.loads(pickle.dumps(v)), copy.copy(v), copy.deepcopy(v)):
+        assert again == v and hash(again) == hash(v)
+        assert again.labels() == v.labels() and again.positions((2, 1)) == (1, 2)
+        assert again.weight == 3 and again.slots == v.slots
+    assert pickle.loads(pickle.dumps(ZERO_OBJECT)) == ZERO_OBJECT
 
 
 # ---------------------------------------------------------------------------

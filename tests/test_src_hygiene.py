@@ -22,6 +22,12 @@ A fifth keeps the matrix storage format a ``qmat`` decision: outside
 than the unchecked constructor ``_wrap`` and the scalar parsers ``_frac``
 and ``_parse_rational``; the stored rows are read through
 ``Matrix.sparse_rows``.
+
+A sixth keeps the public surface earning its place: every public function
+or method is referenced in a module other than ``__init__.py``, or is named
+in ``absix.__all__``, or is on ``UNCALLED_PUBLIC`` with the reason it stays.
+A reference is any use of the name, so a method shares its callers with its
+namesakes.
 """
 
 import ast
@@ -164,3 +170,79 @@ def test_qmat_import_rule_sees_private_names_but_not_the_allowed_ones():
               "from absix.qmat import _frac, _from_sparse, _parse_rational\n"
               "from .hodgecore import _pure\n")
     assert _private_qmat_imports(ast.parse(source)) == [("_sparse", 1), ("_from_sparse", 2)]
+
+
+# Public names that nothing in the package calls, and why each stays.
+UNCALLED_PUBLIC = {
+    # Called by tests/test_acceptance.py, which is held fixed.
+    "absic.AbsicResult.u",
+    "absic.AbsicResult.decomposition",
+    "atlas.StratumData.top_degree",
+    "hodgecore.PureMorphism.full_matrix",
+    # Patched by perfbench/tracing.py's TRACED list, which the benchmark
+    # fixes; they go when the tracer reads events from the package.
+    "hodgecore.PureMorphism.from_full_matrix",
+    "qmat.image_basis",
+    "qmat.left_inverse",
+    "qmat.adjoint_pushforward",
+    # Accessors of public records and matrices that tests and README
+    # examples use.
+    "absic.FactorCheck.holds",
+    "atlas.ValidationReport.codes",
+    "qmat.Matrix.scale",
+    "qmat.Matrix.to_lists",
+}
+
+
+def _exported(init: ast.Module) -> set:
+    """The names in the ``__all__`` list of ``init``."""
+    return {value for node in init.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name) and target.id == "__all__"
+            for value in ast.literal_eval(node.value)}
+
+
+def _public_definitions(module: str, tree: ast.Module) -> list:
+    """(qualified name, node) of each public module-level function and each
+    public method of a module-level class."""
+    stem = module.removesuffix(".py")
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found.append((f"{stem}.{node.name}", node))
+        elif isinstance(node, ast.ClassDef):
+            found += [(f"{stem}.{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_")]
+    return found
+
+
+def _uncalled_public(modules: dict) -> set:
+    """Qualified names of public definitions that no module but
+    ``__init__.py`` references and that ``__all__`` does not name."""
+    exported = _exported(modules["__init__.py"])
+    callers = [tree for name, tree in modules.items() if name != "__init__.py"]
+    return {qualified for module, tree in modules.items()
+            for qualified, node in _public_definitions(module, tree)
+            if qualified.split(".", 1)[1] not in exported
+            and not any(node.name in _references(t, skip=node) for t in callers)}
+
+
+def test_public_definitions_are_called_exported_or_listed():
+    uncalled = _uncalled_public(MODULES)
+    assert not uncalled - UNCALLED_PUBLIC, (
+        f"public but never called in the package: {sorted(uncalled - UNCALLED_PUBLIC)}; "
+        "call it, export it in absix.__all__, delete it, or list it with a reason")
+    assert not UNCALLED_PUBLIC - uncalled, (
+        f"listed as uncalled but now called or gone: {sorted(UNCALLED_PUBLIC - uncalled)}")
+
+
+def test_public_rule_sees_uncalled_functions_and_methods():
+    modules = {
+        "__init__.py": ast.parse("from .m import shown\n__all__ = ['shown', 'used']"),
+        "m.py": ast.parse("def shown(): pass\ndef hidden(): pass\ndef used(): pass\n"
+                          "def _private(): pass\n"
+                          "class K:\n    def used(self): pass\n    def lone(self): pass\n"
+                          "    def __len__(self): return 0\n"),
+        "n.py": ast.parse("from .m import K\nK().used()"),
+    }
+    assert _uncalled_public(modules) == {"m.hidden", "m.K.lone"}
