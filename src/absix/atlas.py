@@ -33,27 +33,27 @@ rejected)::
 
 Subsets are listed in the order their elements appear in ``components``;
 the loader rejects unsorted subsets so that serialization is canonical, and
-a ``dimension`` above ``MAX_DIMENSION``.
-``load_atlas`` parses each distinct rational string once per document and
-builds only what the document declares: an empty cohomology degree is
-``ZERO_OBJECT`` and an empty matrix ``[]`` is the 0x0 block.  Left-out
-blocks are completed where they are built, ``make_stratum`` for pairings and
-``StratumAtlas`` for restrictions, so a builder's ``Matrix.zeros(0, 0)``
-means what a document's ``[]`` does, and every reader just indexes.
-``validate_atlas`` audits the semantic invariants (closure, degree ranges,
-Hodge symmetry and duality of slot counts, perfect/block-compatible pairings,
-block-diagonal restriction matrices, commuting restriction squares, degree-0
-unit rows) and returns the complete list of findings; computational modules
-refuse atlases with findings.  Its work follows what the atlas declares: a
-pairing is perfect when it is square of full rank, so nothing is inverted;
-the Hodge, block and unit checks walk each matrix's nonzeros; each square
-S < S+i, S+j < S+i+j is found from a declared S+i+j, and compared only in
-degrees where D_S and D_(S+i+j) have cohomology and its four matrices have
-their declared shapes.  The engine inverts only Y's pairings: the Gysin
-complexes are written in the basis dual to the restriction complexes, and
-read Y's inverse pairing (``StratumData.pairing_inverse``) on first use.
-An atlas is immutable; ``per_atlas`` computes a layer once per atlas object
-and caches it on the atlas, next to its validation report.
+a ``dimension`` above ``MAX_DIMENSION``.  ``load_atlas`` parses each
+distinct rational string once per document and builds only what the
+document declares: an empty cohomology degree is ``ZERO_OBJECT`` and an
+empty matrix ``[]`` is the 0x0 block.  Left-out blocks are completed where
+they are built, ``make_stratum`` for pairings and ``StratumAtlas`` for
+restrictions, so a builder's ``Matrix.zeros(0, 0)`` means what a document's
+``[]`` does, and every reader just indexes.
+``validate_atlas`` audits the semantic invariants (closure, subset order,
+degree ranges, Hodge symmetry and duality of slot counts, perfect/block-
+compatible pairings, block-diagonal restriction matrices, commuting
+restriction squares, degree-0 unit rows) and returns the complete list of
+findings; computational modules refuse atlases with findings.  A pairing is
+perfect when it is square of full rank, so nothing is inverted; the Hodge,
+block and unit checks walk each matrix's nonzeros; the squares are read off
+the product of two consecutive ``restriction_differential``s, built only in
+degrees where a square exists and then split by the restriction complexes.
+The engine inverts only Y's pairings: the Gysin complexes are written in
+the basis dual to the restriction complexes, and read Y's inverse pairing
+(``StratumData.pairing_inverse``) on first use.  An atlas is immutable;
+``per_atlas`` computes a layer once per atlas object and caches it on the
+atlas, next to its validation report.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, InvalidAtlas, ParseError
-from .hodgecore import PureObject, ZERO_OBJECT, _pure, cross_label_entry
+from .hodgecore import PureObject, ZERO_OBJECT, _pure, label_blocks
 from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse, rank
 from .record import Record
 
@@ -203,6 +203,10 @@ class StratumAtlas:
         """The declared subsets of size m, in ``declared_subsets`` order."""
         return self._by_size.get(m, ())
 
+    def spot_subsets(self, k: int, m: int) -> list:
+        """The subset of size m holding each slot of restriction spot m in degree k."""
+        return [s for s in self.subsets_of_size(m) for _ in self.strata[s].pure_at(k).slots]
+
     def depth(self) -> int:
         return max(self._by_size, default=0)
 
@@ -330,6 +334,16 @@ def _parse_object(raw, loc: str, what: str, required: tuple, optional: tuple = (
             raise ParseError(loc, f"missing field {field!r}")
 
 
+def _order_fault(subset, index: Mapping) -> Optional[str]:
+    """Why ``subset`` (of known components) is not in components order, if it
+    is not: the loader's and the validator's text."""
+    if all(index[x] < index[y] for x, y in zip(subset, subset[1:])):
+        return None
+    if len(set(subset)) != len(subset):
+        return "repeated component in subset"
+    return "subset not sorted in components order"
+
+
 def _parse_subset(raw, loc: str, index: Mapping) -> tuple:
     if not isinstance(raw, list):
         raise ParseError(loc, "expected a list of component names")
@@ -338,12 +352,10 @@ def _parse_subset(raw, loc: str, index: Mapping) -> tuple:
             raise ParseError(f"{loc}[{i}]", "component names are strings")
         if name not in index:
             raise ParseError(f"{loc}[{i}]", f"unknown component {name!r}")
-    subset = tuple(raw)
-    if len(subset) > 1:
-        _expect(len(set(subset)) == len(subset), loc, "repeated component in subset")
-        _expect(sorted(raw, key=index.__getitem__) == raw, loc,
-                "subset not sorted in components order")
-    return subset
+    fault = _order_fault(raw, index)
+    if fault:
+        raise ParseError(loc, fault)
+    return tuple(raw)
 
 
 def _parse_pure(entries, degree: int) -> PureObject:
@@ -583,6 +595,36 @@ def dumps_atlas(a: StratumAtlas) -> str:
     return json.dumps(dump_atlas(a), indent=1, sort_keys=True) + "\n"
 
 
+def restriction_differential(a: StratumAtlas, k: int, m: int) -> Matrix:
+    """The signed degree-k restriction differential from spot m to spot m+1.
+
+    Spot m sums H^k(D_S) over the S of size m in ``subsets_of_size`` order;
+    the block from S minus its element at position p to S is the restriction,
+    negated for odd p, unless its face or pair is undeclared or its matrix
+    misshaped.  A valid atlas keeps those validation squared until asked."""
+    kept = a._cache.get("differentials")
+    if kept and (k, m) in kept:
+        return kept.pop((k, m))
+    cols, col_at = 0, {}
+    for s in a.subsets_of_size(m):
+        col_at[s] = cols
+        cols += a.strata[s].dim_at(k)
+    lines = []
+    for top in a.subsets_of_size(m + 1):
+        block = [{} for _ in range(a.strata[top].dim_at(k))]
+        for p in range(len(top) if block else 0):
+            face = top[:p] + top[p + 1:]
+            mats = a.restrictions.get((face, top), ())
+            if (face in col_at and k < len(mats)
+                    and mats[k].shape == (len(block), a.strata[face].dim_at(k))):
+                c0, negate = col_at[face], p % 2
+                for line, row in zip(block, mats[k].sparse_rows()):
+                    for j, x in row.items():
+                        line[c0 + j] = -x if negate else x
+        lines += block
+    return _wrap(cols, lines)
+
+
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -639,6 +681,10 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
             continue
         if len(subset) > a.dimension:
             flag("BadSubset", where, "stratum would have negative dimension")
+            continue
+        fault = _order_fault(subset, a._index)
+        if fault:
+            flag("BadSubset", where, fault)
             continue
         # downward closure: drop one element at a time
         for i in range(len(subset)):
@@ -729,7 +775,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                 flag("RestrictionShape", f"{where}.matrices[{k}]",
                      f"shape {m.shape}, expected {want}")
                 continue
-            hit = cross_label_entry(source, target, m) if m.rows and m.cols else None
+            hit = label_blocks(source, target, m)[1] if m.rows and m.cols else None
             if hit is not None:
                 i, j = hit
                 flag("RestrictionBlocks", f"{where}.matrices[{k}]",
@@ -752,38 +798,38 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
         flag("MissingRestriction", f"{_subset_name(face)}->{_subset_name(subset)}",
              "adjacent strata need a declared restriction")
 
-    # commuting squares S < S+i, S+j < S+i+j, found from each declared top
-    # S+i+j (its elements in components order) and checked in declared order
-    # of S, then components order of i and j
-    squares = []
-    for top in a.declared_subsets():
-        pos = [a._index.get(c, -1) for c in top]
-        if len(top) < 2 or not all(0 <= x < y for x, y in zip(pos, pos[1:])):
-            continue
-        for x in range(len(top)):
-            for y in range(x + 1, len(top)):
-                base = top[:x] + top[x + 1:y] + top[y + 1:]
-                si, sj = top[:y] + top[y + 1:], top[:x] + top[x + 1:]
-                paths = ((si, top), (base, si), (sj, top), (base, sj))
-                if (base in order and si in a.strata and sj in a.strata
-                        and all(pair in a.restrictions for pair in paths)):
-                    squares.append((order[base], pos[x], pos[y], base, top, paths))
-    for _, _, _, base, top, paths in sorted(squares):
-        e, base_st = a.e(base), a.strata[base]
-        for k, obj in enumerate(a.strata[top].cohomology):
-            # an empty corner makes both paths the same zero-sized map, and a
-            # misshaped matrix has its RestrictionShape finding already
-            if (k > 2 * e or not obj.slots or not base_st.pure_at(k).slots
-                    or misshaped and any((src, dst, k) in misshaped for src, dst in paths)):
+    # commuting squares S < S+i, S+j < S+i+j: the (S+i+j, S) block of the
+    # product of the degree-k differentials out of spots |S| + 1 and |S| is
+    # +-(path 1 - path 2).  A nonzero block is a failed square if its strata
+    # and restrictions are declared, S+i+j is in components order and no path
+    # is misshaped in degree k <= 2e(S); each is reported at its lowest such
+    # degree, in declared order of S, then components order of i and j
+    need = {(k, len(top) - 2) for top in a.declared_subsets() if len(top) > 1
+            for k, obj in enumerate(a.strata[top].cohomology) if obj.slots}
+    built = {(k, m): restriction_differential(a, k, m)
+             for k, m in {(k, m + i) for k, m in need for i in (0, 1)}}
+    failed = {}
+    for k, m in sorted(need):
+        product = built[k, m + 1] * built[k, m]
+        tops, bases = a.spot_subsets(k, m + 2), a.spot_subsets(k, m)
+        for base, top in {(bases[j], tops[i])
+                          for i, row in enumerate(product.sparse_rows()) for j in row}:
+            pos = [a._index.get(c, -1) for c in top]
+            if k > 2 * a.e(base) or not all(0 <= x < y for x, y in zip(pos, pos[1:])):
                 continue
-            r = [a.restriction_matrix(src, dst, k) for src, dst in paths]
-            if r[0] * r[1] != r[2] * r[3]:
-                flag("SquareIncompatible",
-                     f"{_subset_name(base)}->{_subset_name(top)}.degree[{k}]",
-                     "the two restriction paths disagree")
-                break
+            x, y = [i for i, c in enumerate(top) if c not in base]
+            si, sj = top[:y] + top[y + 1:], top[:x] + top[x + 1:]
+            paths = ((si, top), (base, si), (sj, top), (base, sj))
+            if (si in a.strata and sj in a.strata and all(p in a.restrictions for p in paths)
+                    and not any((src, dst, k) in misshaped for src, dst in paths)):
+                failed.setdefault((order[base], pos[x], pos[y], base, top), k)
+    for (_, _, _, base, top), k in sorted(failed.items()):
+        flag("SquareIncompatible", f"{_subset_name(base)}->{_subset_name(top)}.degree[{k}]",
+             "the two restriction paths disagree")
 
     report = ValidationReport(tuple(findings))
+    if report.ok:
+        a._cache["differentials"] = built
     a._cache["validation"] = report
     return report
 

@@ -141,19 +141,23 @@ def direct_sum_all(parts: Sequence[PureObject]) -> PureObject:
     return _pure(weight, tuple([s for p in nonzero for s in p.slots]))
 
 
-def cross_label_entry(source: PureObject, target: PureObject, m: Matrix):
-    """The first ``(i, j)``, in row-major order, where ``m`` (target x source,
-    in slot order) has a nonzero entry linking target slot i to a different
-    source slot j; None when every nonzero entry stays within one label."""
+def label_blocks(source: PureObject, target: PureObject, m: Matrix) -> tuple:
+    """``(blocks, None)``: ``m`` (target x source, in slot order) split into its
+    (p, q) blocks; or ``(None, (i, j))``, with i the first row holding a nonzero
+    linking two labels and j the first such column in it."""
     labels = source.labels()
     if len(labels) == 1 and labels == target.labels():
-        return None
-    sslots = source.slots
+        return {labels[0]: m}, None
+    place, lines = [0] * source.dim, {}
+    for lab in labels:
+        for c, j in enumerate(source.positions(lab)):
+            place[j] = c
     for i, (t, row) in enumerate(zip(target.slots, m.sparse_rows())):
-        for j in row:
-            if sslots[j] != t:
-                return i, min([j for j in row if sslots[j] != t])
-    return None
+        off = [j for j in row if source.slots[j] != t]
+        if off:
+            return None, (i, min(off))
+        lines.setdefault(t, []).append({place[j]: x for j, x in row.items()})
+    return {lab: _wrap(source.count(lab), rows) for lab, rows in lines.items()}, None
 
 
 class PureMorphism:
@@ -211,18 +215,11 @@ class PureMorphism:
             raise DimensionError(
                 f"{where or 'matrix'}: shape {m.shape}, expected {(target.dim, source.dim)}"
             )
-        hit = cross_label_entry(source, target, m)
+        blocks, hit = label_blocks(source, target, m)
         if hit is not None:
             i, j = hit
-            raise DimensionError(
-                f"{where or 'matrix'}: nonzero entry ({i},{j}) links slot "
-                f"{source.slots[j]} to slot {target.slots[i]}"
-            )
-        blocks = {}
-        for lab in set(source.labels()) & set(target.labels()):
-            rows = target.positions(lab)
-            cols = source.positions(lab)
-            blocks[lab] = m.take_rows(rows).take_columns(cols)
+            raise DimensionError(f"{where or 'matrix'}: nonzero entry ({i},{j}) links slot "
+                                 f"{source.slots[j]} to slot {target.slots[i]}")
         return cls(source, target, blocks)
 
     # -- access ------------------------------------------------------------

@@ -22,18 +22,14 @@ H^*(X) is the cohomology of a small complex built out of the closed strata:
   so the change of basis is P_m on spot m >= 1: ranks, and the image of the
   map into spot 0 that ``u_map`` reads, are those of the slot basis.
 
-Every block is placed the same way: ``_direct_sum`` lays a spot out and
-numbers each slot within its label's block, and ``_label_first`` writes the
-nonzeros of the stratum blocks (restrictions, and Y's transposed inverse
-pairing against the mirrored H^(2d - w)(Y)) straight into the rows of the
-label blocks.  An entry linking two labels is an InternalError.
-
-Each complex checks d . d = 0 per label, as the product of its stored
-blocks.  ``grW_c`` is ``grW`` under Poincare duality of X;
-``lowest_weight_compact`` reads the weight-n piece off the restriction
-complex instead.  Both routes share the placed restriction blocks; the
-independent reference, one ``qmat.adjoint_pushforward`` per boundary edge
-in the slot basis, lives in the tests.  ``u_map`` assembles the comparison
+The restriction differentials are those validation squared
+(``atlas.restriction_differential``), split into label blocks by
+``hodgecore.label_blocks`` like Y's transposed inverse pairing; an entry
+linking two labels is an InternalError.  ``grW_c`` is ``grW`` under Poincare
+duality of X; ``lowest_weight_compact`` reads the weight-n piece off the
+restriction complex instead.  Both routes share the restriction blocks; the
+independent reference, one ``qmat.adjoint_pushforward`` per boundary edge in
+the slot basis, lives in the tests.  ``u_map`` assembles the comparison
 u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), whose kernel/image/cokernel
 decomposition everything downstream consumes.  All of it runs one (p, q)
 block at a time over exact rationals.
@@ -41,7 +37,7 @@ block at a time over exact rationals.
 
 from __future__ import annotations
 
-from .atlas import StratumAtlas, per_atlas
+from .atlas import StratumAtlas, per_atlas, restriction_differential
 from .errors import InternalError
 from .hodgecore import (
     ZERO_OBJECT,
@@ -49,10 +45,12 @@ from .hodgecore import (
     PureMorphism,
     PureObject,
     _pure,
+    direct_sum_all,
     from_hodge_numbers,
+    label_blocks,
     mixed,
 )
-from .qmat import _wrap, cokernel_projection, kernel_basis, rank
+from .qmat import cokernel_projection, kernel_basis, rank
 from .record import Record
 
 
@@ -65,15 +63,6 @@ class WeightComplex(Record):
     """
 
     __slots__ = _fields = ("weight", "spots", "maps", "decreasing")
-
-    def __init__(self, weight: int, spots: tuple, maps: tuple, decreasing: bool):
-        for i in range(len(maps) - 1):
-            first, then = (maps[i + 1], maps[i]) if decreasing else (maps[i], maps[i + 1])
-            for lab in then.labels():
-                outer, inner = then.stored_block(lab), first.stored_block(lab)
-                if outer is not None and inner is not None and not (outer * inner).is_zero():
-                    raise InternalError(f"differential does not square to zero at {i}")
-        super().__init__(weight, spots, maps, decreasing)
 
     def spot(self, m: int) -> PureObject:
         """The object at spot m: ``ZERO_OBJECT`` past either end."""
@@ -118,64 +107,28 @@ class WeightComplex(Record):
         return from_hodge_numbers(self.weight, self.homology_hodge(m))
 
 
-def _direct_sum(parts) -> tuple:
-    """The direct sum of the summands ``parts`` (subset -> object) and its
-    place table: each summand's slots as ``(label, index within that label's
-    block)``, counted in summand order, then slot order."""
-    slots, seen, places = [], {}, {}
-    for subset, obj in parts.items():
-        places[subset] = row = []
-        for lab in obj.slots:
-            k = seen.get(lab, 0)
-            seen[lab] = k + 1
-            row.append((lab, k))
-            slots.append(lab)
-    return (_pure(sum(slots[0]), tuple(slots)) if slots else ZERO_OBJECT), places
-
-
 def _mirror(obj: PureObject, d: int) -> PureObject:
     """``obj`` with each slot (p, q) relabelled (d - p, d - q), in order."""
     return _pure(2 * d - obj.weight, tuple([(d - p, d - q) for p, q in obj.slots]))
 
 
-def _label_first(source, target, blocks, where: str) -> dict:
-    """The label blocks of the morphism between the direct sums ``source``
-    and ``target`` (each ``(object, places)`` from ``_direct_sum``) with
-    summand blocks ``blocks[(tgt, src)] = (m, negate)``, absent pairs zero,
-    placed in one pass over their nonzeros; the placed rows become the label
-    blocks' rows.  A nonzero linking two different labels is an
-    InternalError: validated data has none."""
-    (src_obj, src_places), (tgt_obj, tgt_places) = source, target
-    lines = {lab: [{} for _ in range(tgt_obj.count(lab))] for lab in src_obj.labels()}
-    for (tgt, src), (m, negate) in blocks.items():
-        row_places, col_places = tgt_places[tgt], src_places[src]
-        for i, row in enumerate(m.sparse_rows()):
-            if row:
-                lab, r = row_places[i]
-                for j, x in row.items():
-                    col_lab, c = col_places[j]
-                    if col_lab != lab:
-                        raise InternalError(f"{where}: block {list(src)}->{list(tgt)} "
-                                            f"links slot {col_lab} to slot {lab}")
-                    lines[lab][r][c] = -x if negate else x
-    return {lab: _wrap(src_obj.count(lab), rows) for lab, rows in lines.items() if rows}
-
-
 @per_atlas
 def restriction_complex(a: StratumAtlas, n: int) -> WeightComplex:
     """The degree-n restriction complex (weight n at every spot)."""
-    sums = [_direct_sum({s: a.pure_at(s, n) for s in a.subsets_of_size(m)})
-            for m in range(a.depth() + 1)]
+    spots = tuple([direct_sum_all([a.pure_at(s, n) for s in a.subsets_of_size(m)])
+                   for m in range(a.depth() + 1)])
     maps = []
-    for m in range(len(sums) - 1):
-        blocks = {}
-        for subset, slots in sums[m + 1][1].items():
-            for pos in range(len(subset) if slots else 0):
-                smaller = subset[:pos] + subset[pos + 1:]
-                blocks[(subset, smaller)] = (a.restriction_matrix(smaller, subset, n), pos % 2)
-        maps.append(PureMorphism(sums[m][0], sums[m + 1][0], _label_first(
-            sums[m], sums[m + 1], blocks, f"restriction differential n={n}, spot {m}")))
-    return WeightComplex(n, tuple([obj for obj, _ in sums]), tuple(maps), False)
+    for m in range(len(spots) - 1):
+        source, target = spots[m], spots[m + 1]
+        blocks, hit = label_blocks(source, target, restriction_differential(a, n, m))
+        if hit is not None:
+            i, j = hit
+            raise InternalError(
+                f"restriction differential n={n}, spot {m}: block {list(a.spot_subsets(n, m)[j])}"
+                f"->{list(a.spot_subsets(n, m + 1)[i])} links slot {source.slots[j]} to slot "
+                f"{target.slots[i]}")
+        maps.append(PureMorphism(source, target, blocks))
+    return WeightComplex(n, spots, tuple(maps), False)
 
 
 @per_atlas
@@ -198,9 +151,12 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
                 blocks[d - p, d - q] = block.transpose()
         if m == 1 and blocks:
             inverse = a.stratum(()).pairing_inverse(w).transpose()
-            placed = _label_first(_direct_sum({(): mirrored[0]}), _direct_sum({(): spots[0]}),
-                                  {((), ()): (inverse, False)},
-                                  f"gysin differential w={w}, spot 1: inverse pairing in degree {w}")
+            placed, hit = label_blocks(mirrored[0], spots[0], inverse)
+            if hit is not None:
+                i, j = hit
+                raise InternalError(
+                    f"gysin differential w={w}, spot 1: inverse pairing in degree {w}: block "
+                    f"[]->[] links slot {mirrored[0].slots[j]} to slot {spots[0].slots[i]}")
             blocks = {lab: placed[lab] * block for lab, block in blocks.items()}
         maps.append(PureMorphism(spots[m], spots[m - 1], blocks))
     return WeightComplex(w, spots, tuple(maps), True)

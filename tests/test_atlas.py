@@ -30,6 +30,7 @@ from absix.cli import atlas_hash, main
 from absix.corpus import ALIASES, builtin, corpus_names
 from absix.errors import DimensionError, InvalidAtlas, ParseError, UnknownCorpusItem
 from absix.hodgecore import ZERO_OBJECT, PureMorphism, PureObject
+from absix.wss import restriction_complex
 
 from synth import kunneth, random_atlas, random_boundary_atlas
 
@@ -831,6 +832,23 @@ def _reshaped(a, rng, pair):
     return _with_matrix(a, pair, k, grown)
 
 
+def _square_edge_cases() -> list:
+    """gm^3 with the square Y < {A.A.p0}, {A.B.p0} < {A.A.p0,A.B.p0} broken in
+    degrees 0 and 2; the same with one of its paths left out; and a square
+    of (surface x gm) broken only by an entry linking two labels."""
+    gm = builtin("gm")
+    cube = kunneth(kunneth(gm, gm), gm)
+    edge = (("A.A.p0",), ("A.A.p0", "A.B.p0"))
+    twice = _with_matrix(cube, edge, 0, cube.restrictions[edge][0].scale(2))
+    twice = _with_matrix(twice, edge, 2, twice.restrictions[edge][2].scale(2))
+    one_path = _without(twice, {(("A.B.p0",), ("A.A.p0", "A.B.p0"))})
+    surface = kunneth(random_boundary_atlas(Random(0), 2, 1), gm)
+    edge = (("A.Z1",), ("A.Z1", "B.p0"))
+    rows = surface.restrictions[edge][1].to_lists()
+    rows[0][1] = 1  # (1,0) -> (0,1)
+    return [twice, one_path, _with_matrix(surface, edge, 1, Matrix.from_rows(rows))]
+
+
 def test_squares_match_the_double_loop(corpus):
     rng = Random(4343)
     atlases = list(corpus.values()) + [random_atlas(rng) for _ in range(20)] + [
@@ -844,6 +862,8 @@ def test_squares_match_the_double_loop(corpus):
     for comp in ("A.Z1", "B.Z1"):
         crossed = _with_matrix(crossed, ((), (comp,)), 0, Matrix.from_rows([[2]]))
     atlases.append(crossed)
+    edges = _square_edge_cases()
+    atlases += edges
     fired = reshaped = 0
     for a in atlases:
         pairs = sorted(a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1])))
@@ -859,6 +879,40 @@ def test_squares_match_the_double_loop(corpus):
             fired += bool(found)
             reshaped += any(f.code == "RestrictionShape" for f in findings)
     assert fired >= 10 and reshaped >= 30  # the mutations are seen
+    twice, one_path, off_label = [[str(f) for f in validate_atlas(b).findings] for b in edges]
+    assert "[SquareIncompatible] Y->{A.A.p0,A.B.p0}.degree[0]: the two restriction paths disagree" in twice
+    assert not [f for f in twice if "degree[2]" in f]  # only the lowest failing degree
+    assert not [f for f in one_path if "Y->{A.A.p0,A.B.p0}." in f]  # a path is missing
+    assert [f[:20] for f in off_label] == ["[RestrictionBlocks] ", "[SquareIncompatible]"]
+
+
+def test_subsets_out_of_components_order_are_bad_subsets():
+    """Rebuilt with its components reversed, gm^3 declares every subset out of
+    order; the square the same edit breaks is then never compared, so the
+    subsets themselves are the findings, as the loader's texts."""
+    gm = builtin("gm")
+    cube = kunneth(kunneth(gm, gm), gm)
+    edge = (("A.A.p0",), ("A.A.p0", "A.B.p0"))
+    broken = _with_matrix(cube, edge, 2, cube.restrictions[edge][2].scale(2))
+    with pytest.raises(InvalidAtlas, match=r"\[SquareIncompatible\] Y->\{A.A.p0,A.B.p0\}.degree\[2\]"):
+        require_valid(broken)
+    reversed_ = StratumAtlas(cube.dimension, cube.components[::-1], dict(broken.strata),
+                             dict(broken.restrictions))
+    findings = validate_atlas(reversed_).findings
+    assert {(f.code, f.detail) for f in findings} == {
+        ("BadSubset", "subset not sorted in components order")}
+    assert len(findings) == len([s for s in cube.strata if len(s) > 1])
+    with pytest.raises(InvalidAtlas, match="subset not sorted in components order"):
+        restriction_complex(reversed_, 2)
+
+
+def test_a_subset_with_a_repeated_component_is_a_bad_subset():
+    a = kunneth(builtin("gm"), builtin("gm"))
+    doubled = StratumAtlas(a.dimension, a.components,
+                           {**a.strata, ("A.p0", "A.p0"): a.strata[("A.p0", "B.p0")]},
+                           dict(a.restrictions))
+    with pytest.raises(InvalidAtlas, match=r"\[BadSubset\] \{A.p0,A.p0\}: repeated component"):
+        require_valid(doubled)
 
 
 def test_validation_of_many_components_is_quick():

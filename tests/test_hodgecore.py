@@ -138,7 +138,9 @@ def test_every_route_returns_the_one_object_on_its_slots():
     assert from_hodge_numbers(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1}) is a
     left, right = PureObject(2, ((0, 2), (1, 1))), PureObject(2, ((1, 1), (2, 0)))
     assert direct_sum_all([left, ZERO_OBJECT, right]) is a
-    assert wss._direct_sum({(0,): left, (1,): right})[0] is a
+    b = builtin("gm_times_a1")  # a restriction spot is the sum of its strata
+    slots = [s for z in b.subsets_of_size(1) for s in b.pure_at(z, 0).slots]
+    assert len(slots) > 1 and wss.restriction_complex(b, 0).spots[1] is PureObject(0, slots)
     mirrored = wss._mirror(a, 2)  # (p, q) -> (2 - p, 2 - q)
     assert mirrored is PureObject(2, ((2, 0), (1, 1), (1, 1), (0, 2)))
     assert wss._mirror(mirrored, 2) is a

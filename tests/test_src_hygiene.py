@@ -28,6 +28,11 @@ or method is referenced in a module other than ``__init__.py``, or is named
 in ``absix.__all__``, or is on ``UNCALLED_PUBLIC`` with the reason it stays.
 A reference is any use of the name, so a method shares its callers with its
 namesakes.
+
+A seventh keeps the restriction complexes on what validation checked:
+``wss.py`` never names ``restriction_matrix``, so its complexes read the
+restrictions only through ``atlas.restriction_differential``, whose
+squares validation computes.
 """
 
 import ast
@@ -144,6 +149,23 @@ def test_only_the_atlas_module_reads_its_stored_blocks(name):
 def test_storage_rule_sees_reads_but_not_accessors():
     source = "a.restrictions[p]\nst.pairings[0]\nlen(s.cohomology)\na.pairing_at(s, 0)"
     assert _storage_reads(ast.parse(source)) == [1, 2, 3]
+
+
+def _restriction_reads(tree: ast.AST) -> list:
+    """Lines that name ``restriction_matrix``, as an attribute or a name."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if getattr(node, "attr", getattr(node, "id", None)) == "restriction_matrix"})
+
+
+def test_the_complexes_read_restrictions_only_through_the_validated_differentials():
+    reads = _restriction_reads(MODULES["wss.py"])
+    assert not reads, (f"wss.py: names restriction_matrix on lines {reads}; "
+                       "split atlas.restriction_differential instead")
+
+
+def test_restriction_rule_sees_calls_and_names():
+    source = "a.restriction_matrix(s, t, 0)\nf = restriction_matrix\nrestriction_differential(a, 0, 0)"
+    assert _restriction_reads(ast.parse(source)) == [1, 2]
 
 
 _QMAT_PRIVATE_ALLOWED = ("_wrap", "_frac", "_parse_rational")

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from absix import Matrix, qmat
+from absix import Matrix, qmat, wss
 from absix import atlas as atlas_module
 from absix.atlas import StratumAtlas, StratumData, dumps_atlas, validate_atlas
 from absix.cli import main
@@ -382,8 +382,8 @@ def test_a_full_report_reads_only_y_pairings(monkeypatch, tmp_path, capsys):
 
 def _broken_square(monkeypatch):
     """Double the degree-0 restriction from the curve A.p0 of gm x gm to its
-    point A.p0 x B.p0, once the atlas has validated: the square from Y to
-    that point through A.p0 and B.p0 stops commuting."""
+    point A.p0 x B.p0, once the atlas has validated: read now, the square
+    from Y to that point through A.p0 and B.p0 would stop commuting."""
     validated = _after_validation(monkeypatch)
     real = StratumAtlas.restriction_matrix
 
@@ -396,22 +396,24 @@ def _broken_square(monkeypatch):
     monkeypatch.setattr(StratumAtlas, "restriction_matrix", patched)
 
 
-def test_a_broken_square_breaks_d_squared(monkeypatch):
-    a = kunneth(builtin("gm"), builtin("gm"))
+def test_a_square_broken_after_validation_leaves_the_complexes_unchanged(monkeypatch):
+    """The complexes are split off the differentials validation squared, so
+    no restriction read past validation reaches them."""
+    fresh, a = kunneth(builtin("gm"), builtin("gm")), kunneth(builtin("gm"), builtin("gm"))
+    want = [f(fresh, n) for f in (restriction_complex, gysin_complex) for n in range(5)]
     _broken_square(monkeypatch)
     assert atlas_module.validate_atlas(a).ok
-    # Weight 4 reads its differentials off the degree-0 restriction complex.
-    with pytest.raises(InternalError, match="differential does not square to zero at 0"):
-        gysin_complex(a, 4)
+    assert [f(a, n) for f in (restriction_complex, gysin_complex) for n in range(5)] == want
 
 
-def test_a_broken_square_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+def test_a_square_broken_after_validation_leaves_the_full_report_unchanged(
+        monkeypatch, tmp_path, capsys):
     path = _gm2_file(tmp_path)
+    assert main(["compute", str(path), "--what", "all"]) == 0
+    want = capsys.readouterr()
     _broken_square(monkeypatch)
-    assert main(["compute", str(path), "--what", "cohomology"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "internal error (a bug in absix): differential does not square to zero at 0\n"
+    assert main(["compute", str(path), "--what", "all"]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_a_full_report_calls_no_adjoint_pushforward(monkeypatch, tmp_path, capsys):
@@ -434,15 +436,16 @@ def test_a_full_report_calls_no_adjoint_pushforward(monkeypatch, tmp_path, capsy
 
 
 def _off_label_restriction(monkeypatch):
-    """Make degree 2 of Y -> Z1 send the (0,2) line onto the (1,1) point class."""
-    real = StratumAtlas.restriction_matrix
+    """Make the degree-2 differential Y -> Z1 send the (0,2) line onto the
+    (1,1) point class, as the restriction complex splits it."""
+    real = wss.restriction_differential
 
-    def patched(self, src, dst, k):
-        if (tuple(src), tuple(dst), k) == ((), ("Z1",), 2):
+    def patched(a, k, m):
+        if (k, m) == (2, 0):
             return Matrix.from_rows([[1, 0]])
-        return real(self, src, dst, k)
+        return real(a, k, m)
 
-    monkeypatch.setattr(StratumAtlas, "restriction_matrix", patched)
+    monkeypatch.setattr(wss, "restriction_differential", patched)
 
 
 def test_off_label_restriction_block_is_an_internal_error(monkeypatch):
