@@ -67,7 +67,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, InvalidAtlas, ParseError
-from .hodgecore import PureObject, ZERO_OBJECT, _pure, label_blocks
+from .hodgecore import PureObject, ZERO_OBJECT, _pure, off_label_entry
 from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse, rank
 from .record import Record
 
@@ -775,7 +775,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
                 flag("RestrictionShape", f"{where}.matrices[{k}]",
                      f"shape {m.shape}, expected {want}")
                 continue
-            hit = label_blocks(source, target, m)[1] if m.rows and m.cols else None
+            hit = off_label_entry(source, target, m)
             if hit is not None:
                 i, j = hit
                 flag("RestrictionBlocks", f"{where}.matrices[{k}]",

@@ -2,7 +2,7 @@
 
 Usage (installed as ``absix``)::
 
-    absix validate FILE
+    absix validate FILE [--format text|json]
     absix compute FILE_OR_@NAME [--what WHAT] [--format text|json] [--degree N]
     absix corpus
 
@@ -10,10 +10,13 @@ Usage (installed as ``absix``)::
 ``@name(param=value, ...)`` referring to a built-in corpus atlas.  Each table
 is collected from its degree-n pieces, so ``--degree N`` computes degree N
 alone; the criteria, comparison and dichotomy always cover every degree.
-Output is deterministic: identical inputs produce identical bytes.  Exit
-codes, mapped from the error classes in ``main`` alone: 0 on success, 1 on a
-domain error (invalid atlas, violated precondition), 2 on I/O or parse
-errors, 3 when an internal invariant fails (a bug in absix).
+Output is deterministic: identical inputs produce identical bytes.  A JSON
+report, of ``compute`` or of ``validate``, is the text of
+``json.dumps(doc, indent=2, sort_keys=True)`` and a newline, written in one
+pass by :func:`dumps_json`.  Exit codes, mapped from the error classes in
+``main`` alone: 0 on success, 1 on a domain error (invalid atlas, violated
+precondition), 2 on I/O or parse errors, 3 when an internal invariant fails
+(a bug in absix).
 """
 
 from __future__ import annotations
@@ -24,11 +27,19 @@ import hashlib
 import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
 from . import __version__
 from .absic import absic_at, all_degrees, boundary_at, boundary_degrees, tabulate
-from .atlas import StratumAtlas, dump_atlas, read_atlas, require_valid, validate_atlas
+from .atlas import (
+    StratumAtlas,
+    ValidationReport,
+    dump_atlas,
+    read_atlas,
+    require_valid,
+    validate_atlas,
+)
 from .errors import AbsixError, InternalError, InvalidAtlas, ParseError, PreconditionViolated
 from .hodgecore import CohomologyTable
 from .plus import (
@@ -175,6 +186,71 @@ def report_json(report: Report) -> dict:
     return doc
 
 
+def validation_json(name: str, report: ValidationReport) -> dict:
+    return {
+        "schema": 1,
+        "atlasName": name,
+        "valid": report.ok,
+        "findings": [{"code": f.code, "where": f.where, "detail": f.detail}
+                     for f in report.findings],
+    }
+
+
+def dumps_json(doc) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)``, written in
+    one pass.
+
+    Up to CPython 3.12 an ``indent`` sends ``json`` to its pure-Python
+    generator encoder; here each string still goes through the C escaper of
+    ``ensure_ascii``.  Only what the report documents hold is accepted:
+    dicts with str keys, lists, str, int, bool and None.  Anything else,
+    which ``json`` would write its own way, is an :class:`InternalError`.
+    """
+    out = []
+    _write_json(doc, out, "\n")
+    return "".join(out)
+
+
+def _write_json(value, out: list, nl: str) -> None:
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        for key in value:  # json would sort other keys before turning them into strings
+            if not isinstance(key, str):
+                raise InternalError(f"cannot write a {type(key).__name__} key into a report")
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _quote(key) + ": ")
+            _write_json(value[key], out, inner)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, out, inner)
+            sep = "," + inner
+        out.append(nl + "]")
+    else:
+        raise InternalError(f"cannot write a {type(value).__name__} into a report")
+
+
 # ---------------------------------------------------------------------------
 # Text rendering
 # ---------------------------------------------------------------------------
@@ -317,19 +393,21 @@ def resolve_target(target: str) -> tuple:
     return read_atlas(target), target
 
 
-def cmd_validate(path: str) -> int:
+def cmd_validate(path: str, fmt: str) -> int:
     try:
         a = read_atlas(path)
     except OSError as exc:
         print(f"cannot read {path}: {exc}", file=sys.stderr)
         return 2
     report = validate_atlas(a)
-    if report.ok:
+    if fmt == "json":
+        print(dumps_json(validation_json(path, report)))
+    elif report.ok:
         print("atlas valid")
-        return 0
-    for finding in report.findings:
-        print(str(finding))
-    return 1
+    else:
+        for finding in report.findings:
+            print(str(finding))
+    return 0 if report.ok else 1
 
 
 def cmd_compute(target: str, what: str, fmt: str, degree: Optional[int]) -> int:
@@ -340,7 +418,7 @@ def cmd_compute(target: str, what: str, fmt: str, degree: Optional[int]) -> int:
         return 2
     report = build_report(a, name, what, degree)
     if fmt == "json":
-        print(json.dumps(report_json(report), indent=2, sort_keys=True))
+        print(dumps_json(report_json(report)))
     else:
         print(report_text(report), end="")
     return 0
@@ -366,6 +444,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_validate = sub.add_parser("validate", help="check an atlas file")
     p_validate.add_argument("path")
+    p_validate.add_argument("--format", choices=("text", "json"), default="text")
 
     p_compute = sub.add_parser("compute", help="compute cohomology tables")
     p_compute.add_argument("target", help="atlas file, or @name / @name(n=2)")
@@ -385,7 +464,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args.path)
+            return cmd_validate(args.path, args.format)
         if args.command == "compute":
             return cmd_compute(args.target, args.what, args.format, args.degree)
         return cmd_corpus()

@@ -27,7 +27,7 @@ cohomology it tabulates.
 from __future__ import annotations
 
 import weakref
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, WeightMismatch
 from .qmat import Matrix, _wrap, rank
@@ -141,21 +141,34 @@ def direct_sum_all(parts: Sequence[PureObject]) -> PureObject:
     return _pure(weight, tuple([s for p in nonzero for s in p.slots]))
 
 
+def off_label_entry(source: PureObject, target: PureObject, m: Matrix) -> Optional[tuple]:
+    """``(i, j)`` for the first nonzero of ``m`` (target x source, in slot
+    order) linking two (p, q) labels: i its row, j the first such column in
+    it; None when every nonzero keeps its label."""
+    labels = source.labels()
+    if len(labels) == 1 and labels == target.labels():
+        return None
+    for i, (t, row) in enumerate(zip(target.slots, m.sparse_rows())):
+        off = [j for j in row if source.slots[j] != t]
+        if off:
+            return i, min(off)
+    return None
+
+
 def label_blocks(source: PureObject, target: PureObject, m: Matrix) -> tuple:
     """``(blocks, None)``: ``m`` (target x source, in slot order) split into its
-    (p, q) blocks; or ``(None, (i, j))``, with i the first row holding a nonzero
-    linking two labels and j the first such column in it."""
+    (p, q) blocks; or ``(None, off_label_entry(source, target, m))``."""
     labels = source.labels()
     if len(labels) == 1 and labels == target.labels():
         return {labels[0]: m}, None
+    hit = off_label_entry(source, target, m)
+    if hit is not None:
+        return None, hit
     place, lines = [0] * source.dim, {}
     for lab in labels:
         for c, j in enumerate(source.positions(lab)):
             place[j] = c
-    for i, (t, row) in enumerate(zip(target.slots, m.sparse_rows())):
-        off = [j for j in row if source.slots[j] != t]
-        if off:
-            return None, (i, min(off))
+    for t, row in zip(target.slots, m.sparse_rows()):
         lines.setdefault(t, []).append({place[j]: x for j, x in row.items()})
     return {lab: _wrap(source.count(lab), rows) for lab, rows in lines.items()}, None
 

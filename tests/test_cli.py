@@ -14,6 +14,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import absix
 from absix import __version__
@@ -23,8 +24,8 @@ from absix.absic import (
     compact_table,
     plain_table,
 )
-from absix.atlas import MAX_DIMENSION, dump_atlas, dumps_atlas
-from absix.cli import atlas_hash, main
+from absix.atlas import MAX_DIMENSION, dump_atlas, dumps_atlas, read_atlas, validate_atlas
+from absix.cli import atlas_hash, build_report, dumps_json, main, report_json
 from absix.corpus import ALIASES, CATALOGUE, MAX_N, MAX_POINTS, builtin, corpus_names
 from absix.plus import ih_one_point
 
@@ -109,6 +110,44 @@ def test_validate_missing_file_is_io_error(tmp_path, capsys):
     assert code == 2
     assert "cannot read" in err
     assert out == ""
+
+
+def _indented(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_validate_json_of_a_valid_atlas(tmp_path, capsys):
+    path = tmp_path / "gm.atlas.json"
+    path.write_text(dumps_atlas(builtin("gm")), encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", str(path), "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == _indented(
+        {"schema": 1, "atlasName": str(path), "valid": True, "findings": []})
+
+
+def test_validate_json_lists_the_findings_the_text_prints(tmp_path, capsys):
+    path = _write_doc(tmp_path, _broken_pairing_doc())
+    findings = validate_atlas(read_atlas(path)).findings
+    assert findings
+    code, out, err = run_cli(capsys, "validate", path, "--format", "json")
+    assert (code, err) == (1, "")
+    assert out == _indented({
+        "schema": 1, "atlasName": path, "valid": False,
+        "findings": [{"code": f.code, "where": f.where, "detail": f.detail}
+                     for f in findings],
+    })
+    assert run_cli(capsys, "validate", path) == (
+        1, "".join(f"{f}\n" for f in findings), "")
+
+
+def test_validate_json_of_an_unreadable_file_is_the_text_error(tmp_path, capsys):
+    missing, garbled = tmp_path / "nope.json", tmp_path / "bad.json"
+    garbled.write_bytes(b'{"dimension": 1,')
+    for path in (missing, garbled):
+        text = run_cli(capsys, "validate", str(path))
+        assert run_cli(capsys, "validate", str(path), "--format", "json") == text
+        assert text[:2] == (2, "") and text[2].count("\n") == 1
+    assert text[2].startswith("parse error at line 1, column 17")
 
 
 def _with_pairing_entry(value: str) -> bytes:
@@ -334,6 +373,73 @@ def test_json_dichotomy_appears_when_verdict_fails(capsys):
     assert doc["dichotomy"]["mode"] == "general"
     assert doc["dichotomy"]["horn"] == "i"
     assert doc["dichotomy"]["degrees"] == [1, 3]
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer: json.dumps(doc, indent=2, sort_keys=True), in one pass
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("item", [item.name for item in CATALOGUE])
+def test_writer_matches_json_on_every_corpus_report(item):
+    a = builtin(item)
+    for degree in (None, 1):
+        doc = report_json(build_report(a, item, "all", degree))
+        assert dumps_json(doc) == json.dumps(doc, indent=2, sort_keys=True), degree
+
+
+_AWKWARD = st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "€",
+                            "\U0001f600", "\ud800", "a", "/"])
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(10 ** 299, 10 ** 300 - 1) | st.integers(-(10 ** 300) + 1, -(10 ** 299))
+           | st.text() | st.text(_AWKWARD))
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(max_size=4) | st.text(_AWKWARD, max_size=4),
+                                     inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@given(_DOCS)
+@settings(max_examples=300, deadline=None)
+def test_writer_matches_json_on_nested_documents(doc):
+    assert dumps_json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+def test_a_non_ascii_atlas_path_is_escaped(tmp_path, capsys):
+    path = tmp_path / "gm-\u00e9t\u00e9-\u20ac.atlas.json"
+    path.write_text(dumps_atlas(builtin("gm")), encoding="utf-8")
+    for command in ("compute", "validate"):
+        code, out, err = run_cli(capsys, command, str(path), "--format", "json")
+        assert (code, err) == (0, ""), command
+        assert out.isascii() and "\\u00e9t\\u00e9-\\u20ac" in out, command
+        doc = json.loads(out)
+        assert doc["atlasName"] == str(path) and out == _indented(doc), command
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: 0}, {"a": 0, 2: 0}, [{"b": float("nan")}],
+                                 {"c": {"d": [frozenset()]}}])
+def test_a_value_json_would_write_its_own_way_exits_3(bad, monkeypatch, capsys):
+    monkeypatch.setattr("absix.cli.report_json", lambda report: {"schema": 1, "x": bad})
+    code, out, err = run_cli(capsys, "compute", "@a1", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error (a bug in absix): cannot write a ")
+    assert err.count("\n") == 1
+
+
+def test_a_json_report_never_runs_the_python_encoder(monkeypatch, capsys):
+    """Up to CPython 3.12, json.dumps with an indent builds its pure-Python
+    encoder; a report is written without it, to the same bytes."""
+    assert main(["compute", "@gm", "--format", "json"]) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    assert main(["compute", "@gm", "--format", "json"]) == 0
+    assert capsys.readouterr() == want
 
 
 def test_what_selects_tables(capsys):
