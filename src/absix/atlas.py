@@ -49,9 +49,11 @@ perfect when it is square of full rank, so nothing is inverted; the Hodge,
 block and unit checks walk each matrix's nonzeros; the squares are read off
 the product of two consecutive ``restriction_differential``s, built only in
 degrees where a square exists and then split by the restriction complexes.
-The engine inverts only Y's pairings: the Gysin complexes are written in
-the basis dual to the restriction complexes, and read Y's inverse pairing
-(``StratumData.pairing_inverse``) on first use.  An atlas is immutable;
+The engine inverts only Y's pairings, once per Gysin complex: the Gysin
+complexes are written in the basis dual to the restriction complexes.
+``StratumAtlas`` keeps its restriction pairs in canonical order (by source,
+then target, each by size and then components order), the order validation
+reports them in and ``dump_atlas`` writes them.  An atlas is immutable;
 ``per_atlas`` computes a layer once per atlas object and caches it on the
 atlas, next to its validation report.
 """
@@ -68,7 +70,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import DimensionError, InvalidAtlas, ParseError
 from .hodgecore import PureObject, ZERO_OBJECT, _pure, off_label_entry
-from .qmat import Matrix, _frac, _parse_rational, _wrap, inverse, rank
+from .qmat import Matrix, _frac, _parse_rational, _wrap, rank
 from .record import Record
 
 MAX_DIMENSION = 1000  # each stratum spans 2e+1 degrees, so work grows with d
@@ -82,11 +84,10 @@ class StratumData(Record):
     """Degree-indexed cohomology and pairing matrices of one closed stratum.
 
     ``cohomology[k]`` is the PureObject H^k and ``pairings[k]`` the matrix of
-    H^k x H^(2e-k) -> Q.  ``_inverses`` memoizes ``pairing_inverse`` by degree.
+    H^k x H^(2e-k) -> Q.
     """
 
-    __slots__ = ("cohomology", "pairings", "_inverses")
-    _fields = ("cohomology", "pairings")
+    __slots__ = _fields = ("cohomology", "pairings")
 
     def pure_at(self, k: int) -> PureObject:
         if 0 <= k < len(self.cohomology):
@@ -103,19 +104,6 @@ class StratumData(Record):
 
     def top_degree(self) -> int:
         return len(self.cohomology) - 1
-
-    def pairing_inverse(self, k: int) -> Optional[Matrix]:
-        """``inverse`` of the degree-k pairing (None where singular), computed
-        on first use and kept.  The engine reads it only on Y, for the Gysin
-        differential out of spot 1."""
-        try:
-            memo = self._inverses
-        except AttributeError:
-            memo = {}
-            object.__setattr__(self, "_inverses", memo)
-        if k not in memo:
-            memo[k] = inverse(self.pairing_at(k))
-        return memo[k]
 
 
 class _ZeroBlocks(dict):
@@ -173,12 +161,15 @@ class StratumAtlas:
                     mats += [zeros[t.dim_at(k), s.dim_at(k)]
                              for k in range(len(mats), len(s.cohomology))]
             padded[(src, dst)] = tuple(mats)
-        self.restrictions = MappingProxyType(padded)
+        key = {s: self.subset_key(s) for s in {*self.strata, *(s for p in padded for s in p)}}
+        # a stable sort: pairs of equal keys (unknown components) keep their order
+        self.restrictions = MappingProxyType(dict(sorted(
+            padded.items(), key=lambda item: (key[item[0][0]], key[item[0][1]]))))
         self.self_intersections = (
             MappingProxyType(dict(self_intersections))
             if self_intersections is not None else None
         )
-        self._subsets = tuple(sorted(self.strata, key=self.subset_key))
+        self._subsets = tuple(sorted(self.strata, key=key.__getitem__))
         by_size = {}
         for s in self._subsets:
             by_size.setdefault(len(s), []).append(s)
@@ -280,8 +271,8 @@ class _Rationals(dict):
 
 # Locations are formatted only on failure.  A parser below locates an error
 # relative to what it parses ("[i]" for a matrix row, "" for the whole), and
-# each caller puts its own part in front on the way out: ".pairings[k]" in a
-# degree loop, "strata[i]" or "restrictions[i]" in ``load_atlas``.
+# ``_parse_list`` puts the list's part in front on the way out: ".pairings[k]"
+# in a stratum, "strata[i]" or "restrictions[i]" in ``load_atlas``.
 
 def _parse_fraction(x, rationals: _Rationals, loc: str, *index: int):
     """A JSON integer or strict rational string (``qmat``'s grammar) as a
@@ -383,54 +374,44 @@ def _parse_pure(entries, degree: int) -> PureObject:
     return _pure(degree, tuple(slots))
 
 
+def _parse_list(raw, loc: str, parse) -> list:
+    """``parse(item, i)`` of each item of the list ``raw``, in order; a
+    ParseError from item i is located at ``loc[i]`` followed by its own."""
+    _expect(isinstance(raw, list), loc, "must be a list")
+    parsed = []
+    try:
+        for i, item in enumerate(raw):
+            parsed.append(parse(item, i))
+    except ParseError as exc:
+        raise exc.within(f"{loc}[{i}]") from None
+    return parsed
+
+
 def _parse_stratum(raw, d: int, index: Mapping, rationals: _Rationals,
-                   zeros: _ZeroBlocks, strata: Mapping) -> tuple:
-    """One entry of ``strata`` as ``(subset, StratumData)``, given the strata
-    parsed before it; ParseError locations are relative to the entry."""
+                   zeros: _ZeroBlocks, strata: dict):
+    """Add one entry of ``strata`` to ``strata``, the strata parsed before it;
+    ParseError locations are relative to the entry."""
     _parse_object(raw, "", "stratum", _STRATUM_FIELDS)
     subset = _parse_subset(raw["subset"], ".subset", index)
     _expect(subset not in strata, ".subset", "duplicate stratum")
     if len(subset) > d:
         raise ParseError(".subset", f"stratum would have negative dimension (d = {d})")
-    e = d - len(subset)
-
-    raw_coh = raw["cohomology"]
-    _expect(isinstance(raw_coh, list), ".cohomology", "must be a list")
-    cohomology = []
-    try:
-        for k, entry in enumerate(raw_coh):
-            cohomology.append(_parse_pure(entry, k))
-    except ParseError as exc:
-        raise exc.within(f".cohomology[{k}]") from None
-
-    raw_pairs = raw["pairings"]
-    _expect(isinstance(raw_pairs, list), ".pairings", "must be a list")
-    pairings = []
-    try:
-        for k, rows in enumerate(raw_pairs):
-            pairings.append(_parse_matrix(rows, rationals, zeros))
-    except ParseError as exc:
-        raise exc.within(f".pairings[{k}]") from None
-    return subset, make_stratum(e, cohomology, pairings, zeros)
+    cohomology = _parse_list(raw["cohomology"], ".cohomology", _parse_pure)
+    pairings = _parse_list(raw["pairings"], ".pairings",
+                           lambda rows, _: _parse_matrix(rows, rationals, zeros))
+    strata[subset] = make_stratum(d - len(subset), cohomology, pairings, zeros)
 
 
 def _parse_restriction(raw, index: Mapping, rationals: _Rationals, zeros: _ZeroBlocks,
-                       restrictions: Mapping) -> tuple:
-    """One entry of ``restrictions`` as ``((src, dst), matrices)``, given the
-    restrictions parsed before it; ParseError locations are relative to the entry."""
+                       restrictions: dict):
+    """Add one entry of ``restrictions`` to ``restrictions``, the restrictions
+    parsed before it; ParseError locations are relative to the entry."""
     _parse_object(raw, "", "restriction", _RESTRICTION_FIELDS)
     src = _parse_subset(raw["from"], ".from", index)
     dst = _parse_subset(raw["to"], ".to", index)
     _expect((src, dst) not in restrictions, "", "duplicate restriction pair")
-    raw_mats = raw["matrices"]
-    _expect(isinstance(raw_mats, list), ".matrices", "must be a list")
-    mats = []
-    try:
-        for k, rows in enumerate(raw_mats):
-            mats.append(_parse_matrix(rows, rationals, zeros))
-    except ParseError as exc:
-        raise exc.within(f".matrices[{k}]") from None
-    return (src, dst), tuple(mats)
+    restrictions[src, dst] = tuple(_parse_list(
+        raw["matrices"], ".matrices", lambda rows, _: _parse_matrix(rows, rationals, zeros)))
 
 
 def load_atlas(document: Mapping) -> StratumAtlas:
@@ -451,25 +432,11 @@ def load_atlas(document: Mapping) -> StratumAtlas:
     rationals = _Rationals()
     zeros = _ZeroBlocks()
 
-    strata = {}
-    raw_strata = document["strata"]
-    _expect(isinstance(raw_strata, list), "strata", "must be a list")
-    for si, raw in enumerate(raw_strata):
-        try:
-            subset, stratum = _parse_stratum(raw, d, index, rationals, zeros, strata)
-        except ParseError as exc:
-            raise exc.within(f"strata[{si}]") from None
-        strata[subset] = stratum
-
-    restrictions = {}
-    raw_restrictions = document["restrictions"]
-    _expect(isinstance(raw_restrictions, list), "restrictions", "must be a list")
-    for ri, raw in enumerate(raw_restrictions):
-        try:
-            pair, mats = _parse_restriction(raw, index, rationals, zeros, restrictions)
-        except ParseError as exc:
-            raise exc.within(f"restrictions[{ri}]") from None
-        restrictions[pair] = mats
+    strata, restrictions = {}, {}
+    _parse_list(document["strata"], "strata",
+                lambda raw, _: _parse_stratum(raw, d, index, rationals, zeros, strata))
+    _parse_list(document["restrictions"], "restrictions",
+                lambda raw, _: _parse_restriction(raw, index, rationals, zeros, restrictions))
 
     selfint = None
     if "self_intersections" in document:
@@ -577,11 +544,9 @@ def dump_atlas(a: StratumAtlas) -> dict:
             {
                 "from": list(src),
                 "to": list(dst),
-                "matrices": [_dump_matrix(m) for m in a.restrictions[(src, dst)]],
+                "matrices": [_dump_matrix(m) for m in mats],
             }
-            for (src, dst) in sorted(
-                a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1]))
-            )
+            for (src, dst), mats in a.restrictions.items()
         ],
     }
     if a.self_intersections is not None:
@@ -754,10 +719,7 @@ def validate_atlas(a: StratumAtlas) -> ValidationReport:
 
     # restriction checks
     misshaped = set()  # (src, dst, degree) of each RestrictionShape finding
-    keys = {s: a.subset_key(s) for pair in a.restrictions for s in pair}
-    for (src, dst), mats in sorted(
-        a.restrictions.items(), key=lambda item: (keys[item[0][0]], keys[item[0][1]])
-    ):
+    for (src, dst), mats in a.restrictions.items():
         where = f"{_subset_name(src)}->{_subset_name(dst)}"
         src_st, dst_st = a.strata.get(src), a.strata.get(dst)
         if src_st is None or dst_st is None:

@@ -157,19 +157,20 @@ def off_label_entry(source: PureObject, target: PureObject, m: Matrix) -> Option
 
 def label_blocks(source: PureObject, target: PureObject, m: Matrix) -> tuple:
     """``(blocks, None)``: ``m`` (target x source, in slot order) split into its
-    (p, q) blocks; or ``(None, off_label_entry(source, target, m))``."""
+    (p, q) blocks; or ``(None, off_label_entry(source, target, m))``, found in
+    the same pass over the rows."""
     labels = source.labels()
     if len(labels) == 1 and labels == target.labels():
         return {labels[0]: m}, None
-    hit = off_label_entry(source, target, m)
-    if hit is not None:
-        return None, hit
-    place, lines = [0] * source.dim, {}
+    place, lines, slots = [0] * source.dim, {}, source.slots
     for lab in labels:
         for c, j in enumerate(source.positions(lab)):
             place[j] = c
-    for t, row in zip(target.slots, m.sparse_rows()):
-        lines.setdefault(t, []).append({place[j]: x for j, x in row.items()})
+    for i, (t, row) in enumerate(zip(target.slots, m.sparse_rows())):
+        line = {place[j]: x for j, x in row.items() if slots[j] == t}
+        if len(line) != len(row):
+            return None, (i, min([j for j in row if slots[j] != t]))
+        lines.setdefault(t, []).append(line)
     return {lab: _wrap(source.count(lab), rows) for lab, rows in lines.items()}, None
 
 

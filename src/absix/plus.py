@@ -57,6 +57,7 @@ def ih_plus_at(a: StratumAtlas, n: int) -> MixedGraded:
     return grW_c(a, n)
 
 
+@per_atlas
 def ih_one_point(a: StratumAtlas) -> CohomologyTable:
     """Weight-graded intersection cohomology of the one-point compactification."""
     return tabulate(a, "onePointIC", ih_plus_at, all_degrees(a))
@@ -143,6 +144,13 @@ class DichotomyResult(Record):
     __slots__ = _fields = ("mode", "horn", "degrees", "boundary_nonzero", "detail")
 
 
+@per_atlas
+def _plus_mismatch(a: StratumAtlas) -> tuple:
+    """The degrees where the one-point table and H_!*(X) differ."""
+    one_point, absolute = ih_one_point(a), absolute_ic(a).table
+    return tuple([n for n in all_degrees(a) if one_point.hodge(n) != absolute.hodge(n)])
+
+
 def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
     """Explain why the one-point compactification fails to be absolute."""
     _require_connected(a, "the dichotomy")
@@ -187,9 +195,7 @@ def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
             ),
         )
 
-    one_point = ih_one_point(a)
-    absolute = absolute_ic(a).table
-    mismatch = tuple([n for n in all_degrees(a) if one_point.hodge(n) != absolute.hodge(n)])
+    mismatch = _plus_mismatch(a)
     if mismatch:
         return DichotomyResult(
             mode="general",
@@ -225,7 +231,7 @@ def compare_candidates(a: StratumAtlas) -> ComparisonReport:
     h_y = table("plain", {n: pure_mixed(from_hodge_numbers(n, a.pure_at((), n).hodge_numbers()))
                           for n in all_degrees(a)})
 
-    plus_mismatch = tuple([n for n in all_degrees(a) if h_star.hodge(n) != ih_plus.hodge(n)])
+    plus_mismatch = _plus_mismatch(a)
     mid = ch_at(a, a.dimension)
     interior_consistent = mid.kernel_part.is_zero and mid.cokernel_part.is_zero
     matches_plus = not plus_mismatch and interior_consistent

@@ -17,10 +17,11 @@ H^*(X) is the cohomology of a small complex built out of the closed strata:
   of it is R^T, with R the label-(d - p, d - q) block of restriction
   differential m - 1.  Spot 0 stays H^w(Y) in its own basis, so the block
   out of spot 1 is Q R^T, with Q the transpose of the inverse of Y's
-  degree-w pairing; no other pairing is read.  In the slot basis the block
-  out of spot m is (P_m R P_(m-1)^-1)^T, P_m pairing spot m with its dual,
-  so the change of basis is P_m on spot m >= 1: ranks, and the image of the
-  map into spot 0 that ``u_map`` reads, are those of the slot basis.
+  degree-w pairing, inverted once per complex; no other pairing is read.
+  In the slot basis the block out of spot m is (P_m R P_(m-1)^-1)^T, P_m
+  pairing spot m with its dual, so the change of basis is P_m on spot
+  m >= 1: ranks, and the image of the map into spot 0 that ``u_map``
+  reads, are those of the slot basis.
 
 The restriction differentials are those validation squared
 (``atlas.restriction_differential``), split into label blocks by
@@ -50,7 +51,7 @@ from .hodgecore import (
     label_blocks,
     mixed,
 )
-from .qmat import cokernel_projection, kernel_basis, rank
+from .qmat import cokernel_projection, inverse, kernel_basis, rank
 from .record import Record
 
 
@@ -150,8 +151,8 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
             if block is not None:
                 blocks[d - p, d - q] = block.transpose()
         if m == 1 and blocks:
-            inverse = a.stratum(()).pairing_inverse(w).transpose()
-            placed, hit = label_blocks(mirrored[0], spots[0], inverse)
+            placed, hit = label_blocks(mirrored[0], spots[0],
+                                       inverse(a.pairing_at((), w)).transpose())
             if hit is not None:
                 i, j = hit
                 raise InternalError(

@@ -10,12 +10,10 @@ from random import Random
 
 import pytest
 
-import absix.atlas
-from absix import Matrix
+from absix import Matrix, qmat, wss
 from absix.atlas import (
     Finding,
     StratumAtlas,
-    StratumData,
     _subset_name,
     dump_atlas,
     dumps_atlas,
@@ -428,6 +426,7 @@ def _set(container, key, value):
 PARSE_ERROR_SITES = [
     (lambda d: _set(d, "dimension", 1001), "dimension", "must be at most 1000"),
     (lambda d: d["components"].append("L0"), "components", "duplicate component names"),
+    (lambda d: _set(d, "strata", {}), "strata", "must be a list"),
     (lambda d: _set(d["strata"], 2, 5), "strata[2]", "stratum must be an object"),
     (lambda d: d["strata"][2].update(flavour=1, aroma=2), "strata[2]",
      "unknown fields: ['aroma', 'flavour']"),
@@ -462,6 +461,7 @@ PARSE_ERROR_SITES = [
      "strata[0].pairings[2][2]", "ragged matrix rows"),
     (lambda d: _set(d["strata"][0]["pairings"][2][0], 1, "1/0"),
      "strata[0].pairings[2][0][1]", "bad rational '1/0': Fraction(1, 0)"),
+    (lambda d: _set(d, "restrictions", "x"), "restrictions", "must be a list"),
     (lambda d: _set(d["restrictions"], 1, []), "restrictions[1]",
      "restriction must be an object"),
     (lambda d: d["restrictions"][1].update(z=1), "restrictions[1]", "unknown fields: ['z']"),
@@ -747,7 +747,7 @@ def test_missing_restrictions_match_the_double_loop(corpus):
     atlases = list(corpus.values()) + [random_atlas(rng) for _ in range(20)]
     removed = 0
     for a in atlases:
-        pairs = sorted(a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1])))
+        pairs = list(a.restrictions)
         cases = [a]
         if pairs:
             cases.append(_without(a, {rng.choice(pairs)}))
@@ -866,7 +866,7 @@ def test_squares_match_the_double_loop(corpus):
     atlases += edges
     fired = reshaped = 0
     for a in atlases:
-        pairs = sorted(a.restrictions, key=lambda p: (a.subset_key(p[0]), a.subset_key(p[1])))
+        pairs = list(a.restrictions)
         twice = _broken(a, rng)
         cases = [a, twice, twice and _broken(twice, rng)]
         if pairs:
@@ -884,6 +884,29 @@ def test_squares_match_the_double_loop(corpus):
     assert not [f for f in twice if "degree[2]" in f]  # only the lowest failing degree
     assert not [f for f in one_path if "Y->{A.A.p0,A.B.p0}." in f]  # a path is missing
     assert [f[:20] for f in off_label] == ["[RestrictionBlocks] ", "[SquareIncompatible]"]
+
+
+def test_restriction_pairs_given_out_of_order_are_kept_in_canonical_order():
+    """However its restriction pairs are given, an atlas iterates them in
+    canonical order, dumps the bytes of the atlas given in that order, and
+    reports the same findings in the same order."""
+    rng = Random(2626)
+    gm = builtin("gm")
+    cube = kunneth(kunneth(gm, gm), gm)
+    broken = _reshaped(_broken(cube, rng), rng, rng.choice(sorted(cube.restrictions)))
+    items = list(broken.restrictions.items())
+    items.append(((("A.A.p0",), ("A.A.p0", "ghost")), ()))  # an undeclared target
+    canonical = sorted(items, key=lambda item: (broken.subset_key(item[0][0]),
+                                                broken.subset_key(item[0][1])))
+    rng.shuffle(items)
+    assert items != canonical
+    given, in_order = [StratumAtlas(cube.dimension, cube.components, dict(cube.strata), dict(r))
+                       for r in (items, canonical)]
+    assert list(given.restrictions.items()) == canonical
+    assert dumps_atlas(given) == dumps_atlas(in_order)
+    findings = validate_atlas(given).findings
+    assert findings == validate_atlas(in_order).findings
+    assert len({f.code for f in findings if "->" in f.where}) >= 3
 
 
 def test_subsets_out_of_components_order_are_bad_subsets():
@@ -922,25 +945,34 @@ def test_validation_of_many_components_is_quick():
     assert time.perf_counter() - start < 2.0
 
 
-def _counting_inverses(monkeypatch) -> list:
-    """Record each matrix the atlas layer inverts."""
+def _counting_inverses(monkeypatch, modules) -> list:
+    """Record each matrix that ``qmat.inverse`` inverts when called through
+    one of ``modules``, with the caller's name and its ``a`` and ``w``."""
     inverted = []
-    real = absix.atlas.inverse
+    real = qmat.inverse
 
     def counted(m):
-        inverted.append(m)
+        caller = sys._getframe(1)
+        inverted.append((m, caller.f_code.co_name,
+                         caller.f_locals.get("a"), caller.f_locals.get("w")))
         return real(m)
 
-    monkeypatch.setattr(absix.atlas, "inverse", counted)
+    for module in modules:
+        monkeypatch.setattr(module, "inverse", counted)
     return inverted
 
 
 def test_validation_inverts_no_pairing(monkeypatch):
-    inverted = _counting_inverses(monkeypatch)
+    """Counted through every module that binds ``qmat.inverse``, once the
+    atlases are built (a corpus builder inverts a pairing)."""
     rng = Random(1100)
     atlases = [builtin(name) for name in corpus_names()]
     atlases += [random_atlas(rng) for _ in range(12)]
     atlases.append(builtin("points_in_proper", points=300))
+    binding = [module for name, module in sorted(sys.modules.items())
+               if name.startswith("absix") and getattr(module, "inverse", None) is qmat.inverse]
+    assert wss in binding and qmat in binding
+    inverted = _counting_inverses(monkeypatch, binding)
     for a in atlases:
         assert validate_atlas(a).ok
     assert inverted == []
@@ -948,35 +980,20 @@ def test_validation_inverts_no_pairing(monkeypatch):
 
 def test_a_full_report_inverts_each_pairing_the_gysin_complexes_read_once(monkeypatch, capsys):
     """The Gysin complexes are written in the basis dual to the restriction
-    spots, so the only inverses read are Y's, each degree at most once."""
-    inverted = _counting_inverses(monkeypatch)
-    validated, read = [], []
-    real_validate, real = absix.atlas.validate_atlas, StratumData.pairing_inverse
-
-    def validate(a):
-        validated.append(a)
-        return real_validate(a)
-
-    def recorded(self, k):
-        read.append((self, k, sys._getframe(1).f_code.co_name))
-        return real(self, k)
-
-    monkeypatch.setattr(absix.atlas, "validate_atlas", validate)
-    monkeypatch.setattr(StratumData, "pairing_inverse", recorded)
+    spots, so the only inverses taken are of Y's pairings, each degree at
+    most once."""
+    inverted = _counting_inverses(monkeypatch, [wss])
     reads = 0
     for name in corpus_names():
-        validated.clear()
         inverted.clear()
-        read.clear()
         assert main(["compute", "@" + name, "--what", "all"]) == 0
         capsys.readouterr()
-        assert {caller for _, _, caller in read} <= {"gysin_complex"}
-        y = validated[0].stratum(())
-        assert all(st is y for st, _, _ in read), name
-        degrees = [k for _, k, _ in read]
-        assert len(degrees) == len(set(degrees)) == len(inverted), name
-        reads += len(read)
-    assert reads  # the gysin complexes do read inverses
+        assert {caller for _, caller, _, _ in inverted} <= {"gysin_complex"}
+        assert all(m is a.pairing_at((), w) for m, _, a, w in inverted), name
+        degrees = [w for _, _, _, w in inverted]
+        assert len(degrees) == len(set(degrees)), name
+        reads += len(degrees)
+    assert reads  # the gysin complexes do invert pairings
 
 
 def test_require_valid_raises_with_findings():

@@ -210,6 +210,30 @@ def test_from_full_matrix_rejects_entries_across_labels():
         PureMorphism.from_full_matrix(src, tgt, bad)
 
 
+def test_label_blocks_finds_the_first_off_label_entry_in_its_one_pass():
+    """On random multi-label matrices, ``label_blocks`` names the entry
+    ``off_label_entry`` names, and otherwise its blocks rebuild the matrix."""
+    rng = Random(2525)
+    labels = [(0, 2), (1, 1), (2, 0)]
+    hits = multi = 0
+    for _ in range(400):
+        source, target = [PureObject(2, [rng.choice(labels) for _ in range(rng.randint(0, 6))])
+                          for _ in range(2)]
+        off = rng.random() < 0.5  # then some entries link two labels
+        m = Matrix(target.dim, source.dim,
+                   [[rng.randint(-3, 3) if s == t or (off and rng.random() < 0.15) else 0
+                     for s in source.slots] for t in target.slots])
+        blocks, hit = hodgecore.label_blocks(source, target, m)
+        assert hit == hodgecore.off_label_entry(source, target, m)
+        if hit is None:
+            assert PureMorphism(source, target, blocks).full_matrix() == m
+        else:
+            assert blocks is None
+        hits += hit is not None
+        multi += len(source.labels()) > 1
+    assert hits >= 50 and multi >= 200  # both outcomes, mostly on several labels
+
+
 def test_compose_and_identity_laws():
     rng = Random(7)
     for _ in range(25):

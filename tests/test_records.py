@@ -15,7 +15,7 @@ import pytest
 
 from absix import corpus
 from absix.absic import absolute_ic, ch_at, direct_factor_check, plain_table
-from absix.atlas import Finding, validate_atlas
+from absix.atlas import Finding, StratumData, validate_atlas
 from absix.cli import build_report
 from absix.corpus import CATALOGUE, CorpusItem, builtin
 from absix.hodgecore import PureObject
@@ -178,9 +178,12 @@ def test_constructor_arguments_are_checked():
 
 
 def test_a_memo_is_not_part_of_the_value():
-    a, b = builtin("gm"), builtin("gm")
-    first, second = a.strata[()], b.strata[()]
-    assert first.pairing_inverse(2) is first.pairing_inverse(2)  # computed once
-    assert first._inverses  # the memo is filled
-    assert first == second and hash(first) == hash(second)
-    assert "_inverses" not in repr(first)
+    obj = PureObject(2, ((0, 2), (1, 1), (2, 0)))
+    assert obj.labels() is obj.labels()  # indexed once
+    assert obj._positions  # the index is filled
+    bare = object.__new__(PureObject)  # the same fields, no index
+    for name in PureObject._fields:
+        object.__setattr__(bare, name, getattr(obj, name))
+    assert bare == obj and hash(bare) == hash(obj)
+    assert "_positions" not in repr(obj) and "_labels" not in repr(obj)
+    assert StratumData.__slots__ == StratumData._fields  # no memo beside the fields

@@ -289,17 +289,17 @@ def _off_label_atlas():
 def _off_label_inverse(monkeypatch):
     """Make the inverse of Y's degree-3 pairing also link the H^1 row that pairs
     with the (2, 1) class to the (1, 2) class."""
-    real = StratumData.pairing_inverse
+    real, y3 = wss.inverse, _off_label_atlas().pairing_at((), 3)
 
-    def patched(self, k):
-        inv = real(self, k)
-        if k != 3:  # only Y has H^3
+    def patched(m):
+        inv = real(m)
+        if m != y3:  # not Y's degree-3 pairing
             return inv
         rows = inv.to_lists()
         rows[0][0] += 1
         return Matrix.from_rows(rows)
 
-    monkeypatch.setattr(StratumData, "pairing_inverse", patched)
+    monkeypatch.setattr(wss, "inverse", patched)
 
 
 def test_off_label_gysin_block_is_an_internal_error(monkeypatch):
@@ -344,27 +344,27 @@ def _gm2_file(tmp_path):
 
 
 def _only_y_pairings(monkeypatch) -> list:
-    """Once gm x gm has validated, reading a pairing or a pairing inverse of
-    any stratum but Y raises; returns the degrees of Y's inverses read."""
+    """Once gm x gm has validated, reading a pairing of any stratum but Y, or
+    inverting any matrix but one of Y's pairings, raises; returns the degrees
+    of Y's pairings inverted."""
     validated = _after_validation(monkeypatch)
-    real_pairing, real_inverse = StratumData.pairing_at, StratumData.pairing_inverse
+    real_pairing, real_inverse = StratumData.pairing_at, wss.inverse
     inverses = []
 
-    def guard(self, k):
+    def pairing(self, k):
         if validated and self.top_degree() != 4:  # Y is the one stratum with H^4
             raise RuntimeError(f"a boundary stratum's pairing was read in degree {k}")
-
-    def pairing(self, k):
-        guard(self, k)
         return real_pairing(self, k)
 
-    def inverse_pairing(self, k):
-        guard(self, k)
-        inverses.append(k)
-        return real_inverse(self, k)
+    def inverse(m):
+        degrees = [k for k, p in enumerate(validated[-1].stratum(()).pairings) if p is m]
+        if len(degrees) != 1:
+            raise RuntimeError("a matrix other than one of Y's pairings was inverted")
+        inverses.append(degrees[0])
+        return real_inverse(m)
 
     monkeypatch.setattr(StratumData, "pairing_at", pairing)
-    monkeypatch.setattr(StratumData, "pairing_inverse", inverse_pairing)
+    monkeypatch.setattr(wss, "inverse", inverse)
     return inverses
 
 
