@@ -162,7 +162,6 @@ class StratumAtlas:
                              for k in range(len(mats), len(s.cohomology))]
             padded[(src, dst)] = tuple(mats)
         key = {s: self.subset_key(s) for s in {*self.strata, *(s for p in padded for s in p)}}
-        # a stable sort: pairs of equal keys (unknown components) keep their order
         self.restrictions = MappingProxyType(dict(sorted(
             padded.items(), key=lambda item: (key[item[0][0]], key[item[0][1]]))))
         self.self_intersections = (
@@ -184,7 +183,9 @@ class StratumAtlas:
     # -- combinatorics -----------------------------------------------------
 
     def subset_key(self, subset: Sequence[str]) -> tuple:
-        return (len(subset), tuple([self._index.get(c, len(self.components)) for c in subset]))
+        # undeclared components sort after the declared ones, then by name
+        return (len(subset), tuple([self._index.get(c, len(self.components)) for c in subset]),
+                tuple(subset))
 
     def declared_subsets(self) -> tuple:
         """The declared subsets by size, then in components order (sorted once)."""

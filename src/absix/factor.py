@@ -54,6 +54,7 @@ from .qmat import (
     inverse,
     kernel_basis,
     pivot_columns,
+    rank,
     right_inverse,
     rref,
 )
@@ -77,7 +78,7 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
     """The canonical factorization of v through CH(v), blockwise pivot-order
     (see the module docstring for the choice of each block).  Each block of
     i_ch and pi_ch is built in one pass from the rref rows, the pivot
-    columns and the cofree rows."""
+    columns and the cofree rows, and checked where it is built."""
     kerd, imd, cokd = {}, {}, {}
     i_blocks, pi_blocks = {}, {}
     for lab in v.labels():
@@ -89,15 +90,22 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
         cofree = [i for i in range(t_dim) if i not in pivrows]
         k, r, c = len(free), len(pivots), len(cofree)
         kerd[lab], imd[lab], cokd[lab] = k, r, c
-        i_blocks[lab] = _wrap(s_dim, [{f: 1} for f in free]
-                              + list(R.sparse_rows()[:r]) + [{}] * c)
+        i_blocks[lab] = i_b = _wrap(s_dim, [{f: 1} for f in free]
+                                    + list(R.sparse_rows()[:r]) + [{}] * c)
         place = {p: k + n for n, p in enumerate(pivots)}
         unit = {g: k + r + n for n, g in enumerate(cofree)}
         pi_lines = [{place[j]: x for j, x in row.items() if j in place}
                     for row in m.sparse_rows()]
         for g, n in unit.items():
             pi_lines[g][n] = 1
-        pi_blocks[lab] = _wrap(k + r + c, pi_lines)
+        pi_blocks[lab] = pi_b = _wrap(k + r + c, pi_lines)
+        # pi_b . i_b = i . q, so this also checks m = i . q
+        if pi_b * i_b != m:
+            raise InternalError("canonical factorization must recover v")
+        if rank(i_b) != s_dim:
+            raise InternalError("i_ch must be injective")
+        if rank(pi_b) != t_dim:
+            raise InternalError("pi_ch must be surjective")
 
     w = (v.target if v.source.is_zero else v.source).weight
     kernel_part, image_part, cokernel_part = (
@@ -105,13 +113,6 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
     total = direct_sum_all([kernel_part, image_part, cokernel_part])
     i_ch = PureMorphism(v.source, total, i_blocks)
     pi_ch = PureMorphism(total, v.target, pi_blocks)
-    # per label pi_ch . i_ch = i . q, so this also checks m = i . q
-    if pi_ch.compose(i_ch) != v:
-        raise InternalError("canonical factorization must recover v")
-    if i_ch.rank() != v.source.dim:
-        raise InternalError("i_ch must be injective")
-    if pi_ch.rank() != v.target.dim:
-        raise InternalError("pi_ch must be surjective")
     return ChDecomposition(kernel_part, image_part, cokernel_part, total, i_ch, pi_ch)
 
 

@@ -1,11 +1,17 @@
 """Weight-graded cohomology of the open variety via boundary complexes.
 
 For X = Y \\ Z with normal-crossing boundary, each weight-graded piece of
-H^*(X) is the cohomology of a small complex built out of the closed strata:
+H^*_c(X) and H^*(X) is the cohomology of a small complex built out of the
+closed strata:
 
-* ``restriction_complex(a, n)``: spot m carries (+)_{|S| = m} H^n(D_S) with
-  signed restriction differentials (spot m -> spot m+1); its spot-0 kernel is
-  the lowest-weight piece Gr^W_n of H^n_c(X).
+* ``restriction_complex(a, k)``: spot m carries (+)_{|S| = m} H^k(D_S) with
+  signed restriction differentials (spot m -> spot m+1).  These complexes
+  are the E_1 page of the weight spectral sequence of H^*_c(X): Gr^W_k
+  H^n_c(X) is the homology at spot n - k (``grW_c``), and its k = n term is
+  the spot-0 kernel (``lowest_weight_compact``).  ``grW`` is its Poincare
+  dual: Gr^W_(2d - k) H^n(X) mirrors Gr^W_k H^(2d - n)_c(X), each slot
+  (p, q) relabelled (d - p, d - q).  The tables read Hodge numbers only, so
+  they invert no pairing.
 
 * ``gysin_complex(a, w)``: spot m carries (+)_{|S| = m} H^(w - 2m)(D_S)(-m),
   the differential (spot m -> spot m-1) sums signed Gysin pushforwards along
@@ -21,16 +27,16 @@ H^*(X) is the cohomology of a small complex built out of the closed strata:
   In the slot basis the block out of spot m is (P_m R P_(m-1)^-1)^T, P_m
   pairing spot m with its dual, so the change of basis is P_m on spot
   m >= 1: ranks, and the image of the map into spot 0 that ``u_map``
-  reads, are those of the slot basis.
+  reads, are those of the slot basis.  Only ``u_map`` and the Lefschetz
+  route of ``plus.weight_criteria`` build it, for that map; the tests check
+  its homology against ``grW``.
 
 The restriction differentials are those validation squared
 (``atlas.restriction_differential``), split into label blocks by
 ``hodgecore.label_blocks`` like Y's transposed inverse pairing; an entry
-linking two labels is an InternalError.  ``grW_c`` is ``grW`` under Poincare
-duality of X; ``lowest_weight_compact`` reads the weight-n piece off the
-restriction complex instead.  Both routes share the restriction blocks; the
-independent reference, one ``qmat.adjoint_pushforward`` per boundary edge in
-the slot basis, lives in the tests.  ``u_map`` assembles the comparison
+linking two labels is an InternalError.  The independent reference for the
+Gysin blocks, one ``qmat.adjoint_pushforward`` per boundary edge in the slot
+basis, lives in the tests.  ``u_map`` assembles the comparison
 u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), whose kernel/image/cokernel
 decomposition everything downstream consumes.  All of it runs one (p, q)
 block at a time over exact rationals.
@@ -164,43 +170,30 @@ def gysin_complex(a: StratumAtlas, w: int) -> WeightComplex:
 
 
 @per_atlas
-def grW(a: StratumAtlas, n: int) -> MixedGraded:
-    """Weight-graded pieces of H^n(X) as a MixedGraded family."""
+def grW_c(a: StratumAtlas, n: int) -> MixedGraded:
+    """Weight-graded pieces of H^n_c(X): Gr^W_k is the homology of
+    ``restriction_complex(a, k)`` at spot n - k."""
     d = a.dimension
-    if n < 0 or n > 2 * d:
-        return MixedGraded(())
-    pieces = {}
-    # spot w - n <= depth; past weight 2d every spot of the complex is zero
-    for w in range(n, min(2 * n, n + a.depth(), 2 * d) + 1):
-        obj = gysin_complex(a, w).homology_object(w - n)
-        if not obj.is_zero:
-            pieces[w] = obj
-    return mixed(pieces)
+    # spot n - k <= depth, and H^k(D_S) with |S| = n - k vanishes below k = 2n - 2d
+    return mixed({k: restriction_complex(a, k).homology_object(n - k)
+                  for k in range(max(0, n - a.depth(), 2 * n - 2 * d), n + 1)})
 
 
 @per_atlas
-def grW_c(a: StratumAtlas, n: int) -> MixedGraded:
-    """Weight-graded pieces of H^n_c(X), by duality with degree 2d - n."""
+def grW(a: StratumAtlas, n: int) -> MixedGraded:
+    """Weight-graded pieces of H^n(X), Poincare dual to H^(2d - n)_c(X):
+    weight k goes to weight 2d - k and slot (p, q) to (d - p, d - q)."""
     d = a.dimension
-    plain = grW(a, 2 * d - n)
     pieces = {}
-    for _, obj in plain.pieces:
-        w = 2 * d - obj.weight
-        numbers = {}
-        for (p, q) in obj.slots:
-            lab = (d - p, d - q)
-            numbers[lab] = numbers.get(lab, 0) + 1
-        pieces[w] = from_hodge_numbers(w, numbers)
+    for k, obj in grW_c(a, 2 * d - n).pieces:
+        mirrored = {(d - p, d - q): h for (p, q), h in obj.hodge_numbers().items()}
+        pieces[2 * d - k] = from_hodge_numbers(2 * d - k, mirrored)
     return mixed(pieces)
 
 
 def lowest_weight_compact(a: StratumAtlas, n: int) -> PureObject:
-    """Gr^W_n H^n_c(X) read directly from the restriction complex.
-
-    This is the spot-0 kernel of ``restriction_complex(a, n)`` -- an
-    independent route to the same object ``grW_c(a, n)`` produces at
-    weight n via duality; both are exposed so they can be compared.
-    """
+    """Gr^W_n H^n_c(X), the k = n term of ``grW_c``: the spot-0 kernel of
+    ``restriction_complex(a, n)``."""
     return restriction_complex(a, n).homology_object(0)
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from absix import Matrix, qmat, wss
 from absix.atlas import (
@@ -907,6 +908,29 @@ def test_restriction_pairs_given_out_of_order_are_kept_in_canonical_order():
     findings = validate_atlas(given).findings
     assert findings == validate_atlas(in_order).findings
     assert len({f.code for f in findings if "->" in f.where}) >= 3
+
+
+_UNDECLARED = [("m1",), ("m2",), ("m3",), ("Z", "m1"), ("m1", "m2"), ("m2", "m1")]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_equal_atlases_dump_and_hash_the_same_bytes(data):
+    """Strata and restriction pairs given in any order, some of them on
+    components the atlas does not declare: equal atlases dump and hash the
+    same."""
+    a1 = builtin("a1")
+    line, edge = a1.strata[("Z",)], a1.restrictions[((), ("Z",))]
+    extra = data.draw(st.lists(st.sampled_from(_UNDECLARED), unique=True))
+    strata = [*a1.strata.items(), *[(s, line) for s in extra]]
+    pairs = [*a1.restrictions.items(), *[((s[:-1], s), edge) for s in extra]]
+    a, b = [StratumAtlas(a1.dimension, a1.components,
+                         dict(data.draw(st.permutations(strata))),
+                         dict(data.draw(st.permutations(pairs))))
+            for _ in range(2)]
+    assert a == b
+    assert dumps_atlas(a) == dumps_atlas(b)
+    assert atlas_hash(a) == atlas_hash(b)
 
 
 def test_subsets_out_of_components_order_are_bad_subsets():

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import absix
-from absix import __version__
+from absix import __version__, qmat, wss
 from absix.absic import (
     absolute_ic,
     boundary_cohomology,
@@ -495,6 +495,58 @@ def test_cohomology_runs_no_absolute_ic(monkeypatch, capsys):
     code, out, err = run_cli(capsys, "compute", "@gm_times_a1", "--what", "cohomology")
     assert (code, err) == (0, "")
     assert "[plain]" in out and "[compactSupport]" in out
+
+
+def _record_calls(monkeypatch, name, original) -> list:
+    """Record the arguments of each call of ``original``, under ``name`` in
+    every absix module that binds it."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module_name, module in sorted(sys.modules.items()):
+        if module_name.startswith("absix") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def _corpus_files(tmp_path) -> list:
+    """(path, dimension) of each corpus atlas, written out, so that a request
+    reads a file as the benchmark's do and builds nothing."""
+    files = []
+    for name in corpus_names():
+        a = builtin(name)
+        path = tmp_path / f"{name}.atlas.json"
+        path.write_text(dumps_atlas(a), encoding="utf-8")
+        files.append((str(path), a.dimension))
+    return files
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cohomology_builds_no_gysin_complex_and_inverts_nothing(fmt, monkeypatch, tmp_path,
+                                                               capsys):
+    # H^n_c is read off the restriction complexes, H^n is its Poincare dual
+    files = _corpus_files(tmp_path)
+    built = _record_calls(monkeypatch, "gysin_complex", wss.gysin_complex)
+    inverted = _record_calls(monkeypatch, "inverse", qmat.inverse)
+    for path, _ in files:
+        code, out, err = run_cli(capsys, "compute", path, "--what", "cohomology", "--format", fmt)
+        assert (code, err) == (0, ""), path
+    assert built == [] and inverted == []
+
+
+def test_ihplus_builds_the_gysin_complex_of_the_middle_degree_alone(monkeypatch, tmp_path,
+                                                                    capsys):
+    # u_d needs it; the other rows are H^n and H^n_c
+    files = _corpus_files(tmp_path)
+    built = _record_calls(monkeypatch, "gysin_complex", wss.gysin_complex)
+    for path, d in files:
+        built.clear()
+        code, out, err = run_cli(capsys, "compute", path, "--what", "ihplus")
+        assert (code, err) == (0, ""), path
+        assert [w for _, w in built] == [d], path
 
 
 def test_failed_invariant_exits_3_without_traceback(monkeypatch, capsys):

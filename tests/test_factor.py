@@ -4,7 +4,7 @@ from random import Random
 
 import pytest
 
-from absix import Matrix, qmat
+from absix import Matrix, factor, qmat
 from absix.errors import NotIdempotent, PreconditionViolated
 from absix.factor import (
     _extend_to_basis,
@@ -20,6 +20,7 @@ from absix.hodgecore import (
     from_hodge_numbers,
 )
 from absix.qmat import cokernel_projection, image_basis, inverse, kernel_basis, rank, solve
+from absix.cli import main
 from absix.wss import u_map
 
 from synth import (
@@ -84,27 +85,30 @@ def _ch_morphisms(corpus) -> list:
 
 
 def test_ch_factorization_eliminates_each_block_twice(monkeypatch, corpus):
+    """Two eliminations build each block (rref and the pivots of its
+    transpose); the invariant ranks of its i_ch and pi_ch blocks take two
+    more, counted apart."""
     morphisms = _ch_morphisms(corpus)
-    counted, in_rank = [0], [False]
-    echelon, morphism_rank = qmat._bareiss_echelon, PureMorphism.rank
+    counted, in_rank = {False: 0, True: 0}, [False]
+    echelon, block_rank = qmat._bareiss_echelon, factor.rank
 
     def counting_echelon(work, cols):
-        counted[0] += not in_rank[0]
+        counted[in_rank[0]] += 1
         return echelon(work, cols)
 
-    def uncounted_rank(self):  # the invariant checks on i_ch and pi_ch
+    def flagged_rank(m):
         in_rank[0] = True
         try:
-            return morphism_rank(self)
+            return block_rank(m)
         finally:
             in_rank[0] = False
 
     monkeypatch.setattr(qmat, "_bareiss_echelon", counting_echelon)
-    monkeypatch.setattr(PureMorphism, "rank", uncounted_rank)
+    monkeypatch.setattr(factor, "rank", flagged_rank)
     for v in morphisms:
-        counted[0] = 0
+        counted[False] = counted[True] = 0
         ch_factorization(v)
-        assert counted[0] == 2 * len(v.labels()), v
+        assert counted == {False: 2 * len(v.labels()), True: 2 * len(v.labels())}, v
 
 
 def test_ch_blocks_agree_with_the_qmat_helpers(corpus):
@@ -334,3 +338,22 @@ def test_idempotent_kernel_block_shape():
     got = idempotent_kernel(a, b, d)
     assert got.rows == a.rows + d.rows
     assert got.cols == (a.cols - rank(a)) + (d.cols - rank(d))
+
+
+def test_corrupted_factorization_exits_3(monkeypatch, capsys):
+    """A wrong rref row breaks pi_ch . i_ch = u_2 on P^2 minus a point, whose
+    u_2 has rank one; the check is a raise, so it holds under python -O."""
+    real = factor.rref
+
+    def corrupted(m):
+        R, pivots = real(m)
+        lines = [dict(line) for line in R.sparse_rows()]
+        if pivots:
+            lines[0] = {j: 2 * x for j, x in lines[0].items()}
+        return qmat._wrap(R.cols, lines), pivots
+
+    monkeypatch.setattr(factor, "rref", corrupted)
+    assert main(["compute", "@points_in_proper", "--what", "absic"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error (a bug in absix): canonical factorization must recover v\n"

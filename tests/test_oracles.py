@@ -32,8 +32,15 @@ by duality H^n_c is ``binom(k, 2k - n)`` copies of (n - k, n - k) at weight
 and, from the punctures, p - 1 copies of (2, 2) at weight 4 in H^3; dually
 H^1_c is p - 1 copies of (0, 0), H^2_c = (1, 1) and H^4_c = (2, 2).  Affine
 n-space has H^0 = (0, 0) and H^2n_c = (n, n), nothing else.  The ``plain``
-(``grW``) and ``compactSupport`` (``grW_c``) tables must match these; no
-closed form is claimed for the other tables.
+(``grW``) and ``compactSupport`` (``grW_c``) tables must match these.
+
+The torus closed forms give the derived tables too.  H^n has weight 2n and
+H^n_c weight 2(n - k); the weights differ, so every u_n is zero, and Gr^W_n
+of either is zero except Gr^W_0 H^0 = Q and Gr^W_2k H^2k_c = Q(-k).  So
+``absoluteIC`` is H^0 = (0, 0) in degree 0 and H^2k_c = (k, k) in degree
+2k; with u = 0 the long exact sequence gives ``boundary`` bH^n = H^n (+)
+H^(n+1)_c; ``onePointIC`` is H^n below degree k, im(u_k) = 0 in degree k
+and H^n_c above it.
 """
 
 from collections import Counter
@@ -44,12 +51,13 @@ from random import Random
 import pytest
 
 from absix import Matrix
-from absix.absic import ch_at
+from absix.absic import absolute_ic, boundary_cohomology, ch_at
 from absix.atlas import StratumAtlas, StratumData
 from absix.cli import build_report, report_json
 from absix.corpus import builtin
+from absix.plus import ih_one_point
 from absix.qmat import inverse
-from absix.wss import grW, grW_c
+from absix.wss import grW, grW_c, gysin_complex
 
 from conftest import CORPUS_NAMES
 from synth import kunneth, random_atlas
@@ -208,7 +216,7 @@ def _report_without_hash(a) -> dict:
 
 # A point (d = 0) has only H^0, which keeps its basis: draw six with d > 0.
 RANDOM_SEEDS = [seed for seed in range(20) if random_atlas(Random(seed)).dimension][:6]
-BASIS_CHANGE_CASES = (
+ATLAS_CASES = (
     [(name, lambda name=name: builtin(name)) for name in CORPUS_NAMES]
     + [(f"random-{seed}", lambda seed=seed: random_atlas(Random(seed)))
        for seed in RANDOM_SEEDS]
@@ -216,13 +224,27 @@ BASIS_CHANGE_CASES = (
 )
 
 
-@pytest.mark.parametrize("seed, make", enumerate(make for _, make in BASIS_CHANGE_CASES),
-                         ids=[name for name, _ in BASIS_CHANGE_CASES])
+@pytest.mark.parametrize("seed, make", enumerate(make for _, make in ATLAS_CASES),
+                         ids=[name for name, _ in ATLAS_CASES])
 def test_reports_do_not_depend_on_the_basis(seed, make):
     a = make()
     b = _change_basis(a, seed)
     assert b != a
     assert _report_without_hash(b) == _report_without_hash(a)
+
+
+@pytest.mark.parametrize("make", [make for _, make in ATLAS_CASES],
+                         ids=[name for name, _ in ATLAS_CASES])
+def test_gysin_route_homology_is_the_plain_table(make):
+    """Gr^W_w H^n(X) as the homology of the weight-w Gysin complex at spot
+    w - n, which the tables never build, against ``grW``."""
+    a = make()
+    degrees = range(2 * a.dimension + 1)
+    for w in degrees:
+        gysin = gysin_complex(a, w)
+        for n in degrees:
+            got = gysin.homology_object(w - n).hodge_numbers()
+            assert got == grW(a, n).piece(w).hodge_numbers(), (n, w)
 
 
 def _gm_power(k: int) -> StratumAtlas:
@@ -237,12 +259,40 @@ def _positive(table: dict) -> dict:
     return {key: m for key, m in table.items() if m}
 
 
+def _torus_tables(k: int) -> tuple:
+    """The closed forms of H^n and H^n_c of G_m^k, keyed as ``_graded``."""
+    plain = {(n, 2 * n, n, n): comb(k, n) for n in range(k + 1)}
+    compact = {(n, 2 * (n - k), n - k, n - k): comb(k, 2 * k - n) for n in range(k, 2 * k + 1)}
+    return plain, compact
+
+
 @pytest.mark.parametrize("k", range(1, 7))
 def test_torus_tables_have_their_closed_form(k):
     a = _gm_power(k)
-    assert _graded(a, grW) == {(n, 2 * n, n, n): comb(k, n) for n in range(k + 1)}
-    assert _graded(a, grW_c) == {(n, 2 * (n - k), n - k, n - k): comb(k, 2 * k - n)
-                                 for n in range(k, 2 * k + 1)}
+    plain, compact = _torus_tables(k)
+    assert _graded(a, grW) == plain
+    assert _graded(a, grW_c) == compact
+
+
+def _tabled(t) -> dict:
+    """(degree, weight, p, q) -> multiplicity of a ``CohomologyTable``."""
+    return {(n, obj.weight, p, q): m
+            for n in t.degrees()
+            for _, obj in t.degree(n).pieces
+            for (p, q), m in obj.hodge_numbers().items()}
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_torus_derived_tables_have_their_closed_form(k):
+    a = _gm_power(k)
+    plain, compact = _torus_tables(k)
+    assert _tabled(absolute_ic(a).table) == {key: m for key, m in {**plain, **compact}.items()
+                                             if key[0] in (0, 2 * k)}
+    boundary = Counter(plain)
+    boundary.update({(n - 1, *rest): m for (n, *rest), m in compact.items()})
+    assert _tabled(boundary_cohomology(a)) == boundary
+    assert _tabled(ih_one_point(a)) == {key: m for key, m in {**plain, **compact}.items()
+                                        if key[0] != k}
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 8, 30, 100, 300])
