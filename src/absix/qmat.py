@@ -517,11 +517,7 @@ def kernel_basis(m: Matrix) -> Matrix:
 
     Free coordinates are set to 1 one at a time, in column order; pivot
     coordinates are filled from the RREF.  ``m * kernel_basis(m) = 0``.
-    A matrix with no nonzero entry has the identity, without elimination.
     """
-    if not any(m._lines):
-        m._pivots = ()
-        return Matrix.identity(m.cols)
     R, pivots = rref(m)
     pivset = set(pivots)
     free = {j: k for k, j in enumerate([j for j in range(m.cols) if j not in pivset])}
