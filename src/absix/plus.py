@@ -8,15 +8,18 @@ compactification X+ of a connected X of pure dimension d:
     degree n > d : the full weight-graded H^n_c(X),
 
 so only u_d is ever factorized; ``ih_one_point`` tabulates it over every
-degree.
+degree, once per atlas.
 
 ``weight_criteria`` evaluates the weight conditions on the boundary
 cohomology that characterize when X+ already computes absolute intersection
-cohomology; ``plus_dichotomy`` explains a failing verdict (either extra
+cohomology.  ``plus_dichotomy`` explains a failing verdict: either extra
 dimensions next to the middle degree, or a factorization obstruction in the
-middle degree itself); ``compare_candidates`` compares the absolute table
-against both X+ and the compactification Y; ``intersection_matrix_rank``
-computes the rank of the boundary intersection matrix for surfaces.
+middle degree itself.  With one smooth boundary divisor Z and d = 2c, the
+connecting map out of H^2c(Z) decides; it is nonzero exactly when
+Gr^W_2c H^(2c+1)_c(X) = H^2c(Z) / im H^2c(Y) is, a piece the criteria have
+computed.  ``compare_candidates`` compares the absolute table against both
+X+ and the compactification Y; ``intersection_matrix_rank`` computes the
+rank of the boundary intersection matrix for surfaces.
 """
 
 from __future__ import annotations
@@ -34,6 +37,12 @@ from .hodgecore import (
 from .qmat import Matrix, rank
 from .record import Record
 from .wss import grW, grW_c, gysin_complex, restriction_complex
+
+
+def _smooth_boundary(a: StratumAtlas) -> bool:
+    """Whether the boundary is one smooth connected divisor Z."""
+    return (len(a.components) == 1 and a.depth() == 1
+            and a.pure_at((a.components[0],), 0).dim == 1)
 
 
 def _require_connected(a: StratumAtlas, what: str):
@@ -57,9 +66,9 @@ def ih_plus_at(a: StratumAtlas, n: int) -> MixedGraded:
     return grW_c(a, n)
 
 
-@per_atlas
 def ih_one_point(a: StratumAtlas) -> CohomologyTable:
-    """Weight-graded intersection cohomology of the one-point compactification."""
+    """Weight-graded intersection cohomology of the one-point compactification
+    (``tabulate`` builds it once per atlas)."""
     return tabulate(a, "onePointIC", ih_plus_at, all_degrees(a))
 
 
@@ -106,14 +115,12 @@ def weight_criteria(a: StratumAtlas) -> CriteriaReport:
     injectivity = tuple([(n + 1, ok) for n, ok in cond2_rows if n >= 1])
 
     lefschetz = None
-    if len(a.components) == 1 and a.depth() == 1:
-        z = (a.components[0],)
-        if a.pure_at(z, 0).dim == 1:
-            lefschetz = tuple([
-                (n, restriction_complex(a, n).map_out_of(0)
-                    .compose(gysin_complex(a, n).map_into(0)).is_injective())
-                for n in range(2, d + 1)
-            ])
+    if _smooth_boundary(a):
+        lefschetz = tuple([
+            (n, restriction_complex(a, n).map_out_of(0)
+                .compose(gysin_complex(a, n).map_into(0)).is_injective())
+            for n in range(2, d + 1)
+        ])
 
     return CriteriaReport(
         cond2=cond2,
@@ -160,19 +167,11 @@ def plus_dichotomy(a: StratumAtlas) -> DichotomyResult:
         )
     d = a.dimension
 
-    exemplar = (
-        d % 2 == 0
-        and d >= 2
-        and len(a.components) == 1
-        and a.depth() == 1
-        and a.pure_at((a.components[0],), 0).dim == 1
-    )
-    if exemplar:
+    if d % 2 == 0 and d >= 2 and _smooth_boundary(a):
         c = d // 2
-        z = (a.components[0],)
-        restr = a.restriction_matrix((), z, 2 * c)
-        connecting_nonzero = rank(restr) < a.pure_at(z, 2 * c).dim
-        if connecting_nonzero:
+        # H^2c(Z) / im H^2c(Y), the spot-1 homology of the degree-2c
+        # restriction complex, which cond7 of the criteria has read.
+        if not grW_c(a, 2 * c + 1).piece(2 * c).is_zero:
             return DichotomyResult(
                 mode="exemplar",
                 horn="i",

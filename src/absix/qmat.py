@@ -66,9 +66,6 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import DimensionError, InternalError, PairingNotPerfect
 
-#: Exact scalar type of the public views (``m[i, j]``, ``to_lists()``).
-Scalar = Fraction
-
 _ZERO = Fraction(0)
 _INT = frozenset([int])
 
@@ -197,10 +194,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         _check_shape(n, n)
         return _wrap(n, [{i: 1} for i in range(n)], True)
-
-    @classmethod
-    def column(cls, entries: Sequence) -> "Matrix":
-        return cls(len(entries), 1, ((x,) for x in entries))
 
     # -- access ------------------------------------------------------------
 

@@ -37,7 +37,8 @@ The restriction differentials are those validation squared
 linking two labels is an InternalError.  The independent reference for the
 Gysin blocks, one ``qmat.adjoint_pushforward`` per boundary edge in the slot
 basis, lives in the tests.  ``u_map`` assembles the comparison
-u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), whose kernel/image/cokernel
+u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), from ``lowest_weight_compact`` to
+the cokernel of the Gysin map into spot 0, whose kernel/image/cokernel
 decomposition everything downstream consumes.  All of it runs one (p, q)
 block at a time over exact rationals.
 """
@@ -202,9 +203,9 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     """The comparison u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X).
 
     Per (p, q) block: the source is the kernel of the spot-0 restriction
-    differential (inside H^n(Y)), the target is the cokernel of the spot-1
-    Gysin differential (a quotient of H^n(Y)), and u_n is induced by the
-    identity of H^n(Y).
+    differential (inside H^n(Y)), so ``lowest_weight_compact``; the target
+    is the cokernel of the spot-1 Gysin differential (a quotient of H^n(Y)),
+    and u_n is induced by the identity of H^n(Y).
     """
     rc = restriction_complex(a, n)
     gc = gysin_complex(a, n)
@@ -213,16 +214,14 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
         raise InternalError("spot-0 objects must agree")
     d0 = rc.map_out_of(0)
     g1 = gc.map_into(0)
-    src_counts, tgt_counts, kernels, projections = {}, {}, {}, {}
+    tgt_counts, kernels, projections = {}, {}, {}
     for lab in ambient.labels():
-        k = kernel_basis(d0.block(lab))
-        c = cokernel_projection(g1.block(lab))
-        kernels[lab], projections[lab] = k, c
-        if k.cols:
-            src_counts[lab] = k.cols
+        kernels[lab] = kernel_basis(d0.block(lab))
+        c = projections[lab] = cokernel_projection(g1.block(lab))
         if c.rows:
             tgt_counts[lab] = c.rows
-    source = from_hodge_numbers(n, src_counts)
+    # The kernels memoized the pivots of d0's blocks, so this ranks nothing.
+    source = lowest_weight_compact(a, n)
     target = from_hodge_numbers(n, tgt_counts)
     blocks = {
         lab: projections[lab] * kernels[lab]

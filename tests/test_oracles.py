@@ -70,6 +70,10 @@ PRODUCTS = (
     ("smooth_divisor_ample", "a1"),
 )
 
+# The largest power of G_m run through every oracle here: at 6, the
+# basis-change report check alone takes minutes.
+TORUS_POWER = 5
+
 
 def _mirrored(numbers: dict, d: int) -> dict:
     return {(d - p, d - q): k for (p, q), k in numbers.items()}
@@ -220,7 +224,8 @@ ATLAS_CASES = (
     [(name, lambda name=name: builtin(name)) for name in CORPUS_NAMES]
     + [(f"random-{seed}", lambda seed=seed: random_atlas(Random(seed)))
        for seed in RANDOM_SEEDS]
-    + [("gm x gm", lambda: kunneth(builtin("gm"), builtin("gm")))]
+    + [("gm x gm", lambda: kunneth(builtin("gm"), builtin("gm"))),
+       (f"gm^{TORUS_POWER}", lambda: _gm_power(TORUS_POWER))]
 )
 
 
@@ -253,6 +258,18 @@ def _gm_power(k: int) -> StratumAtlas:
     for _ in range(k - 1):
         a = kunneth(a, gm)
     return a
+
+
+def test_kunneth_on_a_torus_power():
+    _check_kunneth(_gm_power(TORUS_POWER), builtin("gm"))
+
+
+def test_u_duality_on_a_torus_power():
+    _check_u_duality(_gm_power(TORUS_POWER))
+
+
+def test_u_duality_on_a_basis_changed_torus_power():
+    _check_u_duality(_change_basis(_gm_power(TORUS_POWER), TORUS_POWER))
 
 
 def _positive(table: dict) -> dict:

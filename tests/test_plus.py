@@ -18,8 +18,9 @@ from absix.plus import (
     plus_dichotomy,
     weight_criteria,
 )
+from absix.qmat import rank
 
-from synth import kunneth, random_atlas
+from synth import kunneth, random_atlas, random_boundary_atlas
 
 Q0 = {(0, 0): 1}
 Q1 = {(1, 1): 1}
@@ -207,6 +208,26 @@ def test_dichotomy_exemplar_vanishing_case_in_higher_dimension():
     assert (r.mode, r.horn, r.degrees, r.boundary_nonzero) == (
         "exemplar", "ii", (4,), False,
     )
+
+
+def test_exemplar_connecting_map_matches_the_restriction_rank():
+    """The exemplar reads the connecting map out of H^2c(Z) off the compact
+    table; directly, it is nonzero exactly when the restriction
+    H^2c(Y) -> H^2c(Z) is not onto."""
+    rng = Random(7)
+    outcomes = set()
+    for _ in range(100):
+        for d in (2, 4):
+            a = random_boundary_atlas(rng, d, 1)
+            if weight_criteria(a).verdict:
+                continue
+            z, c = (a.components[0],), d // 2
+            r = plus_dichotomy(a)
+            assert r.mode == "exemplar"
+            assert r.boundary_nonzero == (
+                rank(a.restriction_matrix((), z, 2 * c)) < a.pure_at(z, 2 * c).dim)
+            outcomes.add(r.boundary_nonzero)
+    assert outcomes == {True, False}
 
 
 def test_dichotomy_matches_verdict_on_synthetic_atlases():

