@@ -9,14 +9,17 @@ degree-n absolute intersection cohomology is the pure weight-n object
 
     H^n_!*(X)  =  ker(u_n) (+) im(u_n) (+) coker(u_n).
 
-The unit of work is one degree.  ``ch_at(a, n)`` factorizes u_n once per
-atlas; ``absic_at`` reads H^n_!* off it, and ``boundary_at`` assembles the
-weight-graded boundary cohomology bH^n (the long exact sequence between
-compact and ordinary cohomology splits weightwise) from u_n, u_(n+1) and
-the plain and compact pieces.  ``tabulate`` collects a piece over a tuple
-of degrees, once per atlas; ``absolute_ic``, ``boundary_cohomology``,
-``plain_table`` and ``compact_table`` are such collections over every
-degree.
+The unit of work is one degree.  By strictness of weights the Hodge
+numbers of the three parts depend only on the rank of each (p, q) block of
+u_n, so ``ch_at(a, n)`` reads them off those ranks once per atlas, with no
+factorization; ``absic_at`` reads H^n_!* off it, and ``boundary_at``
+assembles the weight-graded boundary cohomology bH^n (the long exact
+sequence between compact and ordinary cohomology splits weightwise) from
+u_n, u_(n+1) and the plain and compact pieces.  ``tabulate`` collects a
+piece over a tuple of degrees, once per atlas; ``absic_table``,
+``boundary_cohomology``, ``plain_table`` and ``compact_table`` are such
+collections over every degree.  Only ``absolute_ic``, for library users,
+builds the maps of each factorization.
 ``direct_factor_check`` audits that H^n_!* embeds Hodge-blockwise into H^n
 of the chosen compactification.
 """
@@ -24,7 +27,7 @@ of the chosen compactification.
 from __future__ import annotations
 
 from .atlas import StratumAtlas, per_atlas
-from .factor import ChDecomposition, ch_factorization
+from .factor import ChDecomposition, ChParts, ch_factorization, ch_parts
 from .hodgecore import (
     CohomologyTable,
     MixedGraded,
@@ -82,9 +85,9 @@ def tabulate(a: StratumAtlas, kind: str, piece, degrees: tuple) -> CohomologyTab
 
 
 @per_atlas
-def ch_at(a: StratumAtlas, n: int) -> ChDecomposition:
-    """The CH factorization of u_n, computed once per atlas and degree."""
-    return ch_factorization(u_map(a, n))
+def ch_at(a: StratumAtlas, n: int) -> ChParts:
+    """The parts of CH(u_n), read off the ranks of u_n once per atlas and degree."""
+    return ch_parts(u_map(a, n))
 
 
 def absic_at(a: StratumAtlas, n: int) -> MixedGraded:
@@ -121,13 +124,19 @@ def boundary_at(a: StratumAtlas, n: int) -> MixedGraded:
 
 @per_atlas
 def absolute_ic(a: StratumAtlas) -> AbsicResult:
-    """Compute H^n_!*(X) for every degree n in [0, 2d]."""
+    """H^n_!*(X) for every degree n in [0, 2d], with each u_n and its CH
+    factorization."""
     degrees = all_degrees(a)
     return AbsicResult(
-        tabulate(a, "absoluteIC", absic_at, degrees),
+        absic_table(a),
         tuple([(n, u_map(a, n)) for n in degrees]),
-        tuple([(n, ch_at(a, n)) for n in degrees]),
+        tuple([(n, ch_factorization(u_map(a, n))) for n in degrees]),
     )
+
+
+def absic_table(a: StratumAtlas) -> CohomologyTable:
+    """H^n_!*(X) for n in [0, 2d]."""
+    return tabulate(a, "absoluteIC", absic_at, all_degrees(a))
 
 
 def boundary_cohomology(a: StratumAtlas) -> CohomologyTable:

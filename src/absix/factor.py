@@ -19,6 +19,9 @@ q holds the coordinates of m in the basis i, since m = i * R[:r].  So each
 block is eliminated twice, once for rref(m) and once for the pivots of its
 transpose, and repeated runs produce identical matrices.
 
+The parts alone need only r: ``ch_parts`` reads k = s - r, r and c = t - r
+off the rank of each block, which is all a report prints of CH(u_n).
+
 CH(v) is versal for such factorizations: whenever v = p . j with j mono and
 p epi through some pure h, there is an embedding iota: CH(v) -> h and a
 retraction q: h -> CH(v) with q . iota = id, both compatible with the two
@@ -61,6 +64,25 @@ from .qmat import (
 from .record import Record
 
 
+class ChParts(Record):
+    """The kernel, image and cokernel parts of CH(v) and their sum ``total``."""
+
+    __slots__ = _fields = ("kernel_part", "image_part", "cokernel_part", "total")
+
+
+def ch_parts(v: PureMorphism) -> ChParts:
+    """CH(v)'s parts from the rank r of each t x s label block of v:
+    s - r, r and t - r."""
+    kerd, imd, cokd = {}, {}, {}
+    for lab in v.labels():
+        m = v.block(lab)
+        r = rank(m)
+        kerd[lab], imd[lab], cokd[lab] = m.cols - r, r, m.rows - r
+    w = (v.target if v.source.is_zero else v.source).weight
+    parts = [from_hodge_numbers(w, dims) for dims in (kerd, imd, cokd)]
+    return ChParts(*parts, direct_sum_all(parts))
+
+
 class ChDecomposition(Record):
     """CH(v) with its canonical factorization v = pi_ch . i_ch.
 
@@ -78,8 +100,8 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
     """The canonical factorization of v through CH(v), blockwise pivot-order
     (see the module docstring for the choice of each block).  Each block of
     i_ch and pi_ch is built in one pass from the rref rows, the pivot
-    columns and the cofree rows, and checked where it is built."""
-    kerd, imd, cokd = {}, {}, {}
+    columns and the cofree rows, and checked where it is built; the parts
+    are ``ch_parts(v)``, whose ranks the rref of each block memoized."""
     i_blocks, pi_blocks = {}, {}
     for lab in v.labels():
         m = v.block(lab)
@@ -89,7 +111,6 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
         free = [j for j in range(s_dim) if j not in pivcols]
         cofree = [i for i in range(t_dim) if i not in pivrows]
         k, r, c = len(free), len(pivots), len(cofree)
-        kerd[lab], imd[lab], cokd[lab] = k, r, c
         i_blocks[lab] = i_b = _wrap(s_dim, [{f: 1} for f in free]
                                     + list(R.sparse_rows()[:r]) + [{}] * c)
         place = {p: k + n for n, p in enumerate(pivots)}
@@ -107,13 +128,10 @@ def ch_factorization(v: PureMorphism) -> ChDecomposition:
         if rank(pi_b) != t_dim:
             raise InternalError("pi_ch must be surjective")
 
-    w = (v.target if v.source.is_zero else v.source).weight
-    kernel_part, image_part, cokernel_part = (
-        from_hodge_numbers(w, dims) for dims in (kerd, imd, cokd))
-    total = direct_sum_all([kernel_part, image_part, cokernel_part])
-    i_ch = PureMorphism(v.source, total, i_blocks)
-    pi_ch = PureMorphism(total, v.target, pi_blocks)
-    return ChDecomposition(kernel_part, image_part, cokernel_part, total, i_ch, pi_ch)
+    parts = ch_parts(v)
+    i_ch = PureMorphism(v.source, parts.total, i_blocks)
+    pi_ch = PureMorphism(parts.total, v.target, pi_blocks)
+    return ChDecomposition(*parts._values(), i_ch, pi_ch)
 
 
 def _extend_to_basis(current: Matrix, candidates: Matrix) -> Matrix:

@@ -7,8 +7,8 @@ compactification X+ of a connected X of pure dimension d:
     degree n = d : the image of u_d (pure of weight d),
     degree n > d : the full weight-graded H^n_c(X),
 
-so only u_d is ever factorized; ``ih_one_point`` tabulates it over every
-degree, once per atlas.
+so only the ranks of u_d are ever read; ``ih_one_point`` tabulates it over
+every degree, once per atlas.
 
 ``weight_criteria`` evaluates the weight conditions on the boundary
 cohomology that characterize when X+ already computes absolute intersection
@@ -24,7 +24,7 @@ rank of the boundary intersection matrix for surfaces.
 
 from __future__ import annotations
 
-from .absic import absolute_ic, all_degrees, boundary_at, ch_at, tabulate
+from .absic import absic_table, all_degrees, boundary_at, ch_at, tabulate
 from .atlas import StratumAtlas, per_atlas, require_valid
 from .errors import MissingSelfIntersections, PreconditionViolated
 from .hodgecore import (
@@ -154,7 +154,7 @@ class DichotomyResult(Record):
 @per_atlas
 def _plus_mismatch(a: StratumAtlas) -> tuple:
     """The degrees where the one-point table and H_!*(X) differ."""
-    one_point, absolute = ih_one_point(a), absolute_ic(a).table
+    one_point, absolute = ih_one_point(a), absic_table(a)
     return tuple([n for n in all_degrees(a) if one_point.hodge(n) != absolute.hodge(n)])
 
 
@@ -225,7 +225,7 @@ class ComparisonReport(Record):
 def compare_candidates(a: StratumAtlas) -> ComparisonReport:
     """Compare H_!*(X) against the one-point and smooth compactifications."""
     _require_connected(a, "candidate comparison")
-    h_star = absolute_ic(a).table
+    h_star = absic_table(a)
     ih_plus = ih_one_point(a)
     h_y = table("plain", {n: pure_mixed(from_hodge_numbers(n, a.pure_at((), n).hodge_numbers()))
                           for n in all_degrees(a)})

@@ -38,9 +38,9 @@ linking two labels is an InternalError.  The independent reference for the
 Gysin blocks, one ``qmat.adjoint_pushforward`` per boundary edge in the slot
 basis, lives in the tests.  ``u_map`` assembles the comparison
 u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), from ``lowest_weight_compact`` to
-the cokernel of the Gysin map into spot 0, whose kernel/image/cokernel
-decomposition everything downstream consumes.  All of it runs one (p, q)
-block at a time over exact rationals.
+the cokernel of the Gysin map into spot 0, whose block ranks everything
+downstream reads; it builds a block only where both ends are nonzero.  All
+of it runs one (p, q) block at a time over exact rationals.
 """
 
 from __future__ import annotations
@@ -205,27 +205,16 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     Per (p, q) block: the source is the kernel of the spot-0 restriction
     differential (inside H^n(Y)), so ``lowest_weight_compact``; the target
     is the cokernel of the spot-1 Gysin differential (a quotient of H^n(Y)),
-    and u_n is induced by the identity of H^n(Y).
+    so the Gysin complex's homology at spot 0, and u_n is induced by the
+    identity of H^n(Y).  Both ends are counted by ranks; a block is built
+    only where neither end is zero.
     """
     rc = restriction_complex(a, n)
     gc = gysin_complex(a, n)
-    ambient = rc.spot(0)
-    if ambient.slots != gc.spot(0).slots:
+    if rc.spot(0).slots != gc.spot(0).slots:
         raise InternalError("spot-0 objects must agree")
-    d0 = rc.map_out_of(0)
-    g1 = gc.map_into(0)
-    tgt_counts, kernels, projections = {}, {}, {}
-    for lab in ambient.labels():
-        kernels[lab] = kernel_basis(d0.block(lab))
-        c = projections[lab] = cokernel_projection(g1.block(lab))
-        if c.rows:
-            tgt_counts[lab] = c.rows
-    # The kernels memoized the pivots of d0's blocks, so this ranks nothing.
-    source = lowest_weight_compact(a, n)
-    target = from_hodge_numbers(n, tgt_counts)
-    blocks = {
-        lab: projections[lab] * kernels[lab]
-        for lab in ambient.labels()
-        if kernels[lab].cols and projections[lab].rows
-    }
+    source, target = lowest_weight_compact(a, n), gc.homology_object(0)
+    d0, g1 = rc.map_out_of(0), gc.map_into(0)
+    blocks = {lab: cokernel_projection(g1.block(lab)) * kernel_basis(d0.block(lab))
+              for lab in source.labels() if target.count(lab)}
     return PureMorphism(source, target, blocks)

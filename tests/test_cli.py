@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import absix
-from absix import __version__, qmat, wss
+from absix import __version__, factor, qmat, wss
 from absix.absic import (
     absolute_ic,
     boundary_cohomology,
@@ -486,12 +486,12 @@ def test_selective_what_equals_the_matching_part_of_all(item, capsys):
 
 
 def test_cohomology_runs_no_absolute_ic(monkeypatch, capsys):
-    # Criteria, comparison and dichotomy all rest on absolute_ic, and every
-    # absolute_ic pass factorizes u_n.
+    # Criteria, comparison and dichotomy all rest on CH(u_n), whose parts
+    # are read off the ranks of u_n.
     def refuse(*args):
-        raise AssertionError("--what cohomology must not factorize u_n")
+        raise AssertionError("--what cohomology must not rank u_n")
 
-    monkeypatch.setattr("absix.absic.ch_factorization", refuse)
+    monkeypatch.setattr("absix.absic.ch_parts", refuse)
     code, out, err = run_cli(capsys, "compute", "@gm_times_a1", "--what", "cohomology")
     assert (code, err) == (0, "")
     assert "[plain]" in out and "[compactSupport]" in out
@@ -547,6 +547,32 @@ def test_ihplus_builds_the_gysin_complex_of_the_middle_degree_alone(monkeypatch,
         code, out, err = run_cli(capsys, "compute", path, "--what", "ihplus")
         assert (code, err) == (0, ""), path
         assert [w for _, w in built] == [d], path
+
+
+def test_no_request_builds_the_ch_factorization(monkeypatch, tmp_path, capsys):
+    # The reports print the parts of CH(u_n) alone, read off the ranks of u_n
+    files = _corpus_files(tmp_path)
+    built = _record_calls(monkeypatch, "ch_factorization", factor.ch_factorization)
+    for path, _ in files:
+        for fmt in ("text", "json"):
+            code, out, err = run_cli(capsys, "compute", path, "--what", "all", "--format", fmt)
+            assert (code, err) == (0, ""), path
+    assert built == []
+
+
+def test_the_boundary_deep_pool_projects_onto_no_cokernel(monkeypatch, capsys):
+    # Each u_n there has a zero end in every label, so no block of it is built
+    root = Path(__file__).resolve().parents[1]
+    manifest = json.loads((root / "perfbench" / "inputs" / "manifest.json")
+                          .read_text(encoding="utf-8"))
+    spec = manifest["workloads"]["boundary_deep"]
+    monkeypatch.chdir(root)  # the pool's atlas paths are root-relative
+    projected = _record_calls(monkeypatch, "cokernel_projection", qmat.cokernel_projection)
+    for atlas in spec["atlases"]:
+        argv = [atlas if part == "{atlas}" else part for part in spec["kinds"][0]]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), atlas
+    assert projected == []
 
 
 def test_failed_invariant_exits_3_without_traceback(monkeypatch, capsys):

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from absix import Matrix, factor, qmat
-from absix.errors import NotIdempotent, PreconditionViolated
+from absix.errors import InternalError, NotIdempotent, PreconditionViolated
 from absix.factor import (
     _extend_to_basis,
     ch_factorization,
@@ -20,7 +20,8 @@ from absix.hodgecore import (
     from_hodge_numbers,
 )
 from absix.qmat import cokernel_projection, image_basis, inverse, kernel_basis, rank, solve
-from absix.cli import main
+from absix.absic import absolute_ic
+from absix.corpus import builtin
 from absix.wss import u_map
 
 from synth import (
@@ -340,9 +341,11 @@ def test_idempotent_kernel_block_shape():
     assert got.cols == (a.cols - rank(a)) + (d.cols - rank(d))
 
 
-def test_corrupted_factorization_exits_3(monkeypatch, capsys):
+def test_corrupted_factorization_exits_3(monkeypatch):
     """A wrong rref row breaks pi_ch . i_ch = u_2 on P^2 minus a point, whose
-    u_2 has rank one; the check is a raise, so it holds under python -O."""
+    u_2 has rank one; the check is a raise, so it holds under python -O.
+    Only ``absolute_ic`` builds the factorization: no CLI request does, and
+    an InternalError is what ``main`` turns into exit code 3."""
     real = factor.rref
 
     def corrupted(m):
@@ -353,7 +356,5 @@ def test_corrupted_factorization_exits_3(monkeypatch, capsys):
         return qmat._wrap(R.cols, lines), pivots
 
     monkeypatch.setattr(factor, "rref", corrupted)
-    assert main(["compute", "@points_in_proper", "--what", "absic"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "internal error (a bug in absix): canonical factorization must recover v\n"
+    with pytest.raises(InternalError, match="^canonical factorization must recover v$"):
+        absolute_ic(builtin("points_in_proper"))

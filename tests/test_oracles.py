@@ -34,6 +34,13 @@ H^1_c is p - 1 copies of (0, 0), H^2_c = (1, 1) and H^4_c = (2, 2).  Affine
 n-space has H^0 = (0, 0) and H^2n_c = (n, n), nothing else.  The ``plain``
 (``grW``) and ``compactSupport`` (``grW_c``) tables must match these.
 
+The rank route.  The report reads CH(u_n) off the rank of each (p, q)
+block of u_n, and builds a block of u_n only where both of its ends are
+nonzero.  The full construction stays here as the oracle: a kernel basis of
+the spot-0 restriction block and a cokernel projection of the Gysin block
+into spot 0 for every label of H^n(Y), and the factorization
+``ch_factorization`` of the resulting map, with its maps and checks.
+
 The torus closed forms give the derived tables too.  H^n has weight 2n and
 H^n_c weight 2(n - k); the weights differ, so every u_n is zero, and Gr^W_n
 of either is zero except Gr^W_0 H^0 = Q and Gr^W_2k H^2k_c = Q(-k).  So
@@ -51,13 +58,15 @@ from random import Random
 import pytest
 
 from absix import Matrix
-from absix.absic import absolute_ic, boundary_cohomology, ch_at
+from absix.absic import absolute_ic, all_degrees, boundary_cohomology, ch_at
 from absix.atlas import StratumAtlas, StratumData
 from absix.cli import build_report, report_json
 from absix.corpus import builtin
+from absix.factor import ChParts, ch_factorization
+from absix.hodgecore import PureMorphism, from_hodge_numbers
 from absix.plus import ih_one_point
-from absix.qmat import inverse
-from absix.wss import grW, grW_c, gysin_complex
+from absix.qmat import cokernel_projection, inverse, kernel_basis
+from absix.wss import grW, grW_c, gysin_complex, restriction_complex, u_map
 
 from conftest import CORPUS_NAMES
 from synth import kunneth, random_atlas
@@ -270,6 +279,50 @@ def test_u_duality_on_a_torus_power():
 
 def test_u_duality_on_a_basis_changed_torus_power():
     _check_u_duality(_change_basis(_gm_power(TORUS_POWER), 0))
+
+
+def _u_map_in_full(a, n) -> PureMorphism:
+    """u_n with a kernel basis and a cokernel projection for every label of
+    H^n(Y), its ends counted by their columns and rows."""
+    d0 = restriction_complex(a, n).map_out_of(0)
+    g1 = gysin_complex(a, n).map_into(0)
+    labels = a.pure_at((), n).labels()
+    kernels = {lab: kernel_basis(d0.block(lab)) for lab in labels}
+    projections = {lab: cokernel_projection(g1.block(lab)) for lab in labels}
+    source = from_hodge_numbers(n, {lab: m.cols for lab, m in kernels.items()})
+    target = from_hodge_numbers(n, {lab: m.rows for lab, m in projections.items()})
+    return PureMorphism(source, target,
+                        {lab: projections[lab] * kernels[lab] for lab in labels})
+
+
+def _check_rank_route(a):
+    for n in all_degrees(a):
+        u = u_map(a, n)
+        assert u == _u_map_in_full(a, n), n
+        dec = ch_factorization(u)
+        assert ch_at(a, n) == ChParts(dec.kernel_part, dec.image_part, dec.cokernel_part,
+                                      dec.total), n
+
+
+def _random_draws():
+    rng = Random(0)
+    return [random_atlas(rng) for _ in range(40)]
+
+
+RANK_ROUTE_CASES = (
+    [(name, lambda name=name: [builtin(name)]) for name in CORPUS_NAMES]
+    + [("random-0-x40", _random_draws),
+       (f"gm^{TORUS_POWER}", lambda: [_gm_power(TORUS_POWER)]),
+       (f"gm^{TORUS_POWER}-basis-changed",
+        lambda: [_change_basis(_gm_power(TORUS_POWER), 0)])]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in RANK_ROUTE_CASES],
+                         ids=[name for name, _ in RANK_ROUTE_CASES])
+def test_rank_route_matches_the_full_construction(make):
+    for a in make():
+        _check_rank_route(a)
 
 
 def _positive(table: dict) -> dict:

@@ -1,8 +1,9 @@
 """The report is built one degree at a time.
 
 Each table of ``compute`` is collected from per-degree pieces, so a
-``--degree N`` request or the one-point table factorizes only the maps u_n
-it prints, and a table built at one degree is the full table cut to it.
+``--degree N`` request or the one-point table reads CH(u_n) off the ranks of
+only the maps u_n it prints, and a table built at one degree is the full
+table cut to it.
 """
 
 from random import Random
@@ -19,7 +20,7 @@ from absix.atlas import dumps_atlas, load_atlas, loads_atlas
 from absix.cli import build_report, main
 from absix.corpus import builtin
 from absix.errors import PreconditionViolated
-from absix.factor import ch_factorization
+from absix.factor import ch_parts
 from absix.hodgecore import table
 from absix.plus import ih_one_point
 from absix.wss import u_map
@@ -39,14 +40,14 @@ FULL = {
 
 @pytest.fixture
 def factorized(monkeypatch):
-    """The maps u handed to the CH factorization, in call order."""
+    """The maps u whose ranks give the parts of CH(u), in call order."""
     seen = []
 
     def counting(u):
         seen.append(u)
-        return ch_factorization(u)
+        return ch_parts(u)
 
-    monkeypatch.setattr("absix.absic.ch_factorization", counting)
+    monkeypatch.setattr("absix.absic.ch_parts", counting)
     return seen
 
 

@@ -32,6 +32,7 @@ FIELDS = {
     "Finding": ("code", "where", "detail"),
     "ValidationReport": ("findings",),
     "WeightComplex": ("weight", "spots", "maps", "decreasing"),
+    "ChParts": ("kernel_part", "image_part", "cokernel_part", "total"),
     "ChDecomposition": ("kernel_part", "image_part", "cokernel_part", "total", "i_ch",
                         "pi_ch"),
     "AbsicResult": ("table", "comparisons", "decompositions"),
@@ -57,7 +58,8 @@ def _instances() -> dict:
         "Finding": Finding("UnitCheck", "Y.H^0", "degree-0 slots must all be (0,0)"),
         "ValidationReport": validate_atlas(a),
         "WeightComplex": gysin_complex(a, 2),
-        "ChDecomposition": ch_at(a, 2),
+        "ChParts": ch_at(a, 2),
+        "ChDecomposition": absolute_ic(a).decomposition(2),
         "AbsicResult": absolute_ic(a),
         "FactorCheck": direct_factor_check(a),
         "CriteriaReport": weight_criteria(a),
