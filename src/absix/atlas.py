@@ -61,10 +61,12 @@ atlas, next to its validation report.
 from __future__ import annotations
 
 import functools
+import hashlib
 import json
 import re
 import sys
 from itertools import compress
+from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -559,6 +561,64 @@ def dump_atlas(a: StratumAtlas) -> dict:
 
 def dumps_atlas(a: StratumAtlas) -> str:
     return json.dumps(dump_atlas(a), indent=1, sort_keys=True) + "\n"
+
+
+def _canonical_sha256(a: StratumAtlas) -> str:
+    """The sha256 hex digest of ``json.dumps(dump_atlas(a), sort_keys=True,
+    separators=(",", ":"))``, written from the stored rows and hashed one
+    stratum or restriction at a time.  The text of each zero row is built
+    once per width, and that of each subset and (interned) object once."""
+    h, zero_rows, texts = hashlib.sha256(), {}, {}
+
+    def matrices(ms) -> str:
+        out = []
+        for m in ms:
+            rows = []
+            for line in m.sparse_rows():
+                if line:
+                    row = ['"0"'] * m.cols
+                    for j, x in line.items():
+                        row[j] = '"%s"' % x
+                    rows.append(",".join(row))
+                else:
+                    if m.cols not in zero_rows:
+                        zero_rows[m.cols] = ",".join(['"0"'] * m.cols)
+                    rows.append(zero_rows[m.cols])
+            out.append("[[%s]]" % "],[".join(rows) if rows else "[]")
+        return "[%s]" % ",".join(out)
+
+    def names(subset: tuple) -> str:
+        if subset not in texts:
+            texts[subset] = "[%s]" % ",".join([_quote(c) for c in subset])
+        return texts[subset]
+
+    def slots(obj: PureObject) -> str:
+        if id(obj) not in texts:
+            texts[id(obj)] = "[%s]" % ",".join(["[%d,%d]" % slot for slot in obj.slots])
+        return texts[id(obj)]
+
+    h.update(('{"components":%s,"dimension":%d,"restrictions":['
+              % (names(a.components), a.dimension)).encode())
+    sep = ""
+    for (src, dst), mats in a.restrictions.items():
+        h.update(('%s{"from":%s,"matrices":%s,"to":%s}'
+                  % (sep, names(src), matrices(mats), names(dst))).encode())
+        sep = ","
+    h.update(b"]")
+    if a.self_intersections is not None:
+        h.update((',"self_intersections":{%s}' % ",".join(
+            [_quote(c) + ":" + _quote(str(x)) for c, x in sorted(a.self_intersections.items())])
+            ).encode())
+    h.update(b',"strata":[')
+    sep = ""
+    for s in a.declared_subsets():
+        st = a.strata[s]
+        h.update(('%s{"cohomology":[%s],"pairings":%s,"subset":%s}' % (
+            sep, ",".join([slots(obj) for obj in st.cohomology]), matrices(st.pairings),
+            names(s))).encode())
+        sep = ","
+    h.update(b"]}")
+    return h.hexdigest()
 
 
 def restriction_differential(a: StratumAtlas, k: int, m: int) -> Matrix:

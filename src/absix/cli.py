@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
-import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
@@ -35,7 +33,7 @@ from .absic import absic_at, all_degrees, boundary_at, boundary_degrees, tabulat
 from .atlas import (
     StratumAtlas,
     ValidationReport,
-    dump_atlas,
+    _canonical_sha256,
     read_atlas,
     require_valid,
     validate_atlas,
@@ -74,9 +72,10 @@ _WHAT_TABLES = {
 
 
 def atlas_hash(a: StratumAtlas) -> str:
-    """Stable content hash of the canonical atlas serialization."""
-    canonical = json.dumps(dump_atlas(a), sort_keys=True, separators=(",", ":"))
-    return "sha256:" + hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    """Stable content hash of the canonical atlas serialization: the sha256
+    of the compact, sorted-key JSON text of ``dump_atlas(a)``, written
+    straight from the atlas's sparse rows without building that tree."""
+    return "sha256:" + _canonical_sha256(a)
 
 
 class Report(Record):

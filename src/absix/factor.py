@@ -72,12 +72,13 @@ class ChParts(Record):
 
 def ch_parts(v: PureMorphism) -> ChParts:
     """CH(v)'s parts from the rank r of each t x s label block of v:
-    s - r, r and t - r."""
+    s - r, r and t - r.  Only the stored blocks are ranked; a label v does
+    not store has r = 0, and s and t are read off its ends."""
     kerd, imd, cokd = {}, {}, {}
     for lab in v.labels():
-        m = v.block(lab)
-        r = rank(m)
-        kerd[lab], imd[lab], cokd[lab] = m.cols - r, r, m.rows - r
+        m = v.stored_block(lab)
+        r = rank(m) if m is not None else 0
+        kerd[lab], imd[lab], cokd[lab] = v.source.count(lab) - r, r, v.target.count(lab) - r
     w = (v.target if v.source.is_zero else v.source).weight
     parts = [from_hodge_numbers(w, dims) for dims in (kerd, imd, cokd)]
     return ChParts(*parts, direct_sum_all(parts))

@@ -39,8 +39,10 @@ Gysin blocks, one ``qmat.adjoint_pushforward`` per boundary edge in the slot
 basis, lives in the tests.  ``u_map`` assembles the comparison
 u_n : Gr^W_n H^n_c(X) -> Gr^W_n H^n(X), from ``lowest_weight_compact`` to
 the cokernel of the Gysin map into spot 0, whose block ranks everything
-downstream reads; it builds a block only where both ends are nonzero.  All
-of it runs one (p, q) block at a time over exact rationals.
+downstream reads.  It counts that cokernel off the dual restriction blocks
+R (rank Q R^T = rank R), so it ranks no Gysin block, and it builds a block
+only where both ends are nonzero.  All of it runs one (p, q) block at a
+time over exact rationals.
 """
 
 from __future__ import annotations
@@ -205,15 +207,20 @@ def u_map(a: StratumAtlas, n: int) -> PureMorphism:
     Per (p, q) block: the source is the kernel of the spot-0 restriction
     differential (inside H^n(Y)), so ``lowest_weight_compact``; the target
     is the cokernel of the spot-1 Gysin differential (a quotient of H^n(Y)),
-    so the Gysin complex's homology at spot 0, and u_n is induced by the
-    identity of H^n(Y).  Both ends are counted by ranks; a block is built
-    only where neither end is zero.
+    and u_n is induced by the identity of H^n(Y).  That Gysin block is
+    Q R^T with Q invertible, so the target is counted as the spot-0
+    homology of the degree-(2d - n) restriction complex, each slot (p, q)
+    relabelled (d - p, d - q): the ranks of R, not of Q R^T.  A block is
+    built only where neither end is zero.
     """
+    d = a.dimension
     rc = restriction_complex(a, n)
     gc = gysin_complex(a, n)
     if rc.spot(0).slots != gc.spot(0).slots:
         raise InternalError("spot-0 objects must agree")
-    source, target = lowest_weight_compact(a, n), gc.homology_object(0)
+    dual = restriction_complex(a, 2 * d - n).homology_hodge(0)
+    source = lowest_weight_compact(a, n)
+    target = from_hodge_numbers(n, {(d - p, d - q): h for (p, q), h in dual.items()})
     d0, g1 = rc.map_out_of(0), gc.map_into(0)
     blocks = {lab: cokernel_projection(g1.block(lab)) * kernel_basis(d0.block(lab))
               for lab in source.labels() if target.count(lab)}

@@ -32,6 +32,7 @@ from absix.hodgecore import ZERO_OBJECT, PureMorphism, PureObject
 from absix.wss import restriction_complex
 
 from synth import kunneth, random_atlas, random_boundary_atlas
+from test_cli import _corpus_files, _record_calls
 
 # sha256 of dumps_atlas(builtin(name)) for every catalogue name and alias: the
 # frozen bytes of the corpus, and so of every report's atlas hash.
@@ -171,6 +172,17 @@ def test_omitted_trailing_restriction_degrees_give_the_same_atlas(tmp_path, monk
         assert main(["compute", "x.atlas.json", "--what", "all"]) == 0
         reports.append(capsys.readouterr())
     assert reports[0] == reports[1]
+
+
+def test_streamed_hash_never_dumps_the_atlas(monkeypatch, tmp_path, capsys):
+    # atlas_hash writes the canonical text from the stored rows; the
+    # dump_atlas tree, with its dense rows, is only its test oracle
+    files = _corpus_files(tmp_path)
+    dumped = _record_calls(monkeypatch, "dump_atlas", dump_atlas)
+    for path, _ in files:
+        assert main(["compute", path, "--what", "all"]) == 0, path
+        assert capsys.readouterr().err == "", path
+    assert dumped == []
 
 
 def test_a_short_restriction_list_round_trips():

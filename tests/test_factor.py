@@ -7,8 +7,10 @@ import pytest
 from absix import Matrix, factor, qmat
 from absix.errors import InternalError, NotIdempotent, PreconditionViolated
 from absix.factor import (
+    ChParts,
     _extend_to_basis,
     ch_factorization,
+    ch_parts,
     idempotent_kernel,
     versal_embed,
 )
@@ -110,6 +112,18 @@ def test_ch_factorization_eliminates_each_block_twice(monkeypatch, corpus):
         counted[False] = counted[True] = 0
         ch_factorization(v)
         assert counted == {False: 2 * len(v.labels()), True: 2 * len(v.labels())}, v
+
+
+def test_ch_parts_of_a_zero_map_ranks_nothing(monkeypatch):
+    """A label the map stores no block for has rank 0 and its ends' counts:
+    nothing is built or eliminated for it."""
+    source = from_hodge_numbers(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})
+    target = from_hodge_numbers(2, {(2, 0): 2, (1, 1): 3})
+    ranked = []
+    monkeypatch.setattr(factor, "rank", lambda m: ranked.append(m) or rank(m))
+    parts = ch_parts(PureMorphism.zero(source, target))
+    assert ranked == []
+    assert parts == ChParts(source, ZERO_OBJECT, target, direct_sum_all([source, target]))
 
 
 def test_ch_blocks_agree_with_the_qmat_helpers(corpus):

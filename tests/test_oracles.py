@@ -39,7 +39,9 @@ block of u_n, and builds a block of u_n only where both of its ends are
 nonzero.  The full construction stays here as the oracle: a kernel basis of
 the spot-0 restriction block and a cokernel projection of the Gysin block
 into spot 0 for every label of H^n(Y), and the factorization
-``ch_factorization`` of the resulting map, with its maps and checks.
+``ch_factorization`` of the resulting map, with its maps and checks.  Its
+target is counted by the rows of those projections, so by the ranks of the
+Gysin blocks, while ``u_map`` counts it off the dual restriction blocks.
 
 The torus closed forms give the derived tables too.  H^n has weight 2n and
 H^n_c weight 2(n - k); the weights differ, so every u_n is zero, and Gr^W_n
@@ -48,9 +50,16 @@ of either is zero except Gr^W_0 H^0 = Q and Gr^W_2k H^2k_c = Q(-k).  So
 2k; with u = 0 the long exact sequence gives ``boundary`` bH^n = H^n (+)
 H^(n+1)_c; ``onePointIC`` is H^n below degree k, im(u_k) = 0 in degree k
 and H^n_c above it.
+
+The atlas hash.  ``atlas_hash`` writes the compact, sorted-key JSON text of
+``dump_atlas`` straight from the stored rows.  The oracle is that text from
+``json.dumps`` of the ``dump_atlas`` tree, hashed in one piece.
 """
 
+import hashlib
+import json
 from collections import Counter
+from fractions import Fraction
 from math import comb
 from operator import add
 from random import Random
@@ -59,8 +68,8 @@ import pytest
 
 from absix import Matrix
 from absix.absic import absolute_ic, all_degrees, boundary_cohomology, ch_at
-from absix.atlas import StratumAtlas, StratumData
-from absix.cli import build_report, report_json
+from absix.atlas import StratumAtlas, StratumData, dump_atlas
+from absix.cli import atlas_hash, build_report, report_json
 from absix.corpus import builtin
 from absix.factor import ChParts, ch_factorization
 from absix.hodgecore import PureMorphism, from_hodge_numbers
@@ -379,3 +388,42 @@ def test_affine_space_tables_have_their_closed_form(n):
     a = builtin("pn_minus_hyperplane", n=n)
     assert _graded(a, grW) == {(0, 0, 0, 0): 1}
     assert _graded(a, grW_c) == {(2 * n, 2 * n, n, n): 1}
+
+
+def _renamed(a: StratumAtlas, names) -> StratumAtlas:
+    """``a``, which declares self-intersections, with its components renamed,
+    in order, to ``names``."""
+    new = dict(zip(a.components, names))
+
+    def subset(s):
+        return tuple([new[c] for c in s])
+
+    return StratumAtlas(
+        a.dimension, names, {subset(s): st for s, st in a.strata.items()},
+        {(subset(src), subset(dst)): mats for (src, dst), mats in a.restrictions.items()},
+        {new[c]: v for c, v in a.self_intersections.items()})
+
+
+def _with_fractions() -> StratumAtlas:
+    """A basis-changed atlas (Fraction entries) with Fraction self-intersections."""
+    a = _change_basis(builtin("surface_resolution"), 1)
+    return StratumAtlas(a.dimension, a.components, a.strata, a.restrictions,
+                        {"E1": Fraction(-3, 2), "E2": Fraction(7, 3)})
+
+
+HASH_CASES = (
+    [(name, lambda name=name: [builtin(name)]) for name in CORPUS_NAMES]
+    + [("random-0-x40", _random_draws),
+       (f"gm^{TORUS_POWER}", lambda: [_gm_power(TORUS_POWER)]),
+       ("escaped-names", lambda: [_renamed(builtin("gm_times_a1"),
+                                           ['Z"1', "Z\\", "Zé☃\n"])]),
+       ("fractions", lambda: [_with_fractions()])]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in HASH_CASES],
+                         ids=[name for name, _ in HASH_CASES])
+def test_streamed_hash_is_the_sha256_of_the_compact_dump(make):
+    for a in make():
+        text = json.dumps(dump_atlas(a), sort_keys=True, separators=(",", ":"))
+        assert atlas_hash(a) == "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()

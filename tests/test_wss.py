@@ -9,7 +9,7 @@ import pytest
 
 from absix import Matrix, qmat, wss
 from absix import atlas as atlas_module
-from absix.atlas import StratumAtlas, StratumData, dumps_atlas, validate_atlas
+from absix.atlas import StratumAtlas, StratumData, dumps_atlas, loads_atlas, validate_atlas
 from absix.cli import main
 from absix.corpus import builtin
 from absix.errors import InternalError
@@ -25,6 +25,7 @@ from absix.wss import (
 )
 
 from synth import kunneth, random_atlas, random_boundary_atlas, random_proper_atlas
+from test_cli import _record_calls
 from test_oracles import _change_basis
 
 
@@ -581,6 +582,24 @@ def test_u_map_endpoints_match_the_graded_tables(corpus):
             u = u_map(a, n)
             assert u.source == grW_c(a, n).piece(n), (name, n)
             assert u.target == grW(a, n).piece(n), (name, n)
+
+
+def test_u_map_ranks_no_gysin_block_into_spot_0(monkeypatch, corpus):
+    """The target is counted off the ranks of the dual restriction blocks R,
+    not of the Gysin blocks Q R^T into spot 0 built from them."""
+    ranked = _record_calls(monkeypatch, "rank", qmat.rank)
+    stored = 0
+    for name, a in corpus.items():
+        a = loads_atlas(dumps_atlas(a))  # nothing cached on it yet
+        for n in range(2 * a.dimension + 1):
+            ranked.clear()
+            u_map(a, n)
+            g1 = gysin_complex(a, n).map_into(0)
+            gysin = [g1.stored_block(lab) for lab in g1.labels()
+                     if g1.stored_block(lab) is not None]
+            stored += len(gysin)
+            assert not [m for (m,) in ranked if any(m is b for b in gysin)], (name, n)
+    assert stored > 0
 
 
 def test_u_map_on_hand_examples():
